@@ -12,8 +12,7 @@ use radionet_graph::Graph;
 use radionet_journal::{Journal, JournalSummary, Recorder};
 use radionet_mobility::{MobileTopology, MobilityTrace};
 use radionet_sim::{
-    JournalSink, NetInfo, NullSink, PositionSource, ReceptionMode, Registry, Sim, SimStats,
-    Telemetry,
+    NetInfo, Observed, Observer, PositionSource, Quiet, ReceptionMode, Registry, Sim, SimStats,
 };
 use radionet_telemetry::Stopwatch;
 use radionet_traffic::TrafficReport;
@@ -86,8 +85,8 @@ pub struct RunReport {
     /// moved. `None` for scripted dynamics.
     pub mobility: Option<MobilityTrace>,
     /// Journaled runs only ([`Driver::run_journaled`]): per-class event
-    /// counters and the rolling digest of the recording. `None` for plain
-    /// runs, which execute on the zero-cost null sink.
+    /// counters and the rolling digest of the recording. `None` for runs
+    /// that record no journal.
     pub journal: Option<JournalSummary>,
     /// Traffic runs only (`traffic.*` tasks): the delivery ledger's
     /// summary — throughput and exact nearest-rank latency percentiles.
@@ -97,7 +96,7 @@ pub struct RunReport {
     pub traffic: Option<TrafficReport>,
 }
 
-/// One fully materialized cell, ready for a simulator of either sink type.
+/// One fully materialized cell, ready for a simulator under any observer.
 struct Materialized<'d> {
     task: &'d dyn Task,
     g: Graph,
@@ -108,17 +107,15 @@ struct Materialized<'d> {
     ctx: TaskCtx,
 }
 
-/// Assembles the [`RunReport`] all driver entry points share. Generic
-/// over the sink and telemetry handle so the journaled and instrumented
-/// paths read the same accessors.
-fn assemble_report<J: JournalSink, M: Telemetry>(
+/// Assembles the [`RunReport`] all driver entry points share (without a
+/// journal summary; [`Driver::run_journaled`] adds its own).
+fn assemble_report<O: Observer>(
     spec: &RunSpec,
     g: &Graph,
     info: NetInfo,
     n_events: usize,
-    sim: &Sim<'_, RunTopology, J, M>,
+    sim: &Sim<'_, RunTopology, O>,
     outcome: TaskOutcome,
-    journal: Option<JournalSummary>,
 ) -> RunReport {
     RunReport {
         spec: spec.clone(),
@@ -138,7 +135,7 @@ fn assemble_report<J: JournalSink, M: Telemetry>(
         stats: *sim.stats(),
         rng_fingerprint: sim.rng_fingerprint(),
         mobility: sim.topology().mobile().map(MobileTopology::to_trace),
-        journal,
+        journal: None,
     }
 }
 
@@ -181,10 +178,11 @@ impl Driver {
         Driver { registry, tel: None }
     }
 
-    /// Attaches a telemetry registry: every subsequent [`Driver::run`]
-    /// records wall-clock stage timings (setup / simulate / report) and
-    /// the engine's kernel metrics into it. Telemetry observes and never
-    /// steers — reports and RNG streams stay byte-identical.
+    /// Attaches a telemetry registry: every subsequent [`Driver::run`] and
+    /// [`Driver::run_journaled`] records wall-clock stage timings (setup /
+    /// simulate / report) and the engine's kernel metrics into it.
+    /// Telemetry observes and never steers — reports, RNG streams and
+    /// journals stay byte-identical.
     pub fn with_telemetry(mut self, tel: Registry) -> Self {
         self.tel = Some(tel);
         self
@@ -205,56 +203,18 @@ impl Driver {
     /// Pure: identical specs yield bit-identical reports (the scenario
     /// equivalence suite pins this against the pre-façade runner for the
     /// whole catalogue, under both kernels). A spec's `journal` section is
-    /// ignored here — plain runs always execute on the zero-cost null
-    /// sink; use [`Driver::run_journaled`] to record.
+    /// ignored here; use [`Driver::run_journaled`] to record. Without
+    /// telemetry the simulator runs on the [`Quiet`] observer, so every
+    /// observer site compiles out (the E21 bench smoke pins the overhead
+    /// at zero).
     pub fn run(&self, spec: &RunSpec) -> Result<RunReport, RunError> {
-        match &self.tel {
-            None => self.run_plain(spec),
-            Some(tel) => self.run_timed(spec, tel),
-        }
-    }
-
-    /// The uninstrumented hot path: `Sim` monomorphizes over
-    /// [`NoTelemetry`](radionet_sim::NoTelemetry), so every metrics site
-    /// compiles out (the E21 bench smoke pins the overhead at zero).
-    fn run_plain(&self, spec: &RunSpec) -> Result<RunReport, RunError> {
-        let m = self.materialize(spec)?;
-        let mut sim =
-            Sim::try_with_topology(&m.g, m.topo, m.info, seeds::sim_seed(spec.seed), m.reception)
-                .map_err(|e| RunError::InvalidSpec(e.to_string()))?;
-        sim.set_kernel(spec.kernel);
-        let outcome = m.task.run(&mut sim, &m.ctx);
-        Ok(assemble_report(spec, &m.g, m.info, m.n_events, &sim, outcome, None))
-    }
-
-    /// The instrumented path: identical pipeline, with the run split into
-    /// setup (materialization + simulator construction), simulate, and
-    /// report stages, each timed into `tel`; the simulator itself records
-    /// the kernel-level metrics through its telemetry handle.
-    fn run_timed(&self, spec: &RunSpec, tel: &Registry) -> Result<RunReport, RunError> {
-        let total = Stopwatch::start::<Registry>();
-        let setup = Stopwatch::start::<Registry>();
-        let m = self.materialize(spec)?;
-        let mut sim = Sim::try_instrumented(
-            &m.g,
-            m.topo,
-            m.info,
-            seeds::sim_seed(spec.seed),
-            m.reception,
-            NullSink,
-            tel.clone(),
-        )
-        .map_err(|e| RunError::InvalidSpec(e.to_string()))?;
-        sim.set_kernel(spec.kernel);
-        setup.stop(tel, "driver_setup_micros");
-        let simulate = Stopwatch::start::<Registry>();
-        let outcome = m.task.run_instrumented(&mut sim, &m.ctx);
-        simulate.stop(tel, "driver_simulate_micros");
-        let assemble = Stopwatch::start::<Registry>();
-        let report = assemble_report(spec, &m.g, m.info, m.n_events, &sim, outcome, None);
-        assemble.stop(tel, "driver_report_micros");
-        total.stop(tel, "driver_run_micros");
-        tel.count("driver_runs", 1);
+        let report = match &self.tel {
+            None => self.execute(spec, |_| Ok(Quiet), |task, sim, ctx| task.run(sim, ctx))?.0,
+            Some(tel) => {
+                let obs = Observed { journal: None, metrics: Some(tel.clone()) };
+                self.execute(spec, |_| Ok(obs), |task, sim, ctx| task.run_observed(sim, ctx))?.0
+            }
+        };
         Ok(report)
     }
 
@@ -262,7 +222,8 @@ impl Driver {
     /// `journal` field filled with the recording's [`JournalSummary`]) and
     /// the frozen [`Journal`] itself. The journal embeds the spec, so
     /// [`replay`](crate::journal::replay) can re-drive it later from the
-    /// serialized document alone.
+    /// serialized document alone. With telemetry attached, the same run
+    /// also records its metrics.
     ///
     /// The spec's `journal` section selects the class filter and waypoint
     /// cadence; a missing section records everything with the derived
@@ -273,40 +234,66 @@ impl Driver {
     ///
     /// Same failure modes as [`Driver::run`].
     pub fn run_journaled(&self, spec: &RunSpec) -> Result<(RunReport, Journal), RunError> {
-        let m = self.materialize(spec)?;
-        let jspec = spec.journal.clone().unwrap_or_default();
-        let mask = jspec.mask().map_err(RunError::InvalidSpec)?;
-        let cadence = jspec.cadence(m.task.timebase(&m.info));
         let started = std::time::Instant::now();
-        let mut sim = Sim::try_with_journal(
-            &m.g,
-            m.topo,
-            m.info,
-            seeds::sim_seed(spec.seed),
-            m.reception,
-            Recorder::new(mask, cadence),
-        )
-        .map_err(|e| RunError::InvalidSpec(e.to_string()))?;
-        sim.set_kernel(spec.kernel);
-        let outcome = m.task.run_recorded(&mut sim, &m.ctx);
-        let fingerprint = sim.rng_fingerprint();
-        let report = assemble_report(spec, &m.g, m.info, m.n_events, &sim, outcome, None);
-        let journal = sim.into_journal().into_journal(
+        let observe = |m: &Materialized<'_>| {
+            let jspec = spec.journal.clone().unwrap_or_default();
+            let mask = jspec.mask().map_err(RunError::InvalidSpec)?;
+            let cadence = jspec.cadence(m.task.timebase(&m.info));
+            Ok(Observed { journal: Some(Recorder::new(mask, cadence)), metrics: self.tel.clone() })
+        };
+        let (report, obs) =
+            self.execute(spec, observe, |task, sim, ctx| task.run_observed(sim, ctx))?;
+        let journal = obs.journal.expect("a journaled run records").into_journal(
             concat!("radionet ", env!("CARGO_PKG_VERSION")),
             spec.kernel.name(),
             Some(spec.to_value()),
-            fingerprint,
+            report.rng_fingerprint,
             started.elapsed().as_nanos() as u64,
         );
         let report = RunReport { journal: Some(journal.summary()), ..report };
         Ok((report, journal))
     }
 
+    /// The one run body every entry point shares: materialize the cell,
+    /// build the simulator around the observer `observe` makes for it, let
+    /// the task `run` on it, and assemble the report. With telemetry
+    /// attached, the setup (materialization and simulator construction),
+    /// simulate and report stages are timed into the registry; the
+    /// simulator records the kernel-level metrics through its observer.
+    fn execute<O: Observer>(
+        &self,
+        spec: &RunSpec,
+        observe: impl FnOnce(&Materialized<'_>) -> Result<O, RunError>,
+        run: impl FnOnce(&dyn Task, &mut Sim<'_, RunTopology, O>, &TaskCtx) -> TaskOutcome,
+    ) -> Result<(RunReport, O), RunError> {
+        let tel = self.tel.as_ref();
+        let total = Stopwatch::start(tel.is_some());
+        let setup = Stopwatch::start(tel.is_some());
+        let m = self.materialize(spec)?;
+        let obs = observe(&m)?;
+        let mut sim =
+            Sim::try_observed(&m.g, m.topo, m.info, seeds::sim_seed(spec.seed), m.reception, obs)
+                .map_err(|e| RunError::InvalidSpec(e.to_string()))?;
+        sim.set_kernel(spec.kernel);
+        setup.stop(tel, "driver_setup_micros");
+        let simulate = Stopwatch::start(tel.is_some());
+        let outcome = run(m.task, &mut sim, &m.ctx);
+        simulate.stop(tel, "driver_simulate_micros");
+        let assemble = Stopwatch::start(tel.is_some());
+        let report = assemble_report(spec, &m.g, m.info, m.n_events, &sim, outcome);
+        assemble.stop(tel, "driver_report_micros");
+        total.stop(tel, "driver_run_micros");
+        if let Some(tel) = tel {
+            tel.count("driver_runs", 1);
+        }
+        Ok((report, sim.into_observer()))
+    }
+
     /// Everything [`Driver::run`] does before a simulator exists:
     /// validation, task lookup, family instantiation, [`NetInfo`]
     /// measurement, dynamics materialization, and SINR position
-    /// resolution. Shared verbatim between the null-sink and recorded
-    /// entry points so a journaled run drives the exact same cell.
+    /// resolution. Every entry point goes through it, so a journaled or
+    /// timed run drives the exact same cell as a plain one.
     fn materialize(&self, spec: &RunSpec) -> Result<Materialized<'_>, RunError> {
         spec.validate().map_err(RunError::InvalidSpec)?;
         let task = self

@@ -14,10 +14,12 @@ use radionet_sim::{Kernel, PositionSource, ReceptionMode};
 use radionet_traffic::TrafficSpec;
 use serde::{Deserialize, Serialize};
 
-/// What to record while a run executes (see `radionet-journal`). Absent
-/// from a spec (`RunSpec::journal = None`), the run executes on the
-/// zero-cost [`NullSink`](radionet_sim::NullSink) — the engine's journal
-/// branches fold away at compile time and nothing is recorded.
+/// What [`Driver::run_journaled`](crate::Driver::run_journaled) records
+/// (see `radionet-journal`). Absent from a spec (`RunSpec::journal =
+/// None`), a journaled run records every class at the derived cadence; a
+/// plain [`Driver::run`](crate::Driver::run) ignores the section and runs
+/// on the quiet [`Observer`](radionet_sim::Observer), whose journal
+/// branches fold away at compile time.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct JournalSpec {
     /// Comma-separated event classes to keep (`"radio,topology,phase,sched"`;
@@ -353,7 +355,7 @@ pub struct RunSpec {
     /// Optional observability section: what
     /// [`Driver::run_journaled`](crate::Driver::run_journaled) records.
     /// `None` (the default, and what journal-less legacy specs parse to)
-    /// runs on the zero-cost null sink.
+    /// records every class at the derived cadence.
     pub journal: Option<JournalSpec>,
     /// Optional streaming-traffic axis, read by the `traffic.*` task
     /// family (other tasks ignore it). `None` — the default, and what

@@ -3,8 +3,7 @@
 
 use crate::spec::RunSpec;
 use crate::topology::RunTopology;
-use radionet_journal::Recorder;
-use radionet_sim::{NetInfo, NullSink, Registry, Sim};
+use radionet_sim::{NetInfo, Observed, Sim};
 use radionet_traffic::{TrafficReport, TrafficSpec};
 use serde::{Deserialize, Serialize};
 
@@ -42,20 +41,22 @@ impl TaskCtx {
 /// Implementations erase the divergent `run_*` signatures of the workspace
 /// behind a single object-safe interface; the
 /// [`TaskRegistry`](crate::TaskRegistry) maps string keys to boxed tasks,
-/// so a new algorithm plugs in with one `impl` plus one registry line:
+/// so a new algorithm plugs in with one `impl` plus one registry line.
+///
+/// `Sim` is monomorphic over its [`Observer`](radionet_sim::Observer), so
+/// a task has two object-safe entry points: [`Task::run`] on the quiet
+/// simulator and [`Task::run_observed`] on the one recording a journal,
+/// metrics, or both. Both forward to one observer-generic body:
 ///
 /// ```
 /// use radionet_api::{Driver, RunSpec, Task, TaskCtx, TaskOutcome, TaskRegistry};
 /// use radionet_api::topology::RunTopology;
 /// use radionet_graph::families::Family;
-/// use radionet_sim::{NetInfo, Sim};
+/// use radionet_sim::{NetInfo, Observed, Observer, Registry, Sim};
 ///
 /// struct NoOp;
-/// impl Task for NoOp {
-///     fn key(&self) -> &'static str { "no-op" }
-///     fn describe(&self) -> &'static str { "does nothing, succeeds instantly" }
-///     fn timebase(&self, info: &NetInfo) -> u64 { info.d as u64 }
-///     fn run(&self, sim: &mut Sim<'_, RunTopology>, _ctx: &TaskCtx) -> TaskOutcome {
+/// impl NoOp {
+///     fn exec<O: Observer>(&self, sim: &mut Sim<'_, RunTopology, O>) -> TaskOutcome {
 ///         TaskOutcome::Broadcast(radionet_api::task::BroadcastSummary {
 ///             completed: true,
 ///             informed_fraction: 1.0,
@@ -63,12 +64,34 @@ impl TaskCtx {
 ///         })
 ///     }
 /// }
+/// impl Task for NoOp {
+///     fn key(&self) -> &'static str { "no-op" }
+///     fn describe(&self) -> &'static str { "does nothing, succeeds instantly" }
+///     fn timebase(&self, info: &NetInfo) -> u64 { info.d as u64 }
+///     fn run(&self, sim: &mut Sim<'_, RunTopology>, _ctx: &TaskCtx) -> TaskOutcome {
+///         self.exec(sim)
+///     }
+///     fn run_observed(
+///         &self,
+///         sim: &mut Sim<'_, RunTopology, Observed>,
+///         _ctx: &TaskCtx,
+///     ) -> TaskOutcome {
+///         self.exec(sim)
+///     }
+/// }
 ///
-/// let mut registry = TaskRegistry::standard();
-/// registry.register(Box::new(NoOp));
-/// let driver = Driver::with_registry(registry);
-/// let report = driver.run(&RunSpec::new("no-op", Family::Grid, 16)).unwrap();
-/// assert!(report.success);
+/// let registry = || {
+///     let mut registry = TaskRegistry::standard();
+///     registry.register(Box::new(NoOp));
+///     registry
+/// };
+/// let spec = RunSpec::new("no-op", Family::Grid, 16);
+/// assert!(Driver::with_registry(registry()).run(&spec).unwrap().success);
+/// // Telemetry-attached and journaled runs take the observed entry point.
+/// let timed = Driver::with_registry(registry()).with_telemetry(Registry::default());
+/// assert!(timed.run(&spec).unwrap().success);
+/// let (report, journal) = timed.run_journaled(&spec).unwrap();
+/// assert_eq!(report.journal, Some(journal.summary()));
 /// ```
 pub trait Task: Send + Sync {
     /// The registry key (stable, kebab-case).
@@ -93,35 +116,12 @@ pub trait Task: Send + Sync {
     /// only runs its protocol and summarizes the outcome.
     fn run(&self, sim: &mut Sim<'_, RunTopology>, ctx: &TaskCtx) -> TaskOutcome;
 
-    /// [`Task::run`], but on a simulator recording an event journal
-    /// (`Sim` is monomorphic over its sink, so the two instantiations need
-    /// separate object-safe entry points). Implementations share one
-    /// sink-generic body between both methods — see any task in
-    /// [`tasks`](crate::tasks); the run itself must not depend on the sink
-    /// (recording is observation, never steering).
-    ///
-    /// The default panics: a task without this override cannot run under
-    /// [`Driver::run_journaled`](crate::Driver::run_journaled).
-    fn run_recorded(&self, sim: &mut Sim<'_, RunTopology, Recorder>, ctx: &TaskCtx) -> TaskOutcome {
-        let _ = (sim, ctx);
-        unimplemented!("task {:?} does not implement run_recorded (journaled runs)", self.key())
-    }
-
-    /// [`Task::run`], but on a simulator recording wall-clock telemetry
-    /// into a [`Registry`] — the third object-safe instantiation of the
-    /// shared sink-generic body (telemetry observes, never steers; the
-    /// outcome is byte-identical to [`Task::run`]'s).
-    ///
-    /// The default panics: a task without this override cannot run under
-    /// a telemetry-attached [`Driver`](crate::Driver).
-    fn run_instrumented(
-        &self,
-        sim: &mut Sim<'_, RunTopology, NullSink, Registry>,
-        ctx: &TaskCtx,
-    ) -> TaskOutcome {
-        let _ = (sim, ctx);
-        unimplemented!("task {:?} does not implement run_instrumented (telemetry runs)", self.key())
-    }
+    /// [`Task::run`], but on a simulator recording a journal, metrics, or
+    /// both — what [`Driver::run_journaled`](crate::Driver::run_journaled)
+    /// and a telemetry-attached [`Driver`](crate::Driver) call. The outcome
+    /// must not depend on the observer (recording is observation, never
+    /// steering).
+    fn run_observed(&self, sim: &mut Sim<'_, RunTopology, Observed>, ctx: &TaskCtx) -> TaskOutcome;
 }
 
 /// Summary of a message dissemination (single- or multi-source).

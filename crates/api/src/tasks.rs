@@ -34,10 +34,9 @@ use radionet_core::broadcast::run_broadcast;
 use radionet_core::compete::CompeteConfig;
 use radionet_core::leader_election::{run_leader_election, LeaderElectionConfig};
 use radionet_core::mis::{run_radio_mis, MisConfig};
-use radionet_journal::Recorder;
 use radionet_primitives::decay::DecaySchedule;
 use radionet_primitives::GossipProtocol;
-use radionet_sim::{JournalSink, NetInfo, NullSink, ReceptionMode, Registry, Sim, Telemetry};
+use radionet_sim::{NetInfo, Observed, Observer, ReceptionMode, Sim};
 use radionet_traffic::{DeliveryLedger, TrafficKind, TrafficPlan, TrafficSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,30 +52,22 @@ fn informed_fraction(best: &[Option<u64>], target: u64, n: usize) -> f64 {
     best.iter().filter(|b| **b == Some(target)).count() as f64 / n as f64
 }
 
-/// Delegates all three object-safe [`Task`] entry points (`run` on the
-/// null sink, `run_recorded` on a [`Recorder`], `run_instrumented` on a
-/// telemetry [`Registry`]) to one sink-generic inherent body, so no
-/// task's algorithm text is duplicated per instantiation.
+/// Delegates both object-safe [`Task`] entry points (`run` on the quiet
+/// simulator, `run_observed` on an [`Observed`] one) to one
+/// observer-generic inherent body, so no task's algorithm text is
+/// duplicated per instantiation.
 macro_rules! runs_via_exec {
     () => {
         fn run(&self, sim: &mut Sim<'_, RunTopology>, ctx: &TaskCtx) -> TaskOutcome {
-            Self::exec(sim, ctx)
+            self.exec(sim, ctx)
         }
 
-        fn run_recorded(
+        fn run_observed(
             &self,
-            sim: &mut Sim<'_, RunTopology, Recorder>,
+            sim: &mut Sim<'_, RunTopology, Observed>,
             ctx: &TaskCtx,
         ) -> TaskOutcome {
-            Self::exec(sim, ctx)
-        }
-
-        fn run_instrumented(
-            &self,
-            sim: &mut Sim<'_, RunTopology, NullSink, Registry>,
-            ctx: &TaskCtx,
-        ) -> TaskOutcome {
-            Self::exec(sim, ctx)
+            self.exec(sim, ctx)
         }
     };
 }
@@ -85,10 +76,7 @@ macro_rules! runs_via_exec {
 pub struct BroadcastTask;
 
 impl BroadcastTask {
-    fn exec<J: JournalSink, M: Telemetry>(
-        sim: &mut Sim<'_, RunTopology, J, M>,
-        _ctx: &TaskCtx,
-    ) -> TaskOutcome {
+    fn exec<O: Observer>(&self, sim: &mut Sim<'_, RunTopology, O>, _ctx: &TaskCtx) -> TaskOutcome {
         let n = sim.graph().n();
         let source = sim.graph().node(SOURCE);
         let out = run_broadcast(sim, source, MESSAGE, &CompeteConfig::default());
@@ -120,10 +108,7 @@ impl Task for BroadcastTask {
 pub struct LeaderElectionTask;
 
 impl LeaderElectionTask {
-    fn exec<J: JournalSink, M: Telemetry>(
-        sim: &mut Sim<'_, RunTopology, J, M>,
-        ctx: &TaskCtx,
-    ) -> TaskOutcome {
+    fn exec<O: Observer>(&self, sim: &mut Sim<'_, RunTopology, O>, ctx: &TaskCtx) -> TaskOutcome {
         let n = sim.graph().n();
         let out = run_leader_election(sim, ctx.lottery_seed, &LeaderElectionConfig::default());
         let agreement = match out.leader {
@@ -160,10 +145,7 @@ impl Task for LeaderElectionTask {
 pub struct MisTask;
 
 impl MisTask {
-    fn exec<J: JournalSink, M: Telemetry>(
-        sim: &mut Sim<'_, RunTopology, J, M>,
-        _ctx: &TaskCtx,
-    ) -> TaskOutcome {
+    fn exec<O: Observer>(&self, sim: &mut Sim<'_, RunTopology, O>, _ctx: &TaskCtx) -> TaskOutcome {
         let g = sim.graph();
         let out = run_radio_mis(sim, &MisConfig::default());
         let valid = out.is_valid(g);
@@ -205,10 +187,7 @@ fn partition_beta(info: &NetInfo) -> f64 {
 pub struct PartitionTask;
 
 impl PartitionTask {
-    fn exec<J: JournalSink, M: Telemetry>(
-        sim: &mut Sim<'_, RunTopology, J, M>,
-        _ctx: &TaskCtx,
-    ) -> TaskOutcome {
+    fn exec<O: Observer>(&self, sim: &mut Sim<'_, RunTopology, O>, _ctx: &TaskCtx) -> TaskOutcome {
         let g = sim.graph();
         let info = *sim.info();
         let mis = run_radio_mis(sim, &MisConfig::default());
@@ -254,10 +233,7 @@ impl Task for PartitionTask {
 pub struct BgiBroadcastTask;
 
 impl BgiBroadcastTask {
-    fn exec<J: JournalSink, M: Telemetry>(
-        sim: &mut Sim<'_, RunTopology, J, M>,
-        _ctx: &TaskCtx,
-    ) -> TaskOutcome {
+    fn exec<O: Observer>(&self, sim: &mut Sim<'_, RunTopology, O>, _ctx: &TaskCtx) -> TaskOutcome {
         let n = sim.graph().n();
         let source = sim.graph().node(SOURCE);
         let out = run_bgi_broadcast(sim, source, MESSAGE, &BgiConfig::default());
@@ -289,10 +265,7 @@ impl Task for BgiBroadcastTask {
 pub struct CrBroadcastTask;
 
 impl CrBroadcastTask {
-    fn exec<J: JournalSink, M: Telemetry>(
-        sim: &mut Sim<'_, RunTopology, J, M>,
-        _ctx: &TaskCtx,
-    ) -> TaskOutcome {
+    fn exec<O: Observer>(&self, sim: &mut Sim<'_, RunTopology, O>, _ctx: &TaskCtx) -> TaskOutcome {
         let n = sim.graph().n();
         let source = sim.graph().node(SOURCE);
         let out = run_cr_broadcast(sim, source, MESSAGE, &CrConfig::default());
@@ -324,10 +297,7 @@ impl Task for CrBroadcastTask {
 pub struct NaiveLeaderElectionTask;
 
 impl NaiveLeaderElectionTask {
-    fn exec<J: JournalSink, M: Telemetry>(
-        sim: &mut Sim<'_, RunTopology, J, M>,
-        ctx: &TaskCtx,
-    ) -> TaskOutcome {
+    fn exec<O: Observer>(&self, sim: &mut Sim<'_, RunTopology, O>, ctx: &TaskCtx) -> TaskOutcome {
         let n = sim.graph().n();
         let out = run_naive_leader_election(sim, ctx.lottery_seed, &NaiveLeConfig::default());
         let agreement = match out.leader {
@@ -365,10 +335,7 @@ impl Task for NaiveLeaderElectionTask {
 pub struct CdWakeupTask;
 
 impl CdWakeupTask {
-    fn exec<J: JournalSink, M: Telemetry>(
-        sim: &mut Sim<'_, RunTopology, J, M>,
-        ctx: &TaskCtx,
-    ) -> TaskOutcome {
+    fn exec<O: Observer>(&self, sim: &mut Sim<'_, RunTopology, O>, ctx: &TaskCtx) -> TaskOutcome {
         let n = sim.graph().n();
         let source = sim.graph().node(SOURCE);
         let config = CdWakeupConfig { max_steps: ctx.capped(CdWakeupConfig::default().max_steps) };
@@ -438,18 +405,14 @@ impl TrafficTask {
         TrafficTask { kind }
     }
 
-    fn exec<J: JournalSink, M: Telemetry>(
-        sim: &mut Sim<'_, RunTopology, J, M>,
-        ctx: &TaskCtx,
-        kind: TrafficKind,
-    ) -> TaskOutcome {
+    fn exec<O: Observer>(&self, sim: &mut Sim<'_, RunTopology, O>, ctx: &TaskCtx) -> TaskOutcome {
         let n = sim.graph().n();
         // The spec's step cap shortens the horizon (and with it the
         // arrival window), keeping the cap semantics of the other tasks.
         let mut tspec = ctx.traffic.unwrap_or_default();
         let horizon = ctx.capped(u64::from(tspec.horizon)).max(1);
         tspec.horizon = horizon as u32;
-        let plan = TrafficPlan::build(&tspec, kind, n as u32, seeds::traffic_seed(ctx.seed));
+        let plan = TrafficPlan::build(&tspec, self.kind, n as u32, seeds::traffic_seed(ctx.seed));
         let injections = plan.injections();
         let schedule = DecaySchedule::new(sim.info().log_n());
         let mut states: Vec<GossipProtocol> = (0..n)
@@ -507,21 +470,7 @@ impl Task for TrafficTask {
         Ok(())
     }
 
-    fn run(&self, sim: &mut Sim<'_, RunTopology>, ctx: &TaskCtx) -> TaskOutcome {
-        Self::exec(sim, ctx, self.kind)
-    }
-
-    fn run_recorded(&self, sim: &mut Sim<'_, RunTopology, Recorder>, ctx: &TaskCtx) -> TaskOutcome {
-        Self::exec(sim, ctx, self.kind)
-    }
-
-    fn run_instrumented(
-        &self,
-        sim: &mut Sim<'_, RunTopology, NullSink, Registry>,
-        ctx: &TaskCtx,
-    ) -> TaskOutcome {
-        Self::exec(sim, ctx, self.kind)
-    }
+    runs_via_exec!();
 }
 
 /// The LOCAL-model round budget of the reference MIS tasks — the single
@@ -547,10 +496,7 @@ fn local_mis_outcome(out: LocalMisOutcome, g: &radionet_graph::Graph) -> TaskOut
 pub struct LubyMisTask;
 
 impl LubyMisTask {
-    fn exec<J: JournalSink, M: Telemetry>(
-        sim: &mut Sim<'_, RunTopology, J, M>,
-        ctx: &TaskCtx,
-    ) -> TaskOutcome {
+    fn exec<O: Observer>(&self, sim: &mut Sim<'_, RunTopology, O>, ctx: &TaskCtx) -> TaskOutcome {
         let g = sim.graph();
         let mut rng = StdRng::seed_from_u64(ctx.lottery_seed ^ 0x1b);
         let cap = ctx.capped(local_mis_budget(sim.info()));
@@ -580,10 +526,7 @@ impl Task for LubyMisTask {
 pub struct GhaffariMisTask;
 
 impl GhaffariMisTask {
-    fn exec<J: JournalSink, M: Telemetry>(
-        sim: &mut Sim<'_, RunTopology, J, M>,
-        ctx: &TaskCtx,
-    ) -> TaskOutcome {
+    fn exec<O: Observer>(&self, sim: &mut Sim<'_, RunTopology, O>, ctx: &TaskCtx) -> TaskOutcome {
         let g = sim.graph();
         let mut rng = StdRng::seed_from_u64(ctx.lottery_seed ^ 0x9f);
         let cap = ctx.capped(local_mis_budget(sim.info()));

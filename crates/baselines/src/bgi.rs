@@ -6,7 +6,7 @@
 use radionet_graph::{Graph, NodeId};
 use radionet_primitives::decay::DecaySchedule;
 use radionet_primitives::flood::FloodProtocol;
-use radionet_sim::{JournalSink, NetInfo, Sim, Telemetry, TopologyView};
+use radionet_sim::{NetInfo, Observer, Sim, TopologyView};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the BGI broadcast baseline.
@@ -51,8 +51,8 @@ impl BgiOutcome {
 }
 
 /// Runs the BGI broadcast of `message` from `source`.
-pub fn run_bgi_broadcast<T: TopologyView, J: JournalSink, M: Telemetry>(
-    sim: &mut Sim<'_, T, J, M>,
+pub fn run_bgi_broadcast<T: TopologyView, O: Observer>(
+    sim: &mut Sim<'_, T, O>,
     source: NodeId,
     message: u64,
     config: &BgiConfig,
@@ -63,8 +63,8 @@ pub fn run_bgi_broadcast<T: TopologyView, J: JournalSink, M: Telemetry>(
 
 /// Multi-source variant (the highest message wins), used by the naive
 /// leader-election baseline.
-pub fn run_bgi_multi<T: TopologyView, J: JournalSink, M: Telemetry>(
-    sim: &mut Sim<'_, T, J, M>,
+pub fn run_bgi_multi<T: TopologyView, O: Observer>(
+    sim: &mut Sim<'_, T, O>,
     sources: &[(NodeId, u64)],
     config: &BgiConfig,
 ) -> BgiOutcome {

@@ -12,8 +12,7 @@
 
 use radionet_graph::NodeId;
 use radionet_sim::{
-    Action, JournalSink, NetInfo, NodeCtx, Protocol, ReceptionMode, Sim, Telemetry, TopologyView,
-    Wake,
+    Action, NetInfo, NodeCtx, Observer, Protocol, ReceptionMode, Sim, TopologyView, Wake,
 };
 use serde::{Deserialize, Serialize};
 
@@ -109,8 +108,8 @@ pub struct CdWakeupOutcome {
 /// Panics if `sim` does not run under
 /// [`ReceptionMode::ProtocolCd`] — without CD this protocol stalls at the
 /// first collision, which would silently measure the wrong thing.
-pub fn run_cd_wakeup<T: TopologyView, J: JournalSink, M: Telemetry>(
-    sim: &mut Sim<'_, T, J, M>,
+pub fn run_cd_wakeup<T: TopologyView, O: Observer>(
+    sim: &mut Sim<'_, T, O>,
     source: NodeId,
     config: &CdWakeupConfig,
 ) -> CdWakeupOutcome {

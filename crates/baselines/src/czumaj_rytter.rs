@@ -12,9 +12,7 @@
 //! baselines).
 
 use radionet_graph::NodeId;
-use radionet_sim::{
-    Action, JournalSink, NetInfo, NodeCtx, Protocol, Sim, Telemetry, TopologyView, Wake,
-};
+use radionet_sim::{Action, NetInfo, NodeCtx, Observer, Protocol, Sim, TopologyView, Wake};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -106,8 +104,8 @@ impl Protocol for CrNode {
 /// Runs the CR-style broadcast of `message` from `source`; returns
 /// `(per-node knowledge, clock when all informed, total clock)` packaged as
 /// a [`crate::bgi::BgiOutcome`] (same shape as the BGI baseline).
-pub fn run_cr_broadcast<T: TopologyView, J: JournalSink, M: Telemetry>(
-    sim: &mut Sim<'_, T, J, M>,
+pub fn run_cr_broadcast<T: TopologyView, O: Observer>(
+    sim: &mut Sim<'_, T, O>,
     source: NodeId,
     message: u64,
     config: &CrConfig,

@@ -7,7 +7,7 @@
 
 use crate::bgi::{run_bgi_multi, BgiConfig, BgiOutcome};
 use radionet_primitives::ids::random_id;
-use radionet_sim::{JournalSink, Sim, Telemetry, TopologyView};
+use radionet_sim::{Observer, Sim, TopologyView};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -52,8 +52,8 @@ impl NaiveLeOutcome {
 }
 
 /// Runs the baseline election.
-pub fn run_naive_leader_election<T: TopologyView, J: JournalSink, M: Telemetry>(
-    sim: &mut Sim<'_, T, J, M>,
+pub fn run_naive_leader_election<T: TopologyView, O: Observer>(
+    sim: &mut Sim<'_, T, O>,
     le_seed: u64,
     config: &NaiveLeConfig,
 ) -> NaiveLeOutcome {

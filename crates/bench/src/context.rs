@@ -16,11 +16,25 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `RADIONET_SCALE` (`quick`/`full`; default `full` in binaries).
-    pub fn from_env() -> Self {
-        match std::env::var("RADIONET_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            _ => Scale::Full,
+    /// Reads `RADIONET_SCALE`: `quick`, `full`, or unset (meaning `full`).
+    ///
+    /// # Errors
+    ///
+    /// Any other value: a typo must not silently select the multi-minute
+    /// Full scale.
+    pub fn from_env() -> Result<Self, String> {
+        let value = std::env::var_os("RADIONET_SCALE");
+        Scale::parse(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+    }
+
+    /// [`Scale::from_env`] on a given value (`None` = unset).
+    fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            Some("quick") => Ok(Scale::Quick),
+            None | Some("full") => Ok(Scale::Full),
+            Some(other) => {
+                Err(format!("RADIONET_SCALE must be \"quick\" or \"full\", not {other:?}"))
+            }
         }
     }
 
@@ -138,6 +152,17 @@ mod tests {
         assert_eq!(case.n, 64);
         assert_eq!(case.d(), 14);
         assert!((case.alpha() - 32.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn scale_parses_only_quick_and_full() {
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        assert_eq!(Scale::parse(None), Ok(Scale::Full));
+        for typo in ["qiuck", "Quick", "", "fast"] {
+            let err = Scale::parse(Some(typo)).unwrap_err();
+            assert!(err.contains("quick") && err.contains(&format!("{typo:?}")), "{err}");
+        }
     }
 
     #[test]

@@ -70,8 +70,9 @@ pub(crate) fn print_notes(record: &ExperimentRecord) {
 }
 
 /// One entry of the experiment registry.
+#[derive(Debug)]
 pub struct ExperimentDef {
-    /// Stable id (`E1`…): the record filename and the `exp_*` binary key.
+    /// Stable id (`E1`…): the record filename and the `exp` argument.
     pub id: &'static str,
     /// One-line claim, for listings.
     pub claim: &'static str,
@@ -79,12 +80,9 @@ pub struct ExperimentDef {
     pub run: fn(crate::Scale) -> ExperimentRecord,
 }
 
-/// The experiment registry, in run order — the **single** list every
-/// aggregate consumer derives from. `run_all` iterates it and the `exp_*`
-/// binaries resolve themselves through [`find`], so adding an experiment
-/// here is sufficient to reach the whole harness (and forgetting to add it
-/// makes the new binary fail loudly instead of silently skipping the
-/// aggregate run).
+/// The experiment registry, in run order — the **single** list the `exp`
+/// binary resolves its argument against ([`select`]), so adding an
+/// experiment here is sufficient to reach the whole harness.
 pub const ALL: &[ExperimentDef] = &[
     ExperimentDef { id: "E1", claim: "Claim 10 (Decay amplification)", run: e1_decay },
     ExperimentDef { id: "E2", claim: "Lemma 11 (EstimateEffectiveDegree)", run: e2_eed },
@@ -139,9 +137,20 @@ pub fn find(id: &str) -> Option<&'static ExperimentDef> {
     ALL.iter().find(|e| e.id.eq_ignore_ascii_case(id))
 }
 
-/// Runs every experiment at the given scale, returning all records.
-pub fn run_all(scale: crate::Scale) -> Vec<ExperimentRecord> {
-    ALL.iter().map(|e| (e.run)(scale)).collect()
+/// Resolves an `exp` argument: one registered id (case-insensitive), or
+/// `all` for the whole registry in run order.
+///
+/// # Errors
+///
+/// An unknown id, with the list of registered ids.
+pub fn select(arg: &str) -> Result<Vec<&'static ExperimentDef>, String> {
+    if arg.eq_ignore_ascii_case("all") {
+        return Ok(ALL.iter().collect());
+    }
+    find(arg).map(|def| vec![def]).ok_or_else(|| {
+        let ids: Vec<&str> = ALL.iter().map(|e| e.id).collect();
+        format!("unknown experiment {arg:?}; registered: {}, or all", ids.join(" "))
+    })
 }
 
 #[cfg(test)]
@@ -160,5 +169,13 @@ mod tests {
             assert!(!e.claim.is_empty());
         }
         assert!(find("E99").is_none());
+    }
+
+    #[test]
+    fn select_resolves_one_id_or_all() {
+        assert_eq!(select("e15").unwrap().iter().map(|e| e.id).collect::<Vec<_>>(), ["E15"]);
+        assert_eq!(select("all").unwrap().len(), ALL.len());
+        let err = select("E99").unwrap_err();
+        assert!(err.contains("E99") && err.contains("E1 ") && err.contains("E22"), "{err}");
     }
 }

@@ -4,7 +4,7 @@
 //! Two parts, mirroring E15's journal-off probe (Part 1b) one layer up:
 //!
 //! 1. **Engine probe**: the E15 sparse Decay face-off workload runs under
-//!    the default [`NoTelemetry`] handle and under a live [`Registry`].
+//!    the default [`Quiet`] observer and under a live [`Registry`].
 //!    Reports and RNG fingerprints are asserted identical (hard — metrics
 //!    must never perturb the deterministic surface), then the min-of-N
 //!    wall-clock ratio is checked with the E15 policy: soft warning at the
@@ -16,60 +16,16 @@
 //!    [`RunReport`]s (RNG fingerprint included) must be bit-identical,
 //!    and the registry must carry the driver-stage and kernel histograms.
 
+use super::throughput_exp::{faceoff_probe, FACEOFF_SIDE, PROBE_RUNS};
 use super::{banner, print_notes};
 use crate::Scale;
 use radionet_analysis::table::f1;
 use radionet_analysis::{ExperimentRecord, RunRecord, Table};
 use radionet_api::{Driver, Dynamics, RunSpec};
 use radionet_graph::families::Family;
-use radionet_graph::{generators, Graph};
-use radionet_primitives::decay::{DecayConfig, DecayProtocol, DecaySchedule};
-use radionet_sim::{
-    Kernel, NetInfo, NoTelemetry, NullSink, PhaseReport, ReceptionMode, Registry, Sim,
-    StaticTopology, Telemetry,
-};
-use std::time::Instant;
-
-/// Nodes in the engine probe (the E15 face-off grid).
-const PROBE_SIDE: usize = 316;
-/// Transmitting-set size (sparse activity).
-const PROBE_SOURCES: usize = 32;
-/// Timed repetitions; the minimum wall is compared.
-const PROBE_RUNS: usize = 5;
-
-/// One timed probe run under an explicit telemetry handle; returns the
-/// report, RNG fingerprint, and wall seconds.
-fn probe_run<M: Telemetry>(
-    g: &Graph,
-    info: NetInfo,
-    budget: u64,
-    tel: M,
-) -> (PhaseReport, u64, f64) {
-    let schedule = DecaySchedule::new(info.log_n());
-    let config = DecayConfig { iterations: u32::MAX / schedule.steps_per_iteration() };
-    let mut sim = Sim::try_instrumented(
-        g,
-        StaticTopology,
-        info,
-        0xe21,
-        ReceptionMode::Protocol,
-        NullSink,
-        tel,
-    )
-    .expect("protocol-mode construction is infallible");
-    sim.set_kernel(Kernel::Sparse);
-    let stride = g.n() / PROBE_SOURCES;
-    let mut states: Vec<DecayProtocol<u64>> = g
-        .nodes()
-        .map(|v| {
-            let msg = (v.index() % stride == 0).then_some(v.index() as u64);
-            DecayProtocol::new(schedule, config, msg)
-        })
-        .collect();
-    let start = Instant::now();
-    let rep = sim.run_phase(&mut states, budget);
-    (rep, sim.rng_fingerprint(), start.elapsed().as_secs_f64().max(1e-9))
-}
+use radionet_graph::generators;
+use radionet_primitives::decay::DecaySchedule;
+use radionet_sim::{Kernel, NetInfo, Observed, Quiet, Registry};
 
 /// E21 — telemetry: identical results on and off, near-zero cost.
 pub fn e21_telemetry(scale: Scale) -> ExperimentRecord {
@@ -78,19 +34,21 @@ pub fn e21_telemetry(scale: Scale) -> ExperimentRecord {
     let mut record = ExperimentRecord::new("E21", claim);
     let mut table = Table::new(["probe", "telemetry", "n", "steps", "wall ms"]);
 
-    // Part 1: engine probe — NoTelemetry vs a live Registry on the E15
-    // face-off workload, long enough to resolve a 2% ratio.
-    let g = generators::grid2d(PROBE_SIDE, PROBE_SIDE);
+    // Part 1: engine probe — Quiet vs a live Registry on the E15 face-off
+    // workload, long enough to resolve a 2% ratio.
+    let g = generators::grid2d(FACEOFF_SIDE, FACEOFF_SIDE);
     let info = NetInfo::exact(&g);
     let budget = 8 * 48 * DecaySchedule::new(info.log_n()).steps_per_iteration() as u64;
-    let baseline = probe_run(&g, info, budget, NoTelemetry);
+    let quiet = || faceoff_probe(&g, info, Kernel::Sparse, budget, 0xe21, Quiet);
+    let baseline = quiet();
     let mut off_wall = f64::INFINITY;
     let mut on_wall = f64::INFINITY;
     for _ in 0..PROBE_RUNS {
-        let off = probe_run(&g, info, budget, NoTelemetry);
+        let off = quiet();
         let live = Registry::default();
-        let on = probe_run(&g, info, budget, live.clone());
-        assert_eq!((&off.0, off.1), (&baseline.0, baseline.1), "NoTelemetry run not reproducible");
+        let observed = Observed { journal: None, metrics: Some(live.clone()) };
+        let on = faceoff_probe(&g, info, Kernel::Sparse, budget, 0xe21, observed);
+        assert_eq!((&off.0, off.1), (&baseline.0, baseline.1), "Quiet run not reproducible");
         assert_eq!((&on.0, on.1), (&baseline.0, baseline.1), "a live Registry perturbed the run");
         // Guard the guard: the live side must have recorded real samples,
         // or the ratio below compares dead code against dead code.
@@ -122,7 +80,7 @@ pub fn e21_telemetry(scale: Scale) -> ExperimentRecord {
             .metric("overhead", overhead),
     );
     record.note(format!(
-        "engine probe: NoTelemetry {:.1} ms vs live Registry {:.1} ms (min of {PROBE_RUNS}; \
+        "engine probe: Quiet {:.1} ms vs live Registry {:.1} ms (min of {PROBE_RUNS}; \
          {:+.1}% = disabled relative to enabled); reports and RNG streams identical",
         off_wall * 1e3,
         on_wall * 1e3,
@@ -133,7 +91,7 @@ pub fn e21_telemetry(scale: Scale) -> ExperimentRecord {
     // longer compiled out, or accumulators gone per-step-hot) fails hard.
     if overhead > 0.02 {
         record.note(format!(
-            "WARNING: NoTelemetry measured {:.1}% slower than a live Registry — the \
+            "WARNING: Quiet measured {:.1}% slower than a live Registry — the \
              zero-cost-when-off claim expects ~0; expected only under heavy host contention",
             overhead * 1e2
         ));
@@ -141,7 +99,7 @@ pub fn e21_telemetry(scale: Scale) -> ExperimentRecord {
     }
     assert!(
         overhead < 0.15,
-        "NoTelemetry costs {:.1}% over a live Registry — instrumentation is no longer \
+        "Quiet costs {:.1}% over a live Registry — instrumentation is no longer \
          compiled out of the telemetry-off hot path",
         overhead * 1e2
     );

@@ -26,35 +26,41 @@ use radionet_graph::Graph;
 use radionet_journal::{ClassMask, Recorder};
 use radionet_primitives::decay::{DecayConfig, DecayProtocol, DecaySchedule};
 use radionet_primitives::flood::FloodProtocol;
-use radionet_sim::{JournalSink, Kernel, NetInfo, PhaseReport, ReceptionMode, Sim, StaticTopology};
+use radionet_sim::{
+    Kernel, NetInfo, Observed, Observer, PhaseReport, Quiet, ReceptionMode, Sim, StaticTopology,
+};
 use std::time::Instant;
 
 /// Nodes in the kernel face-off (a 316×316 grid).
-const FACEOFF_SIDE: usize = 316;
+pub(super) const FACEOFF_SIDE: usize = 316;
 /// Transmitting-set size in the face-off (sparse activity).
 const FACEOFF_SOURCES: usize = 32;
+/// Timed repetitions of the observer-off probes (E15 journal-off, E21
+/// telemetry-off); the minimum wall is compared.
+pub(super) const PROBE_RUNS: usize = 5;
 
 /// One timed face-off run; returns the report, RNG fingerprint and wall
 /// seconds.
 fn faceoff_run(g: &Graph, info: NetInfo, kernel: Kernel, budget: u64) -> (PhaseReport, u64, f64) {
-    faceoff_sink(g, info, kernel, budget, radionet_sim::NullSink)
+    faceoff_probe(g, info, kernel, budget, 0xe15, Quiet)
 }
 
-/// [`faceoff_run`] under an explicit event sink — the journal-off overhead
-/// probe swaps in an empty-mask [`Recorder`] to price the instrumentation
-/// against the monomorphized-away [`NullSink`](radionet_sim::NullSink).
-fn faceoff_sink<J: JournalSink>(
+/// [`faceoff_run`] under an explicit seed and [`Observer`] — the probe the
+/// E15 journal-off and E21 telemetry-off guards share: they time the
+/// monomorphized-away [`Quiet`] path against a live [`Observed`] one (an
+/// empty-mask [`Recorder`], a metrics registry).
+pub(super) fn faceoff_probe<O: Observer>(
     g: &Graph,
     info: NetInfo,
     kernel: Kernel,
     budget: u64,
-    sink: J,
+    seed: u64,
+    obs: O,
 ) -> (PhaseReport, u64, f64) {
     let schedule = DecaySchedule::new(info.log_n());
     let config = DecayConfig { iterations: u32::MAX / schedule.steps_per_iteration() };
-    let mut sim =
-        Sim::try_with_journal(g, StaticTopology, info, 0xe15, ReceptionMode::Protocol, sink)
-            .expect("protocol-mode construction is infallible");
+    let mut sim = Sim::try_observed(g, StaticTopology, info, seed, ReceptionMode::Protocol, obs)
+        .expect("protocol-mode construction is infallible");
     sim.set_kernel(kernel);
     let stride = g.n() / FACEOFF_SOURCES;
     let mut states: Vec<DecayProtocol<u64>> = g
@@ -152,64 +158,64 @@ pub fn e15_throughput(scale: Scale) -> ExperimentRecord {
         eprintln!("E15: WARNING: sparse/dense speedup {speedup:.1}x below the 5x bar");
     }
 
-    // Part 1b: journal-off overhead probe. The engine is generic over a
-    // JournalSink; with the default NullSink every emission site must
-    // monomorphize to dead code. Price the NullSink hot path against an
-    // *empty-mask* Recorder (sink live, every event filtered out) on the
-    // sparse face-off: min-of-N wall clocks, so scheduler noise cancels.
-    // Observing must not perturb — reports and RNG streams are asserted
-    // identical across sinks (hard); the wall-clock ratio check is soft at
-    // the 2% bar and hard only at 15%, same policy as the speedup bar.
-    const PROBE_RUNS: usize = 5;
+    // Part 1b: journal-off overhead probe. The engine is generic over an
+    // Observer; with the default Quiet every emission site must
+    // monomorphize to dead code. Price the Quiet hot path against an
+    // *empty-mask* Recorder (journal live, every event filtered out) on
+    // the sparse face-off: min-of-N wall clocks, so scheduler noise
+    // cancels. Observing must not perturb — reports and RNG streams are
+    // asserted identical across observers (hard); the wall-clock ratio
+    // check is soft at the 2% bar and hard only at 15%, same policy as the
+    // speedup bar.
     // The sparse face-off finishes in single-digit milliseconds, far too
     // short to resolve a 2% ratio; the probe runs a longer budget so the
     // measured window is tens of milliseconds.
     let probe_budget = budget * 8;
-    let mut null_wall = f64::INFINITY;
+    let mut quiet_wall = f64::INFINITY;
     let mut rec_wall = f64::INFINITY;
     let baseline = faceoff_run(&g, info, Kernel::Sparse, probe_budget);
     for _ in 0..PROBE_RUNS {
-        let null = faceoff_run(&g, info, Kernel::Sparse, probe_budget);
-        let rec =
-            faceoff_sink(&g, info, Kernel::Sparse, probe_budget, Recorder::new(ClassMask::NONE, 0));
-        assert_eq!((&null.0, null.1), (&baseline.0, baseline.1), "NullSink run not reproducible");
+        let quiet = faceoff_run(&g, info, Kernel::Sparse, probe_budget);
+        let empty = Observed { journal: Some(Recorder::new(ClassMask::NONE, 0)), metrics: None };
+        let rec = faceoff_probe(&g, info, Kernel::Sparse, probe_budget, 0xe15, empty);
+        assert_eq!((&quiet.0, quiet.1), (&baseline.0, baseline.1), "Quiet run not reproducible");
         assert_eq!(
             (&rec.0, rec.1),
             (&baseline.0, baseline.1),
             "an empty-mask Recorder perturbed the run"
         );
-        null_wall = null_wall.min(null.2);
+        quiet_wall = quiet_wall.min(quiet.2);
         rec_wall = rec_wall.min(rec.2);
     }
-    let overhead = null_wall / rec_wall - 1.0;
+    let overhead = quiet_wall / rec_wall - 1.0;
     record.push(
         RunRecord::new()
             .param("workload", "journal-off-probe")
             .param("kernel", "sparse")
             .param("n", g.n())
-            .metric("null_wall_ms", null_wall * 1e3)
+            .metric("null_wall_ms", quiet_wall * 1e3)
             .metric("empty_recorder_wall_ms", rec_wall * 1e3)
             .metric("overhead", overhead),
     );
     record.note(format!(
-        "journal-off probe: NullSink {:.1} ms vs empty-mask Recorder {:.1} ms \
-         (min of {PROBE_RUNS}; {:+.1}% = NullSink relative to the live sink); \
-         reports and RNG streams identical across sinks",
-        null_wall * 1e3,
+        "journal-off probe: Quiet {:.1} ms vs empty-mask Recorder {:.1} ms \
+         (min of {PROBE_RUNS}; {:+.1}% = Quiet relative to the live journal); \
+         reports and RNG streams identical across observers",
+        quiet_wall * 1e3,
         rec_wall * 1e3,
         overhead * 1e2,
     ));
     if overhead > 0.02 {
         record.note(format!(
-            "WARNING: NullSink measured {:.1}% slower than an empty-mask Recorder — the \
+            "WARNING: Quiet measured {:.1}% slower than an empty-mask Recorder — the \
              zero-cost-when-off claim expects ~0; expected only under heavy host contention",
             overhead * 1e2
         ));
-        eprintln!("E15: WARNING: NullSink overhead {:.1}% above the 2% bar", overhead * 1e2);
+        eprintln!("E15: WARNING: Quiet overhead {:.1}% above the 2% bar", overhead * 1e2);
     }
     assert!(
         overhead < 0.15,
-        "NullSink costs {:.1}% over an empty-mask Recorder — instrumentation is no longer \
+        "Quiet costs {:.1}% over an empty-mask Recorder — instrumentation is no longer \
          compiled out of the journal-off hot path",
         overhead * 1e2
     );

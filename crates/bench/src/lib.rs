@@ -1,8 +1,9 @@
 //! The benchmark harness: one experiment per quantitative claim of the
 //! paper (see DESIGN.md §4 for the index). Each experiment is a library
 //! function returning an [`radionet_analysis::ExperimentRecord`] and
-//! printing its Markdown table; the `exp_*` binaries are thin wrappers and
-//! `run_all` regenerates everything (writing JSON records to `results/`).
+//! printing its Markdown table; the `exp` binary runs one of them
+//! (`exp E15`) or all of them (`exp all`), writing JSON records to
+//! `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,24 +12,3 @@ pub mod context;
 pub mod experiments;
 
 pub use context::{GraphCase, Scale};
-
-/// The shared `main` of every `exp_*` binary: resolves the experiment in
-/// the [`experiments::ALL`] registry, runs it at the env-selected
-/// [`Scale`], and writes its JSON record to `results/`.
-///
-/// # Panics
-///
-/// Panics if `id` is not registered — an `exp_*` binary whose experiment
-/// is missing from the registry would otherwise silently drop out of
-/// `run_all`.
-pub fn exp_main(id: &str) {
-    let def = experiments::find(id)
-        .unwrap_or_else(|| panic!("experiment {id} is not in experiments::ALL"));
-    let scale = Scale::from_env();
-    let record = (def.run)(scale);
-    let dir = std::path::Path::new("results");
-    match record.save(dir) {
-        Ok(path) => eprintln!("record written to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", record.id),
-    }
-}

@@ -19,9 +19,7 @@ use crate::mpx::Clustering;
 use radionet_graph::{traversal, Graph, NodeId};
 use radionet_primitives::decay::DecaySchedule;
 use radionet_primitives::ids::random_id;
-use radionet_sim::{
-    Action, JournalSink, NodeCtx, PhaseReport, Protocol, Sim, Telemetry, TopologyView, Wake,
-};
+use radionet_sim::{Action, NodeCtx, Observer, PhaseReport, Protocol, Sim, TopologyView, Wake};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -342,8 +340,8 @@ impl RadioClustering {
 ///
 /// Panics if `is_center.len() != g.n()` or no center is marked on a
 /// nonempty graph.
-pub fn run_radio_partition<T: TopologyView, J: JournalSink, M: Telemetry>(
-    sim: &mut Sim<'_, T, J, M>,
+pub fn run_radio_partition<T: TopologyView, O: Observer>(
+    sim: &mut Sim<'_, T, O>,
     is_center: &[bool],
     beta: f64,
     config: RadioPartitionConfig,
@@ -363,8 +361,8 @@ pub fn run_radio_partition<T: TopologyView, J: JournalSink, M: Telemetry>(
 
 /// Convenience: radio partition normalized to a [`Clustering`], with
 /// `(coverage, report)` attached.
-pub fn run_radio_partition_normalized<T: TopologyView, J: JournalSink, M: Telemetry>(
-    sim: &mut Sim<'_, T, J, M>,
+pub fn run_radio_partition_normalized<T: TopologyView, O: Observer>(
+    sim: &mut Sim<'_, T, O>,
     is_center: &[bool],
     beta: f64,
     config: RadioPartitionConfig,

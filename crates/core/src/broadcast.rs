@@ -3,7 +3,7 @@
 
 use crate::compete::{run_compete, CompeteConfig, CompeteOutcome};
 use radionet_graph::NodeId;
-use radionet_sim::{JournalSink, Sim, Telemetry, TopologyView};
+use radionet_sim::{Observer, Sim, TopologyView};
 
 /// Result of a broadcast run.
 #[derive(Clone, Debug)]
@@ -28,8 +28,8 @@ impl BroadcastOutcome {
 }
 
 /// Broadcasts `message` from `source` (paper, Theorem 7: `Compete({s})`).
-pub fn run_broadcast<T: TopologyView, J: JournalSink, M: Telemetry>(
-    sim: &mut Sim<'_, T, J, M>,
+pub fn run_broadcast<T: TopologyView, O: Observer>(
+    sim: &mut Sim<'_, T, O>,
     source: NodeId,
     message: u64,
     config: &CompeteConfig,

@@ -31,9 +31,7 @@ use radionet_cluster::quantities::j_range;
 use radionet_cluster::{ClusterSchedule, Clustering, RadioPartitionConfig};
 use radionet_graph::NodeId;
 use radionet_primitives::ids::random_id;
-use radionet_sim::{
-    Action, CostModel, JournalSink, NodeCtx, Protocol, Sim, Telemetry, TopologyView, Wake,
-};
+use radionet_sim::{Action, CostModel, NodeCtx, Observer, Protocol, Sim, TopologyView, Wake};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -208,8 +206,8 @@ impl CompeteOutcome {
 /// # Panics
 ///
 /// Panics if `initial.len() != n` or no node carries a message.
-pub fn run_compete<T: TopologyView, J: JournalSink, M: Telemetry>(
-    sim: &mut Sim<'_, T, J, M>,
+pub fn run_compete<T: TopologyView, O: Observer>(
+    sim: &mut Sim<'_, T, O>,
     initial: &[Option<u64>],
     config: &CompeteConfig,
 ) -> CompeteOutcome {
@@ -440,8 +438,8 @@ impl Protocol for RoundNode {
 
 /// Stage 6 + 7: each coarse center draws a PRG seed; the seed is downcast
 /// over the coarse schedules. Returns the per-node seed (None = missed).
-fn spread_seeds<T: TopologyView, J: JournalSink, M: Telemetry>(
-    sim: &mut Sim<'_, T, J, M>,
+fn spread_seeds<T: TopologyView, O: Observer>(
+    sim: &mut Sim<'_, T, O>,
     coarse: &Clustering,
     coarse_sched: &ClusterSchedule,
 ) -> Vec<Option<u64>> {

@@ -8,7 +8,7 @@
 
 use crate::compete::{run_compete, CompeteConfig, CompeteOutcome};
 use radionet_primitives::ids::random_id;
-use radionet_sim::{JournalSink, Sim, Telemetry, TopologyView};
+use radionet_sim::{Observer, Sim, TopologyView};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -65,8 +65,8 @@ impl LeaderElectionOutcome {
 /// The candidate lottery is drawn from `le_seed` (node-private randomness in
 /// the real protocol; kept outside the engine clock because it costs zero
 /// time-steps).
-pub fn run_leader_election<T: TopologyView, J: JournalSink, M: Telemetry>(
-    sim: &mut Sim<'_, T, J, M>,
+pub fn run_leader_election<T: TopologyView, O: Observer>(
+    sim: &mut Sim<'_, T, O>,
     le_seed: u64,
     config: &LeaderElectionConfig,
 ) -> LeaderElectionOutcome {

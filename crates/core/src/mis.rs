@@ -21,7 +21,7 @@ use radionet_graph::independent_set::is_maximal_independent_set;
 use radionet_graph::{Graph, NodeId};
 use radionet_primitives::decay::DecaySchedule;
 use radionet_primitives::effective_degree::{EedConfig, EedCounter, EedVerdict};
-use radionet_sim::{Action, JournalSink, NodeCtx, Protocol, Sim, Telemetry, TopologyView, Wake};
+use radionet_sim::{Action, NodeCtx, Observer, Protocol, Sim, TopologyView, Wake};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -379,8 +379,8 @@ impl MisOutcome {
 }
 
 /// Runs Radio MIS on the simulator (consumes `O(log³ n)` simulated steps).
-pub fn run_radio_mis<T: TopologyView, J: JournalSink, M: Telemetry>(
-    sim: &mut Sim<'_, T, J, M>,
+pub fn run_radio_mis<T: TopologyView, O: Observer>(
+    sim: &mut Sim<'_, T, O>,
     config: &MisConfig,
 ) -> MisOutcome {
     let info = *sim.info();

@@ -212,7 +212,6 @@ mod tests {
     use super::*;
     use crate::event::{DeliverInfo, EventKind, HintInfo, TransmitInfo};
     use crate::journal::Recorder;
-    use crate::sink::JournalSink;
 
     fn tx(step: u64, node: u32) -> Event {
         Event { step, kind: EventKind::Transmit(TransmitInfo { node }) }

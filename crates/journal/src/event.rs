@@ -66,7 +66,7 @@ impl Default for ClassMask {
 impl ClassMask {
     /// Every class.
     pub const ALL: ClassMask = ClassMask { bits: 0b1111 };
-    /// No class (records nothing; useful for measuring sink overhead).
+    /// No class (records nothing; useful for measuring recorder overhead).
     pub const NONE: ClassMask = ClassMask { bits: 0 };
     /// The kernel-invariant classes: radio + topology + phase. This is the
     /// set two journals from *different* kernels can be compared on, and

@@ -1,8 +1,7 @@
-//! The recorded artifact: [`Recorder`] (the live sink), [`Waypoint`]s,
+//! The recorded artifact: [`Recorder`] (the live recording), [`Waypoint`]s,
 //! the serializable [`Journal`], and its [`JournalSummary`].
 
 use crate::event::{ClassMask, Event, EventClass, EventKind};
-use crate::sink::JournalSink;
 use serde::{Deserialize, Serialize, Value};
 
 /// A checkpoint waypoint: a cheap, comparable digest of the run's state at
@@ -25,8 +24,9 @@ pub struct Waypoint {
     pub rng_fingerprint: u64,
 }
 
-/// The live recording sink: filters by [`ClassMask`], accumulates events,
-/// takes [`Waypoint`]s on a fixed step cadence.
+/// The live recording: filters by [`ClassMask`], accumulates events,
+/// takes [`Waypoint`]s on a fixed step cadence. The engine (`radionet-sim`)
+/// records into one through its `Observer` parameter.
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
     mask: ClassMask,
@@ -60,6 +60,56 @@ impl Recorder {
             digest: 0,
             invariant_events: 0,
         }
+    }
+
+    /// Whether events of `class` pass the filter (the engine asks before
+    /// building an event's payload, so filtered classes cost nothing but
+    /// the branch).
+    #[inline]
+    pub fn wants(&self, class: EventClass) -> bool {
+        self.mask.contains(class)
+    }
+
+    /// Records one event at the given global step.
+    pub fn record(&mut self, step: u64, kind: EventKind) {
+        let event = Event { step, kind };
+        if ClassMask::INVARIANT.contains(event.class()) {
+            // Order-insensitive within the run: the sparse and dense
+            // kernels resolve one step's events in different orders, but
+            // the same multiset — a commutative accumulation makes their
+            // waypoint digests directly comparable.
+            self.digest = self.digest.wrapping_add(mix(event.hash64()));
+            self.invariant_events += 1;
+        }
+        self.events.push(event);
+    }
+
+    /// Whether a waypoint is due at the completed-step boundary `step`
+    /// (the engine asks after every simulated step, in every kernel).
+    pub fn checkpoint_due(&self, step: u64) -> bool {
+        self.checkpoint_every != 0 && step >= self.next_waypoint
+    }
+
+    /// Records a waypoint at boundary `step` with the engine's RNG-state
+    /// digest (see `Sim::rng_fingerprint` in `radionet-sim`).
+    pub fn record_waypoint(&mut self, step: u64, rng_fingerprint: u64) {
+        self.waypoints.push(Waypoint {
+            step,
+            events: self.invariant_events,
+            digest: self.digest,
+            rng_fingerprint,
+        });
+        self.next_waypoint = step + self.checkpoint_every;
+    }
+
+    /// The earliest future boundary at which
+    /// [`checkpoint_due`](Recorder::checkpoint_due) would first answer
+    /// true, or `None` when waypoints are off. The event-driven kernel
+    /// lands on every waypoint step instead of jumping over it, so a
+    /// recording made under clock jumps keeps the exact cadence of a
+    /// stepped one.
+    pub fn next_checkpoint(&self) -> Option<u64> {
+        (self.checkpoint_every != 0).then_some(self.next_waypoint)
     }
 
     /// The recorded events so far, in emission order.
@@ -102,46 +152,6 @@ impl Recorder {
             events: self.events,
             waypoints: self.waypoints,
         }
-    }
-}
-
-impl JournalSink for Recorder {
-    const ENABLED: bool = true;
-
-    #[inline]
-    fn wants(&self, class: EventClass) -> bool {
-        self.mask.contains(class)
-    }
-
-    fn record(&mut self, step: u64, kind: EventKind) {
-        let event = Event { step, kind };
-        if ClassMask::INVARIANT.contains(event.class()) {
-            // Order-insensitive within the run: the sparse and dense
-            // kernels resolve one step's events in different orders, but
-            // the same multiset — a commutative accumulation makes their
-            // waypoint digests directly comparable.
-            self.digest = self.digest.wrapping_add(mix(event.hash64()));
-            self.invariant_events += 1;
-        }
-        self.events.push(event);
-    }
-
-    fn checkpoint_due(&self, step: u64) -> bool {
-        self.checkpoint_every != 0 && step >= self.next_waypoint
-    }
-
-    fn record_waypoint(&mut self, step: u64, rng_fingerprint: u64) {
-        self.waypoints.push(Waypoint {
-            step,
-            events: self.invariant_events,
-            digest: self.digest,
-            rng_fingerprint,
-        });
-        self.next_waypoint = step + self.checkpoint_every;
-    }
-
-    fn next_checkpoint(&self) -> Option<u64> {
-        (self.checkpoint_every != 0).then_some(self.next_waypoint)
     }
 }
 

@@ -1,11 +1,11 @@
 //! Event journal for the radionet simulation engine: a zero-cost-when-off
 //! observability layer.
 //!
-//! The engine (`radionet-sim`) is generic over a [`JournalSink`]. With the
-//! default [`NullSink`] every emission site monomorphizes to dead code —
-//! the instrumented engine compiles to the same hot path as the
+//! The engine (`radionet-sim`) is generic over an `Observer`. With its
+//! quiet default every emission site monomorphizes to dead code — the
+//! instrumented engine compiles to the same hot path as the
 //! uninstrumented one (the bench suite pins this with a no-regression
-//! guard). Swap in a [`Recorder`] and the engine streams compact
+//! guard). Give it a [`Recorder`] and the engine streams compact
 //! [`Event`]s — transmissions, receptions, collisions, node status flips,
 //! phase boundaries, kernel fallbacks, scheduler hints, spatial-index
 //! rebuilds — plus periodic [`Waypoint`]s: cheap digests of everything so
@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use radionet_journal::{
-//!     bisect, ClassMask, DeliverInfo, Event, EventKind, JournalSink, Recorder, TransmitInfo,
+//!     bisect, ClassMask, DeliverInfo, Event, EventKind, Recorder, TransmitInfo,
 //! };
 //!
 //! let mut run = |victim: u32| {
@@ -59,7 +59,6 @@
 
 mod event;
 mod journal;
-mod sink;
 
 pub mod diff;
 
@@ -69,4 +68,3 @@ pub use event::{
     PhaseEndInfo, PhaseInfo, StatusInfo, TransmitInfo,
 };
 pub use journal::{Journal, JournalSummary, Recorder, Waypoint};
-pub use sink::{JournalSink, NullSink};

@@ -14,7 +14,7 @@
 //! Per-step cost is therefore `O(moved × candidates)` instead of the
 //! `O(n × candidates)` of a full rebuild — the dwell-heavy mobility models
 //! move a small fraction of the fleet per tick, which is where the E17
-//! `exp_mobility` speedup comes from. [`IndexStrategy::Rebuild`] and the
+//! (`exp E17`) speedup comes from. [`IndexStrategy::Rebuild`] and the
 //! `O(n²)` [`IndexStrategy::BruteForce`] are kept as differential oracles;
 //! the proptests pin all three to the identical edge set.
 //!

@@ -3,7 +3,7 @@
 //!
 //! Mirroring `radionet_graph::families`, each [`Scenario`] maps `(n, seed)`
 //! to a fully determined experiment cell; [`Scenario::catalogue`] lists the
-//! named presets the sweep runner and `exp_scenarios` binary use.
+//! named presets the sweep runner and experiment E14 (`exp E14`) use.
 //!
 //! The recipe vocabulary itself ([`Dynamics`] and its spec structs) lives
 //! in `radionet_api::spec` — a scenario is simply a *named*
@@ -93,7 +93,7 @@ impl Scenario {
         self.dynamics.events_for(g, self.workload.timebase(info), seed)
     }
 
-    /// The named presets swept by `exp_scenarios`: every dynamics recipe
+    /// The named presets swept by experiment E14: every dynamics recipe
     /// crossed with a geometric and a general family, broadcast as the
     /// common workload plus leader-election and MIS spot checks.
     pub fn catalogue() -> Vec<Scenario> {

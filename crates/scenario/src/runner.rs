@@ -4,7 +4,7 @@
 //! script, and the simulator seed all derive from one mixed cell seed (see
 //! [`radionet_api::seeds`]) — so the rayon-parallel runner produces
 //! **byte-identical** results to the sequential one, in the same order.
-//! `exp_scenarios` asserts exactly that before writing records.
+//! Experiment E14 (`exp E14`) asserts exactly that before writing records.
 //!
 //! Since the façade redesign, a cell *is* a named [`RunSpec`]:
 //! [`run_cell`] converts via

@@ -32,7 +32,7 @@ use crate::protocol::{Request, Response, ServiceStats};
 use crate::queue::{JobQueue, JobSnapshot, SubmitError};
 use crate::shard::{run_sweep_sharded, ShardMode};
 use radionet_api::{Driver, MemorySink, RunSpec};
-use radionet_telemetry::{MetricsSnapshot, Registry, Stopwatch, Telemetry};
+use radionet_telemetry::{MetricsSnapshot, Registry, Stopwatch};
 use std::io::{self, BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -216,12 +216,12 @@ impl ServiceHandle {
 /// One worker thread: drain the queue through the cache until shutdown.
 fn worker_loop(shared: &Shared) {
     while let Some((id, spec)) = shared.queue.take() {
-        let serve = Stopwatch::start::<Registry>();
+        let serve = Stopwatch::start(true);
         let outcome = match shared.cache.serve(&shared.driver, &spec) {
             Ok(served) => Ok((served.report, served.hit)),
             Err(e) => Err(e.to_string()),
         };
-        serve.stop(&shared.registry, "service_cache_serve_micros");
+        serve.stop(Some(&shared.registry), "service_cache_serve_micros");
         shared.queue.complete(id, outcome);
         // The job is terminal now, so its timing is final.
         if let Some(snap) = shared.queue.status(id) {
@@ -257,12 +257,12 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         if line.trim().is_empty() {
             continue;
         }
-        let request_watch = Stopwatch::start::<Registry>();
+        let request_watch = Stopwatch::start(true);
         let (response, stop) = match serde_json::from_str::<Request>(&line) {
             Ok(request) => dispatch(shared, request),
             Err(e) => (Response::err(format!("unparseable request: {e}")), false),
         };
-        request_watch.stop(&shared.registry, "service_request_micros");
+        request_watch.stop(Some(&shared.registry), "service_request_micros");
         shared.registry.count("service_requests", 1);
         let encoded = serde_json::to_string(&response)
             .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":\"encode: {e}\"}}"));
@@ -354,10 +354,10 @@ fn handle_sweep(shared: &Shared, request: Request) -> Response {
         return Response::err("sweep needs \"specs\"");
     };
     let shards = request.shards.unwrap_or(1);
-    let lookups = Stopwatch::start::<Registry>();
+    let lookups = Stopwatch::start(true);
     let mut reports: Vec<Option<radionet_api::RunReport>> =
         specs.iter().map(|s| shared.cache.lookup(s)).collect();
-    lookups.stop(&shared.registry, "service_cache_lookup_micros");
+    lookups.stop(Some(&shared.registry), "service_cache_lookup_micros");
     let misses: Vec<(usize, RunSpec)> = specs
         .iter()
         .enumerate()

@@ -14,10 +14,9 @@
 //! every dynamics preset and both kernels.
 
 use crate::engine::Sim;
+use crate::observer::Observer;
 use crate::stats::SimStats;
 use crate::topology::TopologyView;
-use radionet_journal::JournalSink;
-use radionet_telemetry::Telemetry;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize, Value};
 
@@ -128,8 +127,8 @@ impl Checkpoint {
     /// # Panics
     ///
     /// Panics if `states.len()` differs from the node count.
-    pub fn capture<T: TopologyView, J: JournalSink, M: Telemetry, P>(
-        sim: &Sim<'_, T, J, M>,
+    pub fn capture<T: TopologyView, O: Observer, P>(
+        sim: &Sim<'_, T, O>,
         states: &[P],
         mut encode: impl FnMut(&P) -> Value,
     ) -> Checkpoint {
@@ -158,9 +157,9 @@ impl Checkpoint {
     ///   (the simulation is left untouched);
     /// * [`CheckpointError::FingerprintMismatch`] — the restored RNG
     ///   streams contradict the recorded fingerprint.
-    pub fn restore_into<T: TopologyView, J: JournalSink, M: Telemetry, P>(
+    pub fn restore_into<T: TopologyView, O: Observer, P>(
         &self,
-        sim: &mut Sim<'_, T, J, M>,
+        sim: &mut Sim<'_, T, O>,
         mut decode: impl FnMut(&Value) -> Result<P, String>,
     ) -> Result<Vec<P>, CheckpointError> {
         if sim.clock() != 0 || sim.phase() != 0 {

@@ -44,7 +44,8 @@
 //! happen — the next ring engagement, the earliest wake or done timer in
 //! the heaps, the topology view's next scripted/mobility event
 //! ([`TopologyView::next_event`]), the journal's next waypoint boundary
-//! ([`JournalSink::next_checkpoint`]), or a pending collision-detection jam
+//! ([`Recorder::next_checkpoint`](radionet_journal::Recorder::next_checkpoint)),
+//! or a pending collision-detection jam
 //! signal — and jumps the phase clock directly there, charging the skipped
 //! span (counted in [`SimStats::silent_steps_skipped`]). A skipped step is
 //! one in which, provably, no node acts or hears, no RNG advances, no
@@ -63,6 +64,7 @@
 //! dense reference always computes exact interference).
 
 use crate::injection::{injections_ordered, Injection};
+use crate::observer::{emit, journal, metrics, Observer, Quiet};
 use crate::protocol::{Action, NetInfo, NodeCtx, Protocol, Wake};
 use crate::reception::{dist3, FarFieldPolicy, PositionSource, ReceptionMode, SinrConfig};
 use crate::stats::SimStats;
@@ -70,32 +72,16 @@ use crate::topology::{StaticTopology, TopologyView};
 use radionet_graph::spatial::SpatialGrid;
 use radionet_graph::{Graph, NodeId};
 use radionet_journal::{
-    CollisionInfo, DeliverInfo, EventClass, EventKind, GridInfo, HintInfo, JournalSink, NullSink,
-    PhaseEndInfo, PhaseInfo, StatusInfo, TransmitInfo,
+    CollisionInfo, DeliverInfo, EventClass, EventKind, GridInfo, HintInfo, PhaseEndInfo, PhaseInfo,
+    StatusInfo, TransmitInfo,
 };
-use radionet_telemetry::{timed, NoTelemetry, Stopwatch, Telemetry};
+use radionet_telemetry::{timed, Stopwatch};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
-
-/// Records one event through the sink iff the sink is compiled in *and*
-/// wants the class. Free-standing (borrows only the sink) so emission
-/// sites inside the kernels keep their disjoint field borrows; the
-/// payload closure runs only when the event is actually kept.
-#[inline(always)]
-fn emit<J: JournalSink>(
-    journal: &mut J,
-    class: EventClass,
-    step: u64,
-    kind: impl FnOnce() -> EventKind,
-) {
-    if J::ENABLED && journal.wants(class) {
-        journal.record(step, kind());
-    }
-}
 
 /// Flattens a [`Wake`] hint into the journal's payload shape.
 fn hint_info(node: u32, hint: Wake) -> HintInfo {
@@ -408,28 +394,17 @@ impl SparseSched {
 /// once per simulated step and may change what the engine sees; see
 /// `radionet-scenario`.
 ///
-/// The third parameter is the observability hook: a [`JournalSink`] the
-/// kernels stream events through. The default [`NullSink`] has
-/// `ENABLED = false`, so every emission site monomorphizes to nothing —
-/// an uninstrumented `Sim` costs exactly what it did before the journal
-/// existed. Construct with [`Sim::try_with_journal`] (e.g. passing a
-/// `radionet_journal::Recorder`) to record.
-///
-/// The fourth parameter is the telemetry hook, built on the same
-/// monomorphization trick: a [`Telemetry`] handle the kernels time their
-/// phases through (phase wall time, topology-advance and
-/// reception-resolution time, SINR grid rebuilds, scheduler ring/heap
-/// peaks). The default [`NoTelemetry`] compiles every site away; pass a
-/// `radionet_telemetry::Registry` via [`Sim::try_instrumented`] to
-/// record. Telemetry reads the wall clock and never steers: results are
-/// byte-identical with it on or off.
+/// The third parameter is the [`Observer`]: the event journal the kernels
+/// stream through and the metrics registry they time their phases into
+/// (phase wall time, topology-advance and reception-resolution time, SINR
+/// grid rebuilds, scheduler ring/heap peaks). The default [`Quiet`] has
+/// `ENABLED = false`, so every journal and timing site monomorphizes to
+/// nothing — an unobserved `Sim` costs exactly what it did before either
+/// layer existed. Construct with [`Sim::try_observed`] and an
+/// [`Observed`](crate::Observed) to record a journal, metrics, or both.
+/// Observers never steer: results are byte-identical with them on or off.
 #[derive(Debug)]
-pub struct Sim<
-    'g,
-    T: TopologyView = StaticTopology,
-    J: JournalSink = NullSink,
-    M: Telemetry = NoTelemetry,
-> {
+pub struct Sim<'g, T: TopologyView = StaticTopology, O: Observer = Quiet> {
     graph: &'g Graph,
     topo: T,
     info: NetInfo,
@@ -464,14 +439,12 @@ pub struct Sim<
     /// of an in-place re-bucket.
     sinr_grid_lo: [f64; 3],
     sinr_grid_side: f64,
-    // Observability: the event sink and the zero-based index of the next
-    // phase (feeds PhaseStart/PhaseEnd events). With the default NullSink
-    // every use of `journal` compiles away.
-    journal: J,
+    // The zero-based index of the next phase (feeds PhaseStart/PhaseEnd
+    // events) and the observer: journal and wall-clock hooks, strictly
+    // outside the deterministic surface. With the default Quiet every use
+    // of `obs` compiles away.
     phase: u64,
-    // Telemetry: wall-clock hooks, strictly outside the deterministic
-    // surface. With the default NoTelemetry every use compiles away.
-    tel: M,
+    obs: O,
 }
 
 impl<'g> Sim<'g> {
@@ -563,52 +536,30 @@ impl<'g, T: TopologyView> Sim<'g, T> {
         seed: u64,
         reception: ReceptionMode,
     ) -> Result<Self, SimError> {
-        Sim::try_with_journal(graph, topo, info, seed, reception, NullSink)
+        Sim::try_observed(graph, topo, info, seed, reception, Quiet)
     }
 }
 
-impl<'g, T: TopologyView, J: JournalSink> Sim<'g, T, J> {
-    /// Fallible construction with an explicit event sink — the
-    /// observability entry point. Identical to
+impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
+    /// Fallible construction with an explicit [`Observer`] — the entry
+    /// point the other constructors delegate to. Identical to
     /// [`Sim::try_with_topology`] except that the engine streams events
     /// (transmissions, receptions, status flips, phase boundaries,
-    /// scheduler activity) through `journal`; pass a
-    /// `radionet_journal::Recorder` to record a run, retrieve it with
-    /// [`Sim::into_journal`].
+    /// scheduler activity) into the observer's journal and per-phase wall
+    /// timings and scheduler sizes into its registry; retrieve the
+    /// observer with [`Sim::into_observer`]. Observers never affect
+    /// results.
     ///
     /// # Errors
     ///
     /// See [`Sim::try_with_topology`].
-    pub fn try_with_journal(
+    pub fn try_observed(
         graph: &'g Graph,
         topo: T,
         info: NetInfo,
         seed: u64,
         reception: ReceptionMode,
-        journal: J,
-    ) -> Result<Self, SimError> {
-        Sim::try_instrumented(graph, topo, info, seed, reception, journal, NoTelemetry)
-    }
-}
-
-impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
-    /// Fallible construction with explicit event sink *and* telemetry
-    /// handle — the fully-general entry point the other constructors
-    /// delegate to. With a `radionet_telemetry::Registry` the kernels
-    /// record per-phase wall timings and scheduler sizes into it;
-    /// telemetry never affects results.
-    ///
-    /// # Errors
-    ///
-    /// See [`Sim::try_with_topology`].
-    pub fn try_instrumented(
-        graph: &'g Graph,
-        topo: T,
-        info: NetInfo,
-        seed: u64,
-        reception: ReceptionMode,
-        journal: J,
-        tel: M,
+        obs: O,
     ) -> Result<Self, SimError> {
         let mut sinr = false;
         if let ReceptionMode::Sinr(cfg) = &reception {
@@ -662,23 +613,15 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             sinr_grid_version: 0,
             sinr_grid_lo: [0.0; 3],
             sinr_grid_side: 0.0,
-            journal,
             phase: 0,
-            tel,
+            obs,
         })
     }
 
-    /// The event sink (immutable: recording state is the engine's to
-    /// drive; callers read counters or digests through this).
-    pub fn journal(&self) -> &J {
-        &self.journal
-    }
-
-    /// Consumes the simulation and returns its event sink — how a
-    /// recording (`radionet_journal::Recorder`) is extracted once the run
-    /// is over.
-    pub fn into_journal(self) -> J {
-        self.journal
+    /// Consumes the simulation and returns its observer — how a recording
+    /// is extracted once the run is over.
+    pub fn into_observer(self) -> O {
+        self.obs
     }
 
     /// Phases executed so far (the next phase's zero-based index).
@@ -696,8 +639,8 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         self.kernel
     }
 
-    /// Selects the step kernel. Both kernels produce identical results for
-    /// contract-honoring protocols; [`Kernel::Dense`] exists as the
+    /// Selects the step kernel. All three kernels produce identical results
+    /// for contract-honoring protocols; [`Kernel::Dense`] exists as the
     /// reference oracle and for views without a change feed.
     pub fn set_kernel(&mut self, kernel: Kernel) {
         self.kernel = kernel;
@@ -732,8 +675,8 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
 
     /// A digest of all per-node RNG states — two runs consumed identical
     /// randomness per node iff their fingerprints match. The kernel
-    /// equivalence proptests compare this across [`Kernel::Sparse`] and
-    /// [`Kernel::Dense`] runs.
+    /// equivalence proptests compare this across [`Kernel::Sparse`],
+    /// [`Kernel::Event`] and [`Kernel::Dense`] runs.
     pub fn rng_fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for rng in &self.rngs {
@@ -806,6 +749,19 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         self.rngs = rngs;
     }
 
+    /// Takes a journal waypoint at the completed-step boundary `step` when
+    /// the observer's recorder has one due (every kernel asks after each
+    /// simulated step).
+    #[inline(always)]
+    fn waypoint(&mut self, step: u64) {
+        if journal(&mut self.obs).is_some_and(|r| r.checkpoint_due(step)) {
+            let fp = self.rng_fingerprint();
+            if let Some(r) = journal(&mut self.obs) {
+                r.record_waypoint(step, fp);
+            }
+        }
+    }
+
     /// Runs one phase: every node executes `states[v]` until all *active*
     /// nodes are done or `max_steps` elapse.
     ///
@@ -860,11 +816,11 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             injections.iter().all(|r| (r.node as usize) < states.len()),
             "injection names a node out of range"
         );
-        let watch = Stopwatch::start::<M>();
+        let watch = Stopwatch::start(metrics(&self.obs).is_some());
         let sparse_ok = self.topo.supports_change_feed();
         let event_ok = sparse_ok && self.topo.supports_event_jumps();
         let phase = self.phase;
-        emit(&mut self.journal, EventClass::Phase, self.clock, || {
+        emit(&mut self.obs, EventClass::Phase, self.clock, || {
             EventKind::PhaseStart(PhaseInfo { phase })
         });
         let fell_back = match self.kernel {
@@ -873,7 +829,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             Kernel::Dense => false,
         };
         if fell_back {
-            emit(&mut self.journal, EventClass::Phase, self.clock, || {
+            emit(&mut self.obs, EventClass::Phase, self.clock, || {
                 EventKind::Fallback(PhaseInfo { phase })
             });
         }
@@ -887,7 +843,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         // A requested-but-unavailable sparse kernel is a quiet Θ(n)-per-
         // step regression; record it so reports and the CLI can surface it.
         report.fell_back = fell_back;
-        emit(&mut self.journal, EventClass::Phase, self.clock + report.steps, || {
+        emit(&mut self.obs, EventClass::Phase, self.clock + report.steps, || {
             EventKind::PhaseEnd(PhaseEndInfo {
                 phase,
                 steps: report.steps,
@@ -906,8 +862,10 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         let (crossings, rows) = self.topo.index_work();
         self.stats.mobility_cell_crossings = crossings;
         self.stats.mobility_rows_recomputed = rows;
-        watch.stop(&self.tel, "sim_phase_micros");
-        self.tel.count("sim_phases", 1);
+        watch.stop(metrics(&self.obs), "sim_phase_micros");
+        if let Some(tel) = metrics(&self.obs) {
+            tel.count("sim_phases", 1);
+        }
         report
     }
 
@@ -938,13 +896,15 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         // Telemetry accumulators: per-step sections summed locally in
         // nanoseconds, observed once per phase (micros) — no per-step
         // registry traffic.
+        let timing = metrics(&self.obs).is_some();
         let mut advance_nanos = 0u64;
         let mut reception_nanos = 0u64;
         // Status-flip tracking (journal only): the dense kernel has no
         // change feed, so it detects flips by scanning `is_active` against
         // a snapshot — the same events the sparse kernel reads off the
-        // feed, paid for only when a sink wants them.
-        if J::ENABLED && self.journal.wants(EventClass::Topology) {
+        // feed, paid for only when a journal wants them.
+        let flips = journal(&mut self.obs).is_some_and(|r| r.wants(EventClass::Topology));
+        if flips {
             self.sched.was_active.clear();
             self.sched.was_active.resize(states.len(), false);
             for i in 0..states.len() {
@@ -954,16 +914,15 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
 
         for local_t in 0..max_steps {
             let gstep = self.clock + report.steps;
-            timed::<M, _>(&mut advance_nanos, || self.topo.advance_to(self.graph, gstep));
-            if J::ENABLED && self.journal.wants(EventClass::Topology) {
+            timed(timing, &mut advance_nanos, || self.topo.advance_to(self.graph, gstep));
+            if flips {
                 for i in 0..states.len() {
                     let active = self.topo.is_active(NodeId::new(i));
                     if active != self.sched.was_active[i] {
                         self.sched.was_active[i] = active;
-                        self.journal.record(
-                            gstep,
-                            EventKind::Status(StatusInfo { node: i as u32, active }),
-                        );
+                        emit(&mut self.obs, EventClass::Topology, gstep, || {
+                            EventKind::Status(StatusInfo { node: i as u32, active })
+                        });
                     }
                 }
             }
@@ -990,7 +949,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                         self.listening[i] = false;
                         self.tx_nodes.push(i as u32);
                         arena.push(m);
-                        emit(&mut self.journal, EventClass::Radio, gstep, || {
+                        emit(&mut self.obs, EventClass::Radio, gstep, || {
                             EventKind::Transmit(TransmitInfo { node: i as u32 })
                         });
                     }
@@ -1001,7 +960,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             report.transmissions += self.tx_nodes.len() as u64;
             self.stats.peak_step_transmissions =
                 self.stats.peak_step_transmissions.max(self.tx_nodes.len() as u64);
-            let reception_t0 = if M::ENABLED { Some(Instant::now()) } else { None };
+            let reception_t0 = timing.then(Instant::now);
             if let ReceptionMode::Sinr(cfg) = &self.reception {
                 // SINR reception (footnote 1): a listener decodes the
                 // strongest transmitter iff its SINR clears the threshold,
@@ -1038,7 +997,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             // drowned.
                             if best_gain / cfg.noise >= cfg.threshold {
                                 report.collisions += 1;
-                                emit(&mut self.journal, EventClass::Radio, gstep, || {
+                                emit(&mut self.obs, EventClass::Radio, gstep, || {
                                     EventKind::Collision(CollisionInfo { node: i as u32 })
                                 });
                             }
@@ -1052,13 +1011,13 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             state.on_hear(&mut ctx, msg);
                             report.deliveries += 1;
                             let from = self.tx_nodes[best_ti];
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(&mut self.obs, EventClass::Radio, gstep, || {
                                 EventKind::Deliver(DeliverInfo { node: i as u32, from })
                             });
                         } else if best_gain / cfg.noise >= cfg.threshold {
                             // Decodable in isolation, lost to interference.
                             report.collisions += 1;
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(&mut self.obs, EventClass::Radio, gstep, || {
                                 EventKind::Collision(CollisionInfo { node: i as u32 })
                             });
                         }
@@ -1096,7 +1055,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             };
                             states[wi].on_hear(&mut ctx, msg);
                             report.deliveries += 1;
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(&mut self.obs, EventClass::Radio, gstep, || {
                                 EventKind::Deliver(DeliverInfo { node: wi as u32, from: u })
                             });
                         }
@@ -1117,7 +1076,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                     let jammed = self.topo.is_jammed(NodeId::new(i));
                     if hits >= 2 || (jammed && hits >= 1) {
                         report.collisions += 1;
-                        emit(&mut self.journal, EventClass::Radio, gstep, || {
+                        emit(&mut self.obs, EventClass::Radio, gstep, || {
                             EventKind::Collision(CollisionInfo { node: i as u32 })
                         });
                     }
@@ -1132,10 +1091,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                 reception_nanos += t0.elapsed().as_nanos() as u64;
             }
             report.steps += 1;
-            if J::ENABLED && self.journal.checkpoint_due(self.clock + report.steps) {
-                let fp = self.rng_fingerprint();
-                self.journal.record_waypoint(self.clock + report.steps, fp);
-            }
+            self.waypoint(self.clock + report.steps);
             // A phase completes when every node is either done or *retired*
             // (inactive with no scheduled return). A node that is merely
             // asleep, crashed-but-rejoining, or jamming-for-a-window keeps
@@ -1149,9 +1105,9 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                 break;
             }
         }
-        if M::ENABLED {
-            self.tel.observe("sim_topology_advance_micros", advance_nanos / 1_000);
-            self.tel.observe("sim_reception_micros", reception_nanos / 1_000);
+        if let Some(tel) = metrics(&self.obs) {
+            tel.observe("sim_topology_advance_micros", advance_nanos / 1_000);
+            tel.observe("sim_reception_micros", reception_nanos / 1_000);
         }
         report
     }
@@ -1222,6 +1178,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         // Telemetry accumulators: per-step sections summed locally in
         // nanoseconds and scheduler size peaks tracked locally, observed
         // once per phase — no per-step registry traffic.
+        let timing = metrics(&self.obs).is_some();
         let mut advance_nanos = 0u64;
         let mut reception_nanos = 0u64;
         let mut ring_peak = 0u64;
@@ -1230,7 +1187,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         let mut local_t = 0u64;
         while local_t < max_steps {
             let gstep = self.clock + local_t;
-            timed::<M, _>(&mut advance_nanos, || self.topo.advance_to(self.graph, gstep));
+            timed(timing, &mut advance_nanos, || self.topo.advance_to(self.graph, gstep));
 
             // (1) Batch topology changes: reactivated nodes rejoin the ring
             // (their next hint re-parks them if there is nothing to do);
@@ -1243,7 +1200,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                 let active = self.topo.is_active(v);
                 if active != self.sched.was_active[i] {
                     self.sched.was_active[i] = active;
-                    emit(&mut self.journal, EventClass::Topology, gstep, || {
+                    emit(&mut self.obs, EventClass::Topology, gstep, || {
                         EventKind::Status(StatusInfo { node: i as u32, active })
                     });
                     if active {
@@ -1292,7 +1249,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             arena.clear();
             self.stamp_epoch += 1;
             let ring = std::mem::take(&mut self.sched.ring);
-            if M::ENABLED {
+            if timing {
                 ring_peak = ring_peak.max(ring.len() as u64);
                 heap_peak =
                     heap_peak.max((self.sched.act_heap.len() + self.sched.done_heap.len()) as u64);
@@ -1308,7 +1265,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                         self.listening[i] = false;
                         self.tx_nodes.push(iu);
                         arena.push(m);
-                        emit(&mut self.journal, EventClass::Radio, gstep, || {
+                        emit(&mut self.obs, EventClass::Radio, gstep, || {
                             EventKind::Transmit(TransmitInfo { node: iu })
                         });
                     }
@@ -1319,7 +1276,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                     self.sched.mark_done(i);
                 }
                 let hint = states[i].next_wake(local_t);
-                emit(&mut self.journal, EventClass::Sched, gstep, || {
+                emit(&mut self.obs, EventClass::Sched, gstep, || {
                     EventKind::Hint(hint_info(iu, hint))
                 });
                 self.sched.apply_hint(i, local_t, hint, max_steps);
@@ -1335,7 +1292,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             // neighborhoods. Either way: stamp hit nodes (collecting the
             // touched list), then resolve each touched listener exactly
             // once.
-            let reception_t0 = if M::ENABLED { Some(Instant::now()) } else { None };
+            let reception_t0 = timing.then(Instant::now);
             if let ReceptionMode::Sinr(cfg) = &self.reception {
                 self.sched.touched.clear();
                 if !self.tx_nodes.is_empty() {
@@ -1355,7 +1312,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                         _ => self.topo.positions_version(),
                     };
                     if self.sinr_grid.is_none() || version != self.sinr_grid_version {
-                        let grid_watch = Stopwatch::start::<M>();
+                        let grid_watch = Stopwatch::start(timing);
                         let (lo, hi) = position_bounds(pos);
                         let fits = (0..3).all(|a| {
                             lo[a] >= self.sinr_grid_lo[a]
@@ -1371,9 +1328,11 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             }
                         }
                         self.sinr_grid_version = version;
-                        grid_watch.stop(&self.tel, "sim_sinr_grid_rebuild_micros");
-                        self.tel.count("sim_sinr_grid_rebuilds", 1);
-                        emit(&mut self.journal, EventClass::Sched, gstep, || {
+                        grid_watch.stop(metrics(&self.obs), "sim_sinr_grid_rebuild_micros");
+                        if let Some(tel) = metrics(&self.obs) {
+                            tel.count("sim_sinr_grid_rebuilds", 1);
+                        }
+                        emit(&mut self.obs, EventClass::Sched, gstep, || {
                             EventKind::GridRebuild(GridInfo { version })
                         });
                     }
@@ -1439,7 +1398,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             // A decodable signal drowned by broadband
                             // receiver noise: a collision, no delivery.
                             report.collisions += 1;
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(&mut self.obs, EventClass::Radio, gstep, || {
                                 EventKind::Collision(CollisionInfo { node: w32 })
                             });
                             continue;
@@ -1497,7 +1456,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             states[wi].on_hear(&mut ctx, &arena[ti]);
                             report.deliveries += 1;
                             let from = self.tx_nodes[ti];
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(&mut self.obs, EventClass::Radio, gstep, || {
                                 EventKind::Deliver(DeliverInfo { node: w32, from })
                             });
                             // Hearing re-engages the node: poll done-ness,
@@ -1506,7 +1465,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                                 self.sched.mark_done(wi);
                             }
                             let hint = states[wi].next_wake(local_t);
-                            emit(&mut self.journal, EventClass::Sched, gstep, || {
+                            emit(&mut self.obs, EventClass::Sched, gstep, || {
                                 EventKind::Hint(hint_info(w32, hint))
                             });
                             self.sched.apply_hint(wi, local_t, hint, max_steps);
@@ -1515,7 +1474,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             // interference (no CD under SINR: the
                             // listener is not notified, so no re-engage).
                             report.collisions += 1;
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(&mut self.obs, EventClass::Radio, gstep, || {
                                 EventKind::Collision(CollisionInfo { node: w32 })
                             });
                         }
@@ -1552,13 +1511,13 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                         states[wi].on_hear(&mut ctx, &arena[ti]);
                         report.deliveries += 1;
                         let from = self.tx_nodes[ti];
-                        emit(&mut self.journal, EventClass::Radio, gstep, || {
+                        emit(&mut self.obs, EventClass::Radio, gstep, || {
                             EventKind::Deliver(DeliverInfo { node: wi32, from })
                         });
                     } else {
                         if hits >= 2 || (jammed && hits >= 1) {
                             report.collisions += 1;
-                            emit(&mut self.journal, EventClass::Radio, gstep, || {
+                            emit(&mut self.obs, EventClass::Radio, gstep, || {
                                 EventKind::Collision(CollisionInfo { node: wi32 })
                             });
                         }
@@ -1579,7 +1538,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                         self.sched.mark_done(wi);
                     }
                     let hint = states[wi].next_wake(local_t);
-                    emit(&mut self.journal, EventClass::Sched, gstep, || {
+                    emit(&mut self.obs, EventClass::Sched, gstep, || {
                         EventKind::Hint(hint_info(wi32, hint))
                     });
                     self.sched.apply_hint(wi, local_t, hint, max_steps);
@@ -1607,7 +1566,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                             self.sched.mark_done(wi);
                         }
                         let hint = states[wi].next_wake(local_t);
-                        emit(&mut self.journal, EventClass::Sched, gstep, || {
+                        emit(&mut self.obs, EventClass::Sched, gstep, || {
                             EventKind::Hint(hint_info(wi32, hint))
                         });
                         self.sched.apply_hint(wi, local_t, hint, max_steps);
@@ -1619,10 +1578,7 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
             }
 
             report.steps = local_t + 1;
-            if J::ENABLED && self.journal.checkpoint_due(self.clock + report.steps) {
-                let fp = self.rng_fingerprint();
-                self.journal.record_waypoint(self.clock + report.steps, fp);
-            }
+            self.waypoint(self.clock + report.steps);
             // (5) Apply the hints' deferred listening transitions (the
             // step's reception above still saw the pre-hint state, exactly
             // as the dense kernel would), mature done promises, check
@@ -1683,10 +1639,8 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
                 // step `w - clock - 1`; land there so the recording keeps
                 // the stepped cadence (boundaries beyond the span are not
                 // due, so charging past them is exact).
-                if J::ENABLED {
-                    if let Some(w) = self.journal.next_checkpoint() {
-                        next = next.min(w.saturating_sub(self.clock).saturating_sub(1));
-                    }
+                if let Some(w) = journal(&mut self.obs).and_then(|r| r.next_checkpoint()) {
+                    next = next.min(w.saturating_sub(self.clock).saturating_sub(1));
                 }
                 next.clamp(local_t + 1, max_steps)
             };
@@ -1699,11 +1653,11 @@ impl<'g, T: TopologyView, J: JournalSink, M: Telemetry> Sim<'g, T, J, M> {
         }
         self.stats.scheduler_events += self.sched.pops;
         self.stats.silent_steps_skipped += skipped;
-        if M::ENABLED {
-            self.tel.observe("sim_topology_advance_micros", advance_nanos / 1_000);
-            self.tel.observe("sim_reception_micros", reception_nanos / 1_000);
-            self.tel.observe("sim_ring_peak", ring_peak);
-            self.tel.observe("sim_heap_peak", heap_peak);
+        if let Some(tel) = metrics(&self.obs) {
+            tel.observe("sim_topology_advance_micros", advance_nanos / 1_000);
+            tel.observe("sim_reception_micros", reception_nanos / 1_000);
+            tel.observe("sim_ring_peak", ring_peak);
+            tel.observe("sim_heap_peak", heap_peak);
         }
         report
     }
@@ -2516,23 +2470,25 @@ mod tests {
 
     #[test]
     fn kernels_emit_identical_invariant_event_streams() {
+        use crate::Observed;
         use radionet_journal::{bisect, ClassMask, Recorder};
         let g = generators::grid2d(5, 5);
         let run = |kernel: Kernel| {
-            let mut sim = Sim::try_with_journal(
+            let mut sim = Sim::try_observed(
                 &g,
                 StaticTopology,
                 NetInfo::exact(&g),
                 3,
                 ReceptionMode::Protocol,
-                Recorder::new(ClassMask::ALL, 8),
+                Observed { journal: Some(Recorder::new(ClassMask::ALL, 8)), metrics: None },
             )
             .unwrap();
             sim.set_kernel(kernel);
             let mut states: Vec<Coin> = g.nodes().map(|_| Coin { sent: Vec::new() }).collect();
             sim.run_phase(&mut states, 40);
             let fp = sim.rng_fingerprint();
-            sim.into_journal().into_journal("test", kernel.name(), None, fp, 0)
+            let rec = sim.into_observer().journal.expect("recorded");
+            rec.into_journal("test", kernel.name(), None, fp, 0)
         };
         let sparse = run(Kernel::Sparse);
         let dense = run(Kernel::Dense);
@@ -2556,23 +2512,27 @@ mod tests {
 
     #[test]
     fn status_flips_recorded_identically_by_both_kernels() {
+        use crate::Observed;
         use radionet_journal::{ClassMask, EventClass, Recorder};
         let run = |kernel: Kernel| {
             let g = generators::star(4);
-            let mut sim = Sim::try_with_journal(
+            let mut sim = Sim::try_observed(
                 &g,
                 Sleeper::new(2, Some(5)),
                 NetInfo::exact(&g),
                 0,
                 ReceptionMode::Protocol,
-                Recorder::new(ClassMask::NONE.with(EventClass::Topology), 0),
+                Observed {
+                    journal: Some(Recorder::new(ClassMask::NONE.with(EventClass::Topology), 0)),
+                    metrics: None,
+                },
             )
             .unwrap();
             sim.set_kernel(kernel);
             let mut states: Vec<OneShot> =
                 g.nodes().map(|v| OneShot { source: v.index() == 0, heard: false }).collect();
             sim.run_phase(&mut states, 100);
-            let mut events = sim.into_journal().events().to_vec();
+            let mut events = sim.into_observer().journal.expect("recorded").events().to_vec();
             events.sort_by_key(radionet_journal::Event::order_key);
             events
         };

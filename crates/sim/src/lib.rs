@@ -23,13 +23,17 @@
 //! Protocols implement [`Protocol`] and are executed in *phases* by
 //! [`Sim::run_phase`]; per-node RNGs persist across phases so a whole
 //! multi-phase algorithm is a deterministic function of `(graph, seed)`.
-//! Two interchangeable step kernels execute a phase (see [`Kernel`]): the
+//! Three interchangeable step kernels execute a phase (see [`Kernel`]): the
 //! sparse active-set kernel (default), whose per-step cost tracks actual
-//! radio activity via the [`Wake`] hints protocols return, and the dense
-//! reference kernel, which polls every node every step; both produce
-//! byte-identical results for contract-honoring protocols.
-//! Time multiplexing (used by the paper's `Compete`, Algorithms 1/8/10) is
-//! provided by [`multiplex::RoundRobin2`] and [`multiplex::RoundRobin3`].
+//! radio activity via the [`Wake`] hints protocols return; the event
+//! kernel, which runs the sparse step body but jumps the clock over
+//! provably silent spans; and the dense reference kernel, which polls
+//! every node every step. All three produce byte-identical results for
+//! contract-honoring protocols.
+//!
+//! What a run records besides its results — an event journal, wall-clock
+//! metrics, or both — is the [`Observer`] parameter of [`Sim`]; the
+//! default [`Quiet`] compiles every recording site away.
 //!
 //! # Example: one transmitter, star topology
 //!
@@ -66,7 +70,7 @@ mod checkpoint;
 mod cost;
 mod engine;
 mod injection;
-pub mod multiplex;
+mod observer;
 mod protocol;
 mod reception;
 mod stats;
@@ -76,15 +80,11 @@ pub use checkpoint::{Checkpoint, CheckpointError, RngState};
 pub use cost::CostModel;
 pub use engine::{Kernel, PhaseReport, Sim, SimError};
 pub use injection::{injections_ordered, Injection};
-// The engine's observability vocabulary, re-exported so `Sim`'s public
-// signatures (`J: JournalSink = NullSink`) resolve without a separate
-// dependency on the journal crate.
+pub use observer::{Observed, Observer, Quiet};
 pub use protocol::{Action, NetInfo, NodeCtx, Protocol, Wake};
-pub use radionet_journal::{JournalSink, NullSink};
-// The engine's telemetry vocabulary, re-exported for the same reason:
-// `Sim`'s fourth parameter (`M: Telemetry = NoTelemetry`) and downstream
-// `run_*` signatures resolve without a separate telemetry dependency.
-pub use radionet_telemetry::{NoTelemetry, Registry, Telemetry};
+// The metrics half of an `Observed`, re-exported so telemetry-attached
+// drivers resolve without a separate telemetry dependency.
+pub use radionet_telemetry::Registry;
 pub use reception::{
     dist3, FarFieldPolicy, PositionSource, ReceptionMode, SinrConfig, NEAR_FIELD_FRACTION,
 };

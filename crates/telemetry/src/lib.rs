@@ -1,15 +1,12 @@
 //! Runtime telemetry for the radionet workspace: wall-clock metrics that
 //! live strictly **outside** the deterministic surface.
 //!
-//! The design mirrors the journal layer's `NullSink`: every instrumented
-//! component is generic over a [`Telemetry`] handle whose `ENABLED`
-//! associated constant is monomorphized into the guard of each
-//! instrumentation site. With the default [`NoTelemetry`] the guards fold
-//! to `if false` and the whole metrics plane compiles out of the hot path
-//! — an uninstrumented run costs exactly what it did before this crate
-//! existed (the E21 bench smoke pins that with an E15-style overhead
-//! assertion). With a [`Registry`] the same sites record into shared
-//! counters, gauges, and [`Log2Histogram`]s.
+//! A [`Registry`] holds shared counters, gauges, and [`Log2Histogram`]s.
+//! Instrumented code reaches it through an `Option<&Registry>` — the
+//! engine through its `Observer` parameter (`radionet-sim`), whose quiet
+//! default compiles every timing site out of the hot path, so an
+//! unobserved run costs exactly what it did before this crate existed (the
+//! E21 bench smoke pins that with an E15-style overhead assertion).
 //!
 //! **The determinism contract.** Telemetry observes wall time and sizes;
 //! it never steers. Reports, RNG streams, journals, and cache keys are
@@ -20,8 +17,8 @@
 //!
 //! Three vocabularies:
 //!
-//! * [`Telemetry`] / [`NoTelemetry`] / [`Registry`] — the recording hooks
-//!   plus the [`Stopwatch`] and [`timed`] helpers for timing scopes;
+//! * [`Registry`] — the recording store, plus the [`Stopwatch`] and
+//!   [`timed`] helpers for timing scopes;
 //! * [`MetricsSnapshot`] — the versioned serde view of a registry
 //!   ([`Registry::snapshot`]), rendered for humans by
 //!   [`render_prometheus`];
@@ -38,7 +35,7 @@ mod registry;
 mod snapshot;
 
 pub use histogram::{HistogramSummary, Log2Histogram};
-pub use hooks::{timed, NoTelemetry, Stopwatch, Telemetry};
+pub use hooks::{timed, Stopwatch};
 pub use progress::{MemoryProgress, ProgressEvent, ProgressMeter, ProgressSink};
 pub use registry::Registry;
 pub use snapshot::{

@@ -1,8 +1,7 @@
-//! The enabled [`Telemetry`] implementation: a shared, internally
-//! synchronized metrics registry.
+//! The metrics registry: shared, internally synchronized counters,
+//! gauges, and histograms.
 
 use crate::histogram::Log2Histogram;
-use crate::hooks::Telemetry;
 use crate::snapshot::{
     CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, METRICS_SNAPSHOT_VERSION,
 };
@@ -26,6 +25,10 @@ struct Inner {
 /// engine step (per-step sections accumulate locally and observe once,
 /// see [`timed`](crate::timed)). `BTreeMap` keys keep every snapshot and
 /// rendering deterministically name-ordered.
+///
+/// Metric names are `&'static str` and unit-suffixed by convention
+/// (`*_micros` for wall time in microseconds); the README's metrics
+/// glossary is the authoritative catalogue.
 #[derive(Clone, Default)]
 pub struct Registry {
     inner: Arc<Mutex<Inner>>,
@@ -46,6 +49,28 @@ impl Registry {
     /// An empty registry.
     pub fn new() -> Registry {
         Registry::default()
+    }
+
+    /// Adds `delta` to the named monotone counter.
+    pub fn count(&self, name: &'static str, delta: u64) {
+        let mut inner = self.inner.lock().expect("registry poisoned");
+        *inner.counters.entry(name).or_insert(0) += delta;
+    }
+
+    /// Sets the named gauge to `value` (last write wins).
+    pub fn gauge(&self, name: &'static str, value: u64) {
+        self.inner.lock().expect("registry poisoned").gauges.insert(name, value);
+    }
+
+    /// Records one sample into the named [`Log2Histogram`].
+    pub fn observe(&self, name: &'static str, value: u64) {
+        self.inner
+            .lock()
+            .expect("registry poisoned")
+            .histograms
+            .entry(name)
+            .or_default()
+            .observe(value);
     }
 
     /// The named counter's current value (0 when never incremented).
@@ -86,29 +111,6 @@ impl Registry {
                 })
                 .collect(),
         }
-    }
-}
-
-impl Telemetry for Registry {
-    const ENABLED: bool = true;
-
-    fn count(&self, name: &'static str, delta: u64) {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        *inner.counters.entry(name).or_insert(0) += delta;
-    }
-
-    fn gauge(&self, name: &'static str, value: u64) {
-        self.inner.lock().expect("registry poisoned").gauges.insert(name, value);
-    }
-
-    fn observe(&self, name: &'static str, value: u64) {
-        self.inner
-            .lock()
-            .expect("registry poisoned")
-            .histograms
-            .entry(name)
-            .or_default()
-            .observe(value);
     }
 }
 
