@@ -1,5 +1,5 @@
 //! Ingestion helpers: grouping and summarizing externally produced
-//! [`RunRecord`] rows (e.g. the scenario sweep runner's output) into the
+//! [`RunRecord`] rows (e.g. scenario sweep rows) into the
 //! aggregate views the tables print.
 
 use crate::experiment::RunRecord;

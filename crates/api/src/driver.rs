@@ -4,7 +4,6 @@
 use crate::dynamics::DynamicTopology;
 use crate::registry::TaskRegistry;
 use crate::seeds;
-use crate::sink::ResultSink;
 use crate::spec::{Dynamics, RunSpec};
 use crate::task::{Task, TaskCtx, TaskOutcome};
 use crate::topology::RunTopology;
@@ -16,7 +15,6 @@ use radionet_sim::{
 };
 use radionet_telemetry::Stopwatch;
 use radionet_traffic::TrafficReport;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Why a spec could not be run (or a sweep could not be recorded).
@@ -26,8 +24,12 @@ pub enum RunError {
     InvalidSpec(String),
     /// The task key is not in the registry.
     UnknownTask(String),
-    /// A [`ResultSink`] failed to record a report.
+    /// A [`ResultSink`](crate::ResultSink) failed to record a report.
     Sink(std::io::Error),
+    /// A sweep's `--worker` subprocess failed. The text names the cause:
+    /// the failing cell's own error, or the executable and what went wrong
+    /// with it.
+    Worker(String),
 }
 
 impl std::fmt::Display for RunError {
@@ -38,6 +40,7 @@ impl std::fmt::Display for RunError {
                 write!(f, "unknown task {key:?} (try `radionet list-tasks`)")
             }
             RunError::Sink(e) => write!(f, "result sink failed: {e}"),
+            RunError::Worker(why) => f.write_str(why),
         }
     }
 }
@@ -201,8 +204,8 @@ impl Driver {
     /// Runs one spec to completion.
     ///
     /// Pure: identical specs yield bit-identical reports (the scenario
-    /// equivalence suite pins this against the pre-façade runner for the
-    /// whole catalogue, under both kernels). A spec's `journal` section is
+    /// crate's golden results fixture pins them for the whole catalogue,
+    /// under both kernels). A spec's `journal` section is
     /// ignored here; use [`Driver::run_journaled`] to record. Without
     /// telemetry the simulator runs on the [`Quiet`] observer, so every
     /// observer site compiles out (the E21 bench smoke pins the overhead
@@ -412,99 +415,11 @@ impl Driver {
         };
         Ok(Materialized { task, g, info, topo, n_events, reception, ctx })
     }
-
-    /// Runs specs in order on the current thread, streaming each report to
-    /// `sink` as it completes. Returns the number of reports emitted.
-    ///
-    /// Memory stays O(1) in the sweep length: nothing is buffered beyond
-    /// the report in flight. On error the sink is still finished, so
-    /// partial output stays well-formed (the original error is returned).
-    pub fn run_sweep(
-        &self,
-        specs: &[RunSpec],
-        sink: &mut dyn ResultSink,
-    ) -> Result<usize, RunError> {
-        self.run_sweep_streaming(specs.iter().cloned(), 1, sink)
-    }
-
-    /// Runs specs on all cores (rayon), streaming reports to `sink` in
-    /// spec order. Because every run is a pure function of its spec, the
-    /// emitted stream is byte-identical to [`Driver::run_sweep`].
-    ///
-    /// Cells are processed in bounded chunks (`chunk` specs at a time,
-    /// minimum 1), so memory stays O(chunk) however large the sweep is.
-    pub fn run_sweep_parallel(
-        &self,
-        specs: &[RunSpec],
-        chunk: usize,
-        sink: &mut dyn ResultSink,
-    ) -> Result<usize, RunError> {
-        self.run_sweep_streaming(specs.iter().cloned(), chunk, sink)
-    }
-
-    /// Like [`Driver::run_sweep_parallel`], but pulls specs lazily from an
-    /// iterator: at no point do more than `chunk` specs (or reports) exist
-    /// at once, so a sweep generator can be arbitrarily large — this is
-    /// the entry point the `radionet sweep` CLI streams through.
-    ///
-    /// The sink is finished on **every** exit path: even when a spec fails
-    /// mid-sweep, already-emitted output gets its trailer/flush so partial
-    /// files stay well-formed (the original error is still returned).
-    pub fn run_sweep_streaming<I>(
-        &self,
-        specs: I,
-        chunk: usize,
-        sink: &mut dyn ResultSink,
-    ) -> Result<usize, RunError>
-    where
-        I: IntoIterator<Item = RunSpec>,
-    {
-        let chunk = chunk.max(1);
-        let mut specs = specs.into_iter();
-        let mut total = 0usize;
-        let outcome = 'sweep: {
-            loop {
-                let block: Vec<RunSpec> = specs.by_ref().take(chunk).collect();
-                if block.is_empty() {
-                    break 'sweep Ok(());
-                }
-                let chunk_t0 = self.tel.as_ref().map(|_| std::time::Instant::now());
-                let reports: Vec<Result<RunReport, RunError>> =
-                    block.par_iter().map(|spec| self.run(spec)).collect();
-                if let (Some(tel), Some(t0)) = (&self.tel, chunk_t0) {
-                    tel.observe("sweep_chunk_micros", t0.elapsed().as_micros() as u64);
-                    tel.count("sweep_cells", block.len() as u64);
-                }
-                total += block.len();
-                for report in reports {
-                    let report = match report {
-                        Ok(report) => report,
-                        Err(e) => break 'sweep Err(e),
-                    };
-                    if let Err(e) = sink.emit(&report) {
-                        break 'sweep Err(e.into());
-                    }
-                }
-            }
-        };
-        match outcome {
-            Ok(()) => {
-                sink.finish()?;
-                Ok(total)
-            }
-            Err(e) => {
-                // Terminate the stream, but report the sweep's own error.
-                let _ = sink.finish();
-                Err(e)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::MemorySink;
     use radionet_graph::families::Family;
     use radionet_sim::ReceptionMode;
 
@@ -645,56 +560,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Sweeps through an instrumented driver count their cells and chunk
-    /// walls without perturbing the emitted stream.
-    #[test]
-    fn sweep_telemetry_counts_cells_without_changing_the_stream() {
-        use radionet_sim::Registry;
-        let specs: Vec<RunSpec> =
-            (0..5).map(|seed| RunSpec::new("mis", Family::Grid, 16).with_seed(seed)).collect();
-        let mut plain = MemorySink::default();
-        Driver::standard().run_sweep(&specs, &mut plain).unwrap();
-        let tel = Registry::default();
-        let driver = Driver::standard().with_telemetry(tel.clone());
-        let mut timed = MemorySink::default();
-        driver.run_sweep_streaming(specs.iter().cloned(), 2, &mut timed).unwrap();
-        assert_eq!(plain.reports, timed.reports);
-        let snap = tel.snapshot();
-        assert_eq!(snap.counter("sweep_cells"), Some(5));
-        assert!(snap.histograms.iter().any(|h| h.name == "sweep_chunk_micros" && h.count > 0));
-    }
-
-    #[test]
-    fn failed_sweep_still_terminates_the_sink() {
-        // A mid-sweep failure must not leave a JSON-array stream without
-        // its trailer: partial output stays parseable.
-        let driver = Driver::standard();
-        let specs = vec![
-            RunSpec::new("luby-mis", Family::Path, 8),
-            RunSpec::new("no-such-task", Family::Path, 8),
-        ];
-        let mut buf = Vec::new();
-        {
-            let mut sink = crate::sink::JsonArraySink::new(&mut buf);
-            let err = driver.run_sweep(&specs, &mut sink).unwrap_err();
-            assert!(matches!(err, RunError::UnknownTask(_)), "{err}");
-        }
-        let parsed: Vec<RunReport> =
-            serde_json::from_str(&String::from_utf8(buf).unwrap()).unwrap();
-        assert_eq!(parsed.len(), 1, "the report emitted before the failure survives");
-    }
-
-    #[test]
-    fn parallel_sweep_is_byte_identical_to_sequential() {
-        let driver = Driver::standard();
-        let specs: Vec<RunSpec> =
-            (0..6).map(|seed| RunSpec::new("mis", Family::Grid, 16).with_seed(seed)).collect();
-        let mut seq = MemorySink::default();
-        let mut par = MemorySink::default();
-        assert_eq!(driver.run_sweep(&specs, &mut seq).unwrap(), 6);
-        assert_eq!(driver.run_sweep_parallel(&specs, 2, &mut par).unwrap(), 6);
-        assert_eq!(seq.reports, par.reports);
     }
 }

@@ -17,7 +17,9 @@
 //!   Czumaj–Rytter, CD wake-up, naive LE, LOCAL MIS references);
 //! * [`registry`] — the string-keyed [`TaskRegistry`]: a new algorithm
 //!   plugs in with one `impl` plus one registry line;
-//! * [`driver`] — [`Driver`], plus streaming sweeps over many specs;
+//! * [`driver`] — [`Driver`] and its [`RunReport`];
+//! * [`sweep`] — [`Driver::run_sweep`], the one streaming sweep loop, on
+//!   the rayon pool or on `radionetd --worker` subprocesses ([`Executor`]);
 //! * [`sink`] — the [`ResultSink`] trait and its JSONL / JSON-array /
 //!   in-memory implementations (huge sweeps never buffer);
 //! * [`events`] / [`dynamics`] — the dynamic-topology vocabulary
@@ -67,6 +69,7 @@ pub mod registry;
 pub mod seeds;
 pub mod sink;
 pub mod spec;
+pub mod sweep;
 pub mod task;
 pub mod tasks;
 pub mod topology;
@@ -79,6 +82,7 @@ pub use sink::{JsonArraySink, JsonlSink, MemorySink, ResultSink};
 pub use spec::{
     ChurnSpec, Dynamics, JamSpec, JournalSpec, MobilitySpec, PartitionSpec, RunSpec, StaggerSpec,
 };
+pub use sweep::Executor;
 pub use task::{
     BroadcastSummary, ElectionSummary, MisSummary, PartitionSummary, Task, TaskCtx, TaskOutcome,
     WakeupSummary,

@@ -1,12 +1,11 @@
 //! Deterministic seed derivation shared by the [`Driver`](crate::Driver)
-//! and the `radionet-scenario` sweep runner.
+//! and the `radionet-scenario` sweep cells.
 //!
 //! Everything an experiment cell randomizes — the graph instance, the event
 //! script, the simulator's per-node RNGs, and node-private lotteries — is
 //! derived from **one** cell seed through the fixed-constant mixes below.
-//! Keeping the derivation in a single module is the determinism guard: the
-//! façade path (`Driver::run`) and the legacy sweep path stay byte-identical
-//! because they cannot disagree on a derived seed.
+//! Keeping the derivation in a single module is the determinism guard:
+//! every caller derives the same sub-seeds from the same cell seed.
 
 /// Splitmix64-style finalizer: the workspace's standard bit mixer.
 pub fn mix(mut x: u64) -> u64 {
@@ -20,7 +19,7 @@ pub fn mix(mut x: u64) -> u64 {
 /// The per-cell seed of a sweep: mixes the sweep's base seed with the cell
 /// index (its scenario name, requested size, and repetition number).
 ///
-/// This is the exact derivation the scenario sweep runner has always used,
+/// This is the exact derivation scenario sweeps have always used,
 /// extracted here so `SweepConfig::cells` and spec-building code cannot
 /// drift apart; `pinned_values` below freezes the outputs.
 pub fn seed_for(base: u64, scenario_name: &str, n: usize, rep: u64) -> u64 {

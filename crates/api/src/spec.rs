@@ -529,6 +529,13 @@ mod tests {
             let a = d.events_for(&g, timebase, 42);
             let b = d.events_for(&g, timebase, 42);
             assert_eq!(a, b, "{name} not deterministic");
+            // Every randomized script draws from its seed; static, the
+            // fixed partition and the unscripted mobility recipes do not.
+            let c = d.events_for(&g, timebase, 43);
+            if !matches!(d, Dynamics::Static | Dynamics::PartitionRepair(_) | Dynamics::Mobility(_))
+            {
+                assert_ne!(a, c, "{name} ignores the seed");
+            }
             for e in &a {
                 if let Some(v) = e.kind.node() {
                     assert!(v > 0, "{name}: node 0 must stay protected");

@@ -1,7 +1,7 @@
 //! E16 — the unified façade exercised end-to-end from the bench layer:
 //! every task in the registry, swept across graph families as
-//! [`RunSpec`]s through [`Driver::run_sweep_parallel`], with the parallel
-//! stream asserted byte-identical to the sequential one.
+//! [`RunSpec`]s through [`Driver::run_sweep`] on the rayon pool, with the
+//! parallel stream asserted byte-identical to the sequential one.
 //!
 //! This experiment is deliberately built the way the API redesign says
 //! benches should be: no hand-wired `Sim` construction, no per-algorithm
@@ -11,7 +11,7 @@ use super::{banner, print_notes};
 use crate::Scale;
 use radionet_analysis::table::f2;
 use radionet_analysis::{ExperimentRecord, RunRecord, Table};
-use radionet_api::{Driver, MemorySink, RunReport, RunSpec};
+use radionet_api::{Driver, Executor, MemorySink, RunReport, RunSpec};
 use radionet_graph::families::Family;
 use radionet_sim::ReceptionMode;
 
@@ -55,13 +55,17 @@ pub fn e16_facade(scale: Scale) -> ExperimentRecord {
     eprintln!("sweeping {} specs over {} tasks", corpus.len(), driver.registry().len());
 
     let mut parallel = MemorySink::default();
-    driver.run_sweep_parallel(&corpus, 32, &mut parallel).expect("corpus specs are valid");
+    let specs = corpus.iter().cloned();
+    driver.run_sweep(specs, 32, &Executor::Threads, &mut parallel).expect("corpus specs are valid");
     let reports = parallel.reports;
 
     // Determinism cross-check on a slice (full corpus at Quick scale).
     let check = if scale == Scale::Quick { corpus.len() } else { corpus.len() / 4 };
     let mut sequential = MemorySink::default();
-    driver.run_sweep(&corpus[..check], &mut sequential).expect("corpus specs are valid");
+    let specs = corpus[..check].iter().cloned();
+    driver
+        .run_sweep(specs, 1, &Executor::Threads, &mut sequential)
+        .expect("corpus specs are valid");
     assert_eq!(
         sequential.reports,
         reports[..check],

@@ -7,9 +7,9 @@ use crate::Scale;
 use radionet_analysis::ingest::group_summaries;
 use radionet_analysis::table::f2;
 use radionet_analysis::{ExperimentRecord, Table};
-use radionet_scenario::runner::{
-    run_sweep_parallel, run_sweep_sequential, to_record, to_run_records, SweepConfig,
-};
+use radionet_api::{Driver, Executor, MemorySink};
+use radionet_scenario::runner::{to_record, to_run_records, CellResult, SweepConfig};
+use radionet_sim::Kernel;
 
 /// Scenario sweep sizes (smaller than the static sweeps: every cell runs a
 /// full multi-phase algorithm under perturbation).
@@ -20,8 +20,18 @@ fn sizes(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// E14 — the scenario sweep. Runs the full catalogue on the rayon runner,
-/// cross-checks a Quick-scale slice against the sequential runner
+/// The sweep's rows through [`Driver::run_sweep`] on the rayon pool,
+/// `chunk` cells at a time (1 = sequential).
+fn sweep(config: &SweepConfig, chunk: usize) -> Vec<CellResult> {
+    let mut sink = MemorySink::default();
+    Driver::standard()
+        .run_sweep(config.specs(Kernel::default()), chunk, &Executor::Threads, &mut sink)
+        .expect("catalogue cells are valid specs");
+    config.results(&sink.reports)
+}
+
+/// E14 — the scenario sweep. Runs the full catalogue as one rayon block,
+/// cross-checks a Quick-scale slice against a sequential sweep
 /// (byte-identical results), and reports per-scenario success and timing.
 pub fn e14_scenarios(scale: Scale) -> ExperimentRecord {
     let claim = "Dynamic networks: guarantee degradation under churn, partition/repair, jamming";
@@ -29,18 +39,17 @@ pub fn e14_scenarios(scale: Scale) -> ExperimentRecord {
     let config = SweepConfig::catalogue(sizes(scale), scale.seeds().min(3), 0xd1ce);
     let cell_count = config.cells().len();
     eprintln!("running {cell_count} cells on {} threads", rayon::current_num_threads());
-    let results = run_sweep_parallel(&config);
+    let results = sweep(&config, cell_count);
 
-    // Determinism cross-check: the parallel runner must reproduce the
-    // sequential runner bit-for-bit on a slice (full set at Quick scale).
+    // Determinism cross-check: the parallel sweep must reproduce the
+    // sequential one bit-for-bit on a slice (full set at Quick scale).
     let check = if scale == Scale::Quick {
         config.clone()
     } else {
         SweepConfig { sizes: vec![sizes(Scale::Quick)[0]], ..config.clone() }
     };
-    let seq = run_sweep_sequential(&check);
-    let par: Vec<_> =
-        if scale == Scale::Quick { results.clone() } else { run_sweep_parallel(&check) };
+    let seq = sweep(&check, 1);
+    let par = if scale == Scale::Quick { results.clone() } else { sweep(&check, cell_count) };
     assert_eq!(seq, par, "parallel sweep diverged from sequential");
 
     let mut record = to_record("E14", claim, &results);
@@ -95,7 +104,7 @@ pub fn e14_scenarios(scale: Scale) -> ExperimentRecord {
         ));
     }
     record.note(format!(
-        "parallel runner verified byte-identical to sequential on {} cells",
+        "parallel sweep verified byte-identical to sequential on {} cells",
         seq.len()
     ));
     print_notes(&record);

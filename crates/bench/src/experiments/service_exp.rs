@@ -11,18 +11,19 @@
 //!    byte-identical to the cold report (determinism is what makes the
 //!    cache sound); the cold/served throughput ratio is recorded, with a
 //!    soft ≥ 10× acceptance bar on the repeated-spec workload.
-//! 2. **Sharded sweep pin**: the sharded coordinator's merged JSONL stream
-//!    over a distinct-spec sweep is hard-asserted byte-identical to the
-//!    sequential `Driver::run_sweep` stream at 2 and 4 shards, and the
-//!    walls are recorded (informational — shard wins depend on cores).
+//! 2. **Sharded sweep pin**: the JSONL stream of a distinct-spec sweep in
+//!    2- and 4-cell blocks on the rayon pool (what `radionet sweep
+//!    --shards 2/4` runs in process) is hard-asserted byte-identical to the
+//!    sequential `Driver::run_sweep` stream, and the walls are recorded
+//!    (informational — parallel wins depend on cores).
 
 use super::{banner, print_notes};
 use crate::Scale;
 use radionet_analysis::table::f1;
 use radionet_analysis::{ExperimentRecord, RunRecord, Table};
-use radionet_api::{Driver, JsonlSink, RunSpec};
+use radionet_api::{Driver, Executor, JsonlSink, RunSpec};
 use radionet_graph::families::Family;
-use radionet_service::{run_sweep_sharded, CacheConfig, ResultCache, ShardMode};
+use radionet_service::{CacheConfig, ResultCache};
 use std::time::Instant;
 
 /// The distinct specs behind the repeated workload: a few tasks × families
@@ -141,7 +142,7 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
         eprintln!("E20: WARNING: served/cold speedup {speedup:.1}x below the 10x bar");
     }
 
-    // Part 2: the sharded coordinator versus the sequential sweep, pinned
+    // Part 2: N-cell blocks versus the sequential sweep, pinned
     // byte-for-byte on a distinct-spec list (no cache in this path).
     let sweep_specs = distinct_specs(
         match scale {
@@ -152,7 +153,8 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
     );
     let mut sequential = Vec::new();
     let start = Instant::now();
-    driver.run_sweep(&sweep_specs, &mut JsonlSink::new(&mut sequential)).expect("sequential");
+    let sink = &mut JsonlSink::new(&mut sequential);
+    driver.run_sweep(sweep_specs.clone(), 1, &Executor::Threads, sink).expect("sequential");
     let seq_wall = start.elapsed().as_secs_f64().max(1e-9);
     table.row([
         "sharded-sweep".into(),
@@ -173,14 +175,10 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
     for shards in [2usize, 4] {
         let mut merged = Vec::new();
         let start = Instant::now();
-        let emitted = run_sweep_sharded(
-            &driver,
-            &sweep_specs,
-            shards,
-            &ShardMode::InProcess,
-            &mut JsonlSink::new(&mut merged),
-        )
-        .expect("sharded sweep");
+        let sink = &mut JsonlSink::new(&mut merged);
+        let emitted = driver
+            .run_sweep(sweep_specs.clone(), shards, &Executor::Threads, sink)
+            .expect("sharded sweep");
         let wall = start.elapsed().as_secs_f64().max(1e-9);
         assert_eq!(emitted, sweep_specs.len());
         // The hard acceptance: the merged stream is the sequential stream.
@@ -206,7 +204,7 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
         );
     }
     record.note(format!(
-        "sharded sweep: 2- and 4-way merged streams byte-identical to the sequential \
+        "sharded sweep: 2- and 4-cell-block streams byte-identical to the sequential \
          {}-cell stream (walls informational; determinism is the claim)",
         sweep_specs.len(),
     ));

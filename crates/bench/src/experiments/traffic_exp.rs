@@ -25,10 +25,12 @@ use super::{banner, print_notes};
 use crate::Scale;
 use radionet_analysis::table::f1;
 use radionet_analysis::{ExperimentRecord, RunRecord, Table};
-use radionet_api::{Arrival, Driver, PoissonArrival, RunReport, RunSpec, TrafficKind, TrafficSpec};
+use radionet_api::{
+    Arrival, Driver, Executor, JsonlSink, PoissonArrival, RunReport, RunSpec, TrafficKind,
+    TrafficSpec,
+};
 use radionet_graph::families::Family;
 use radionet_sim::Kernel;
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Node count of the at-scale cell (a 316×316 grid).
@@ -224,28 +226,24 @@ pub fn e22_traffic(scale: Scale) -> ExperimentRecord {
     ));
 
     // Part 3: a spec sweep is embarrassingly parallel — sequential and
-    // rayon execution must serialize to the byte-identical report list.
-    let sweep: Vec<(TrafficKind, u64)> =
-        [TrafficKind::Gossip, TrafficKind::Unicast, TrafficKind::Multicast]
-            .into_iter()
-            .flat_map(|kind| (0..3u64).map(move |seed| (kind, seed)))
-            .collect();
-    let run_cell = |&(kind, seed): &(TrafficKind, u64)| {
-        let d = Driver::standard();
-        let (report, _) = run_traffic(
-            &d,
-            &format!("traffic.{}", kind.name()),
-            Family::Grid,
-            36,
-            seed,
-            TrafficSpec::default(),
-            Kernel::Sparse,
-        );
-        serde_json::to_string(&report).unwrap()
+    // rayon execution must serialize to the byte-identical report stream.
+    let sweep: Vec<RunSpec> = [TrafficKind::Gossip, TrafficKind::Unicast, TrafficKind::Multicast]
+        .into_iter()
+        .flat_map(|kind| {
+            (0..3u64).map(move |seed| {
+                RunSpec::new(format!("traffic.{}", kind.name()), Family::Grid, 36)
+                    .with_seed(seed)
+                    .with_traffic(TrafficSpec::default())
+            })
+        })
+        .collect();
+    let stream = |chunk| {
+        let mut out = Vec::new();
+        let sink = &mut JsonlSink::new(&mut out);
+        driver.run_sweep(sweep.clone(), chunk, &Executor::Threads, sink).expect("traffic cells");
+        out
     };
-    let sequential: Vec<String> = sweep.iter().map(run_cell).collect();
-    let parallel: Vec<String> = sweep.par_iter().map(run_cell).collect();
-    assert_eq!(sequential, parallel, "rayon execution changed a traffic report");
+    assert_eq!(stream(1), stream(sweep.len()), "rayon execution changed a traffic report");
     record.note(format!(
         "sequential ≡ rayon: {} traffic cells (3 kinds × 3 seeds) serialize byte-identically \
          under both execution orders",

@@ -3,7 +3,7 @@
 //!
 //! Mirroring `radionet_graph::families`, each [`Scenario`] maps `(n, seed)`
 //! to a fully determined experiment cell; [`Scenario::catalogue`] lists the
-//! named presets the sweep runner and experiment E14 (`exp E14`) use.
+//! named presets the sweeps and experiment E14 (`exp E14`) use.
 //!
 //! The recipe vocabulary itself ([`Dynamics`] and its spec structs) lives
 //! in `radionet_api::spec` — a scenario is simply a *named*
@@ -11,13 +11,10 @@
 //! registry task each cell runs.
 
 use radionet_graph::families::Family;
-use radionet_graph::Graph;
-use radionet_sim::{NetInfo, ReceptionMode, SinrConfig};
+use radionet_sim::{ReceptionMode, SinrConfig};
 use serde::{Deserialize, Serialize};
 
 pub use radionet_api::spec::{ChurnSpec, Dynamics, JamSpec, PartitionSpec, StaggerSpec};
-
-use crate::events::ScenarioEvent;
 
 /// Which algorithm a scenario cell runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,28 +42,6 @@ impl Workload {
             Workload::Traffic => "traffic.gossip",
         }
     }
-
-    /// The step timebase dynamics fractions refer to: an a-priori
-    /// lower-envelope of how long the workload keeps running (its own
-    /// budget), computable from [`NetInfo`] alone.
-    ///
-    /// Delegates to the corresponding façade task's
-    /// [`Task::timebase`](radionet_api::Task::timebase) — there is exactly
-    /// one definition of each budget (for the `Compete`-based workloads,
-    /// `CompeteConfig::default().propagation_budget`; for MIS, the round
-    /// budget of `MisConfig::default`), so a scenario and its derived
-    /// [`RunSpec`](radionet_api::RunSpec) can never time their event
-    /// scripts differently.
-    pub fn timebase(self, info: &NetInfo) -> u64 {
-        use radionet_api::tasks::{BroadcastTask, LeaderElectionTask, MisTask, TrafficTask};
-        use radionet_api::{Task, TrafficKind};
-        match self {
-            Workload::Broadcast => BroadcastTask.timebase(info),
-            Workload::LeaderElection => LeaderElectionTask.timebase(info),
-            Workload::Mis => MisTask.timebase(info),
-            Workload::Traffic => TrafficTask::new(TrafficKind::Gossip).timebase(info),
-        }
-    }
 }
 
 /// A fully specified named scenario.
@@ -85,14 +60,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Materializes the event script for one cell.
-    ///
-    /// Deterministic in `(graph, info, seed)`; fractions in the dynamics
-    /// spec are scaled by [`Workload::timebase`].
-    pub fn events_for(&self, g: &Graph, info: &NetInfo, seed: u64) -> Vec<ScenarioEvent> {
-        self.dynamics.events_for(g, self.workload.timebase(info), seed)
-    }
-
     /// The named presets swept by experiment E14: every dynamics recipe
     /// crossed with a geometric and a general family, broadcast as the
     /// common workload plus leader-election and MIS spot checks.
@@ -128,10 +95,8 @@ impl Scenario {
     /// the physical-layer cells where SINR reception follows the live
     /// positions (geometry-calibrated — no hand-shipped coordinates).
     ///
-    /// Kept separate from [`Scenario::catalogue`] because the frozen
-    /// pre-façade reference pipeline (`run_cell_reference`) predates
-    /// mobility and is pinned byte-for-byte against that list only; the
-    /// mobility cells run purely through the façade.
+    /// Kept separate from [`Scenario::catalogue`] so E14's dynamics sweep
+    /// stays on the paper's static-geometry recipes.
     pub fn mobility_catalogue() -> Vec<Scenario> {
         let mk = |name: &str, family, workload, dynamics| Scenario {
             name: name.to_string(),
@@ -175,10 +140,8 @@ impl Scenario {
     }
 
     /// The streaming-traffic scenarios: the multi-message delivery
-    /// pipeline over a static and a churning grid. Kept out of
-    /// [`Scenario::catalogue`] for the same reason as mobility — the
-    /// frozen pre-façade reference pipeline predates traffic workloads
-    /// and is pinned against that list only.
+    /// pipeline over a static and a churning grid, kept out of
+    /// [`Scenario::catalogue`] like the mobility cells.
     pub fn traffic_catalogue() -> Vec<Scenario> {
         let mk = |name: &str, family, dynamics| Scenario {
             name: name.to_string(),
@@ -301,34 +264,18 @@ mod tests {
         assert_eq!(wake, Dynamics::StaggeredWake(StaggerSpec { spread: 0.1 }));
     }
 
-    #[test]
-    fn events_deterministic_and_sound() {
-        let g = Family::Grid.instantiate(49, 1);
-        let info = NetInfo::exact(&g);
-        for sc in Scenario::catalogue() {
-            let a = sc.events_for(&g, &info, 42);
-            let b = sc.events_for(&g, &info, 42);
-            assert_eq!(a, b, "{} not deterministic", sc.name);
-            let c = sc.events_for(&g, &info, 43);
-            if !matches!(sc.dynamics, Dynamics::Static | Dynamics::PartitionRepair(_)) {
-                assert_ne!(a, c, "{} ignores the seed", sc.name);
-            }
-            for e in &a {
-                if let Some(v) = e.kind.node() {
-                    assert!(v > 0, "{}: node 0 must stay protected", sc.name);
-                    assert!(v < g.n());
-                }
-            }
-        }
-    }
-
+    /// The budgets dynamics fractions scale by: each workload's task
+    /// timebase grows with the network and is never degenerate.
     #[test]
     fn timebase_scales_with_size() {
+        use radionet_sim::NetInfo;
+        let registry = radionet_api::TaskRegistry::standard();
         let small = NetInfo { n: 64, d: 14, alpha: 32.0 };
         let big = NetInfo { n: 1024, d: 62, alpha: 512.0 };
         for w in [Workload::Broadcast, Workload::LeaderElection, Workload::Mis] {
-            assert!(w.timebase(&big) > w.timebase(&small), "{}", w.name());
-            assert!(w.timebase(&small) > 100, "{} timebase degenerate", w.name());
+            let task = registry.get(w.name()).expect("every workload has a task");
+            assert!(task.timebase(&big) > task.timebase(&small), "{}", w.name());
+            assert!(task.timebase(&small) > 100, "{} timebase degenerate", w.name());
         }
     }
 

@@ -17,11 +17,12 @@
 //! * [`catalogue`] — serde-able named scenarios composing a graph family,
 //!   a workload, a reception mode, and a dynamics recipe — i.e. *named*
 //!   [`RunSpec`](radionet_api::RunSpec) families;
-//! * [`runner`] — a rayon-parallel sweep executor with deterministic
-//!   per-cell seeding (shared with the façade via
-//!   [`radionet_api::seeds`]); parallel and sequential runs are
-//!   byte-identical, and each cell is a thin adapter over
-//!   [`Driver::run`](radionet_api::Driver::run).
+//! * [`runner`] — the sweep vocabulary: (scenario × size × seed) cells
+//!   with deterministic per-cell seeding (shared with the façade via
+//!   [`radionet_api::seeds`]), each a named
+//!   [`RunSpec`](radionet_api::RunSpec) run through
+//!   [`Driver::run_sweep`](radionet_api::Driver::run_sweep), plus the
+//!   sweep rows and records its reports become.
 //!
 //! # Example: broadcast across a partition that heals
 //!
@@ -57,7 +58,4 @@ pub mod runner;
 pub use catalogue::{Dynamics, Scenario, Workload};
 pub use dynamics::DynamicTopology;
 pub use events::{EventKind, ScenarioEvent};
-pub use runner::{
-    run_cell, run_sweep_parallel, run_sweep_sequential, to_record, CellResult, CellSpec,
-    SweepConfig,
-};
+pub use runner::{to_record, CellResult, CellSpec, SweepConfig};

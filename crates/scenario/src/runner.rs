@@ -1,30 +1,21 @@
-//! The sweep runner: fans (scenario × size × seed) cells across cores.
+//! The sweep vocabulary: (scenario × size × seed) cells, the façade spec
+//! each cell denotes, and the rows a sweep's reports become.
 //!
 //! Every cell is a pure function of its [`CellSpec`] — the graph, the event
 //! script, and the simulator seed all derive from one mixed cell seed (see
-//! [`radionet_api::seeds`]) — so the rayon-parallel runner produces
-//! **byte-identical** results to the sequential one, in the same order.
-//! Experiment E14 (`exp E14`) asserts exactly that before writing records.
-//!
-//! Since the façade redesign, a cell *is* a named [`RunSpec`]:
-//! [`run_cell`] converts via
-//! [`spec_for_cell`] and delegates to [`Driver::run`]. The pre-façade
-//! hand-wired implementation is kept frozen as [`run_cell_reference`], and
-//! the `facade_equiv` integration suite pins the two paths byte-identical
-//! (reports *and* RNG fingerprints) across the whole catalogue, under both
-//! kernels.
+//! [`radionet_api::seeds`]) — and a cell *is* a named [`RunSpec`]
+//! ([`spec_for_cell`]). A sweep therefore runs through the one sweep loop,
+//! [`Driver::run_sweep`](radionet_api::Driver::run_sweep), which emits the
+//! same bytes whatever its block size or executor; experiment E14
+//! (`exp E14`) asserts exactly that before writing records. What the cells
+//! return is pinned by the golden results fixture
+//! (`tests/golden_reports.rs`).
 
-use crate::catalogue::{Scenario, Workload};
-use crate::dynamics::DynamicTopology;
+use crate::catalogue::Scenario;
 use radionet_analysis::{ExperimentRecord, RunRecord};
 use radionet_api::seeds;
-use radionet_api::{Driver, RunSpec};
-use radionet_core::broadcast::run_broadcast;
-use radionet_core::compete::CompeteConfig;
-use radionet_core::leader_election::{run_leader_election, LeaderElectionConfig};
-use radionet_core::mis::{run_radio_mis, MisConfig};
-use radionet_sim::{Kernel, NetInfo, Sim, SimStats};
-use rayon::prelude::*;
+use radionet_api::{RunReport, RunSpec};
+use radionet_sim::{Kernel, SimStats};
 use serde::{Deserialize, Serialize};
 
 /// A sweep: every scenario crossed with every size, `seeds` times.
@@ -52,8 +43,7 @@ impl SweepConfig {
     }
 
     /// Lazily yields the sweep's cells in the same deterministic order as
-    /// [`SweepConfig::cells`], without materializing them — the CLI
-    /// streams arbitrarily large sweeps through this.
+    /// [`SweepConfig::cells`], without materializing them.
     pub fn cells_iter(&self) -> impl Iterator<Item = CellSpec> + '_ {
         self.scenarios.iter().flat_map(move |scenario| {
             self.sizes.iter().flat_map(move |&n| {
@@ -65,6 +55,20 @@ impl SweepConfig {
                 })
             })
         })
+    }
+
+    /// The sweep's cells as façade specs under `kernel`, lazily and in
+    /// cell order: the stream to hand
+    /// [`Driver::run_sweep`](radionet_api::Driver::run_sweep), so a sweep
+    /// of any length holds only one block of specs at a time.
+    pub fn specs(&self, kernel: Kernel) -> impl Iterator<Item = RunSpec> + '_ {
+        self.cells_iter().map(move |cell| spec_for_cell(&cell, kernel))
+    }
+
+    /// The sweep rows of `reports`, the reports of a sweep over
+    /// [`SweepConfig::specs`] in cell order.
+    pub fn results(&self, reports: &[RunReport]) -> Vec<CellResult> {
+        self.cells_iter().zip(reports).map(|(cell, r)| cell_result_from_report(&cell, r)).collect()
     }
 }
 
@@ -128,15 +132,9 @@ pub struct CellResult {
     pub stats: SimStats,
 }
 
-/// Builds the sweep row a [`Driver`] report denotes for `cell`, tagging it
-/// with how it was served (`cache_hit`). Shared by the direct runner below
-/// and the service layer's cached cell runner, so the two row shapes can
-/// never drift apart.
-pub fn cell_result_from_report(
-    cell: &CellSpec,
-    report: &radionet_api::RunReport,
-    cache_hit: Option<bool>,
-) -> CellResult {
+/// Builds the sweep row a [`RunReport`] denotes for `cell` (a direct run,
+/// so `cache_hit` is `None`).
+pub fn cell_result_from_report(cell: &CellSpec, report: &RunReport) -> CellResult {
     CellResult {
         scenario: cell.scenario.name.clone(),
         family: cell.scenario.family.name().to_string(),
@@ -152,7 +150,7 @@ pub fn cell_result_from_report(
         clock_total: report.clock_total,
         clock_done: report.clock_done,
         fell_back: report.stats.kernel_fallbacks > 0,
-        cache_hit,
+        cache_hit: None,
         stats: report.stats,
     }
 }
@@ -172,107 +170,6 @@ pub fn spec_for_cell(cell: &CellSpec, kernel: Kernel) -> RunSpec {
         traffic: None,
         seed: cell.cell_seed,
     }
-}
-
-/// Runs one cell. Pure: identical `spec` ⇒ identical result.
-pub fn run_cell(spec: &CellSpec) -> CellResult {
-    run_cell_kernel(spec, Kernel::default())
-}
-
-/// Runs one cell under an explicit step [`Kernel`]: a thin adapter that
-/// converts to a [`RunSpec`] and delegates to the façade [`Driver`]. Both
-/// kernels produce identical results — the scenario-level `kernel_equiv`
-/// tests assert this across the whole catalogue.
-pub fn run_cell_kernel(spec: &CellSpec, kernel: Kernel) -> CellResult {
-    let report = Driver::standard()
-        .run(&spec_for_cell(spec, kernel))
-        .expect("catalogue cells are valid specs");
-    cell_result_from_report(spec, &report, None)
-}
-
-/// The **frozen pre-façade implementation** of a cell, kept verbatim as the
-/// differential oracle for [`run_cell_kernel`]: the `facade_equiv` suite
-/// asserts the façade path reproduces this hand-wired pipeline
-/// bit-for-bit — same [`CellResult`] *and* same per-node RNG fingerprint —
-/// for every catalogue entry under both kernels. Not for new callers.
-pub fn run_cell_reference(spec: &CellSpec, kernel: Kernel) -> (CellResult, u64) {
-    let sc = &spec.scenario;
-    let graph_seed = seeds::mix(spec.cell_seed ^ 0x6a);
-    let g = sc.family.instantiate(spec.n, graph_seed);
-    let info = NetInfo::exact(&g);
-    let events = sc.events_for(&g, &info, seeds::mix(spec.cell_seed ^ 0xe7));
-    let n_events = events.len();
-    let topo = DynamicTopology::new(&g, events);
-    let sim_seed = seeds::mix(spec.cell_seed ^ 0x51);
-    let mut sim = Sim::with_topology(&g, topo, info, sim_seed, sc.reception.clone());
-    sim.set_kernel(kernel);
-
-    let (success, achieved, clock_done) = match sc.workload {
-        Workload::Broadcast => {
-            let out = run_broadcast(&mut sim, g.node(0), 42, &CompeteConfig::default());
-            let informed =
-                out.compete.best.iter().filter(|b| **b == Some(42)).count() as f64 / g.n() as f64;
-            (out.completed(), informed, out.completion_time())
-        }
-        Workload::LeaderElection => {
-            let out = run_leader_election(
-                &mut sim,
-                seeds::mix(spec.cell_seed ^ 0x1e),
-                &LeaderElectionConfig::default(),
-            );
-            let agree = match out.leader {
-                Some(id) => {
-                    out.compete.best.iter().filter(|b| **b == Some(id)).count() as f64
-                        / g.n() as f64
-                }
-                None => 0.0,
-            };
-            (out.succeeded(), agree, out.compete.clock_all_informed)
-        }
-        Workload::Mis => {
-            let out = run_radio_mis(&mut sim, &MisConfig::default());
-            let valid = out.is_valid(&g);
-            let done = valid.then(|| sim.clock());
-            (valid, if valid { 1.0 } else { 0.0 }, done)
-        }
-        Workload::Traffic => panic!(
-            "the frozen reference pipeline predates traffic workloads; traffic cells \
-             run only through the façade (run_cell_kernel)"
-        ),
-    };
-
-    let result = CellResult {
-        scenario: sc.name.clone(),
-        family: sc.family.name().to_string(),
-        workload: sc.workload.name().to_string(),
-        dynamics: sc.dynamics.name().to_string(),
-        n: g.n(),
-        rep: spec.rep,
-        d: info.d,
-        alpha: info.alpha,
-        events: n_events,
-        success,
-        achieved,
-        clock_total: sim.clock(),
-        clock_done,
-        fell_back: sim.stats().kernel_fallbacks > 0,
-        cache_hit: None,
-        stats: *sim.stats(),
-    };
-    (result, sim.rng_fingerprint())
-}
-
-/// Runs the sweep on the current thread, in cell order.
-pub fn run_sweep_sequential(config: &SweepConfig) -> Vec<CellResult> {
-    config.cells().iter().map(run_cell).collect()
-}
-
-/// Runs the sweep on all cores (rayon), preserving cell order.
-///
-/// Because cells are seeded from their spec alone, the output is
-/// byte-identical to [`run_sweep_sequential`] for the same config.
-pub fn run_sweep_parallel(config: &SweepConfig) -> Vec<CellResult> {
-    config.cells().into_par_iter().map(|spec| run_cell(&spec)).collect()
 }
 
 /// Converts results into the analysis layer's row type.
@@ -326,7 +223,8 @@ pub fn to_record(id: &str, claim: &str, results: &[CellResult]) -> ExperimentRec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalogue::{Dynamics, PartitionSpec};
+    use crate::catalogue::{Dynamics, PartitionSpec, Workload};
+    use radionet_api::{Driver, Executor, MemorySink};
     use radionet_graph::families::Family;
     use radionet_sim::ReceptionMode;
 
@@ -358,6 +256,14 @@ mod tests {
         }
     }
 
+    /// The sweep's rows, through the one sweep loop in blocks of `chunk`.
+    fn sweep(cfg: &SweepConfig, chunk: usize) -> Vec<CellResult> {
+        let mut sink = MemorySink::default();
+        let specs = cfg.specs(Kernel::default());
+        Driver::standard().run_sweep(specs, chunk, &Executor::Threads, &mut sink).unwrap();
+        cfg.results(&sink.reports)
+    }
+
     #[test]
     fn cells_are_deterministic_and_distinct() {
         let cfg = tiny_config();
@@ -380,6 +286,20 @@ mod tests {
         assert_eq!(cfg.cells()[0].cell_seed, 0xafd9_5556_08f2_5d31);
     }
 
+    /// The spec derived from a cell carries the cell seed verbatim, so the
+    /// derived sub-seeds (graph, events, sim, lottery) cannot drift.
+    #[test]
+    fn cell_spec_round_trips_the_seed() {
+        let cfg = SweepConfig::catalogue(vec![36], 1, 7);
+        for (cell, spec) in cfg.cells().iter().zip(cfg.specs(Kernel::default())) {
+            assert_eq!(spec, spec_for_cell(cell, Kernel::default()));
+            assert_eq!(spec.seed, cell.cell_seed);
+            assert_eq!(spec.task, cell.scenario.workload.name());
+            assert_eq!(spec.family, cell.scenario.family);
+            assert_eq!(spec.dynamics, cell.scenario.dynamics);
+        }
+    }
+
     #[test]
     fn parallel_matches_sequential_exactly() {
         // Determinism here is by construction (cells are pure functions of
@@ -387,8 +307,8 @@ mod tests {
         // multi-threaded scheduling is exercised by the vendored rayon's
         // own tests, which force a 4-worker pool explicitly.
         let cfg = tiny_config();
-        let seq = run_sweep_sequential(&cfg);
-        let par = run_sweep_parallel(&cfg);
+        let seq = sweep(&cfg, 1);
+        let par = sweep(&cfg, 64);
         assert_eq!(seq, par);
         let a = serde_json::to_string_pretty(&to_run_records(&seq)).unwrap();
         let b = serde_json::to_string_pretty(&to_run_records(&par)).unwrap();
@@ -397,8 +317,7 @@ mod tests {
 
     #[test]
     fn static_broadcast_succeeds() {
-        let cfg = tiny_config();
-        let results = run_sweep_sequential(&cfg);
+        let results = sweep(&tiny_config(), 1);
         for r in results.iter().filter(|r| r.scenario == "t-static") {
             assert!(r.success, "static broadcast failed: {r:?}");
             assert!((r.achieved - 1.0).abs() < 1e-12);
@@ -406,19 +325,8 @@ mod tests {
     }
 
     #[test]
-    fn facade_path_matches_reference_on_tiny_cells() {
-        // The exhaustive catalogue × kernel sweep lives in
-        // `tests/facade_equiv.rs`; this is the fast in-crate guard.
-        for cell in tiny_config().cells() {
-            let (reference, _fp) = run_cell_reference(&cell, Kernel::default());
-            assert_eq!(run_cell(&cell), reference, "façade diverged in {}", cell.scenario.name);
-        }
-    }
-
-    #[test]
     fn records_carry_the_sweep() {
-        let cfg = tiny_config();
-        let results = run_sweep_sequential(&cfg);
+        let results = sweep(&tiny_config(), 64);
         let record = to_record("ES", "scenario sweep", &results);
         assert_eq!(record.runs.len(), results.len());
         assert_eq!(record.runs[0].params["scenario"], "t-static");

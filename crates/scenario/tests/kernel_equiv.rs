@@ -14,8 +14,11 @@
 //! byte-for-byte.
 
 use proptest::prelude::*;
+use radionet_api::Driver;
 use radionet_scenario::catalogue::Scenario;
-use radionet_scenario::runner::{run_cell_kernel, CellResult, CellSpec, SweepConfig};
+use radionet_scenario::runner::{
+    cell_result_from_report, spec_for_cell, CellResult, CellSpec, SweepConfig,
+};
 use radionet_sim::{Kernel, ReceptionMode};
 
 fn cells(sizes: Vec<usize>, seeds: u64, base_seed: u64) -> Vec<CellSpec> {
@@ -25,7 +28,8 @@ fn cells(sizes: Vec<usize>, seeds: u64, base_seed: u64) -> Vec<CellSpec> {
 /// Runs the cell under one kernel and zeroes the kernel-dependent stats
 /// counters so whole results compare across kernels.
 fn run_invariant(spec: &CellSpec, kernel: Kernel) -> CellResult {
-    let mut r = run_cell_kernel(spec, kernel);
+    let report = Driver::standard().run(&spec_for_cell(spec, kernel)).expect("catalogue cell");
+    let mut r = cell_result_from_report(spec, &report);
     r.stats = r.stats.kernel_invariant();
     r
 }

@@ -212,28 +212,6 @@ impl ResultCache {
         }
     }
 
-    /// Cache lookup without fallback execution: the sweep path peeks every
-    /// cell first, runs only the misses (sharded), and re-inserts via
-    /// [`ResultCache::insert`]. Counts hits/misses like
-    /// [`ResultCache::serve`]; never audits.
-    pub fn lookup(&self, spec: &RunSpec) -> Option<RunReport> {
-        let hash = spec.spec_hash();
-        let line = self.inner.lock().expect("cache poisoned").lookup(hash, self.max_bytes)?.0;
-        decode(&line).ok()
-    }
-
-    /// Inserts a report under its own spec's hash (fresh-run results from
-    /// the sweep path; also usable to pre-warm a cache).
-    ///
-    /// # Errors
-    ///
-    /// Surfaces persistent-store append failures.
-    pub fn insert(&self, report: &RunReport) -> Result<(), RunError> {
-        let hash = report.spec.spec_hash();
-        let line = encode(report)?;
-        self.store(hash, line)
-    }
-
     /// The deterministic audit draw: hit `nth` of key `hash` is audited
     /// iff a fixed mix of the two falls under the configured fraction.
     fn should_audit(&self, hash: SpecHash, nth_hit: u64) -> bool {

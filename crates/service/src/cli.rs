@@ -5,7 +5,7 @@
 use crate::client::ServiceClient;
 use crate::protocol::Request;
 use crate::server::{Service, ServiceConfig};
-use crate::shard::worker_loop;
+use radionet_api::sweep::worker_loop;
 use radionet_api::{Driver, RunSpec};
 use radionet_graph::families::Family;
 use radionet_sim::Kernel;
@@ -89,9 +89,7 @@ pub fn worker_cmd() -> Result<(), String> {
     let driver = Driver::standard();
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    let served = worker_loop(&driver, stdin.lock(), stdout.lock()).map_err(|e| e.to_string())?;
-    eprintln!("worker: served {served} specs");
-    Ok(())
+    worker_loop(&driver, stdin.lock(), stdout.lock()).map_err(|e| e.to_string())
 }
 
 /// Builds the spec a `submit` command describes: either `--spec FILE|-`

@@ -91,8 +91,8 @@ impl ServiceClient {
         self.call_ok(&Request::result(id))
     }
 
-    /// Serves a sweep through the cache + sharded coordinator; returns
-    /// the in-order reports and the per-cell hit flags.
+    /// Serves a sweep through the cache, at most `shards` cells at a time;
+    /// returns the in-order reports and the per-cell hit flags.
     ///
     /// # Errors
     ///

@@ -18,12 +18,6 @@
 //!   (`queued → running → done | failed`, `queued → cancelled`),
 //!   backpressure ([`SubmitError::QueueFull`](queue::SubmitError) beyond
 //!   the high-water mark), cancellation, and per-job timing.
-//! * [`shard`] — a **sharded sweep coordinator**: a spec list is
-//!   partitioned by the deterministic per-cell seed stream, shards execute
-//!   on scoped threads (or spawned `radionetd --worker` subprocesses), and
-//!   the merged output stream is **byte-identical** to the sequential
-//!   [`Driver::run_sweep`](radionet_api::Driver::run_sweep) — purity makes
-//!   the merge a trivial reorder, and the shard-merge tests pin it.
 //! * [`protocol`] / [`server`] / [`client`] — a newline-delimited JSON
 //!   request/response protocol (`submit`, `status`, `result`, `sweep`,
 //!   `stats`, `shutdown`) served over `std::net::TcpListener` by a
@@ -31,7 +25,9 @@
 //!   side.
 //! * [`cli`] — the shared command implementations behind the `radionetd`
 //!   binary and the `radionet serve / submit / status / fetch / call`
-//!   subcommands, so the whole system is driveable from the shell and CI.
+//!   subcommands, so the whole system is driveable from the shell and CI;
+//!   `radionetd --worker` is the subprocess side of
+//!   [`Executor::Workers`](radionet_api::Executor) sweeps.
 //!
 //! ```no_run
 //! use radionet_api::RunSpec;
@@ -59,11 +55,9 @@ pub mod client;
 pub mod protocol;
 pub mod queue;
 pub mod server;
-pub mod shard;
 
 pub use cache::{CacheConfig, CacheStats, ResultCache, Served};
 pub use client::ServiceClient;
 pub use protocol::{Request, Response, ServiceStats};
 pub use queue::{JobId, JobQueue, JobSnapshot, JobState, QueueLatency, SubmitError};
 pub use server::{Service, ServiceConfig, ServiceHandle};
-pub use shard::{run_sweep_sharded, shard_of, ShardMode};

@@ -39,7 +39,7 @@ pub struct Request {
     pub specs: Option<Vec<RunSpec>>,
     /// `status` / `result`: the job id.
     pub id: Option<u64>,
-    /// `sweep`: worker shards for the cache-miss cells (default 1).
+    /// `sweep`: at most this many cells are served at once (default 1).
     pub shards: Option<usize>,
     /// `submit`: block until the job is terminal and return its result in
     /// the same response (default `false`).
@@ -67,7 +67,8 @@ impl Request {
         Request { id: Some(id), ..Request::bare("result") }
     }
 
-    /// `sweep` — serve a spec list through cache + sharded coordinator.
+    /// `sweep` — serve a spec list through the cache, `shards` cells at a
+    /// time.
     pub fn sweep(specs: Vec<RunSpec>, shards: usize) -> Request {
         Request { specs: Some(specs), shards: Some(shards), ..Request::bare("sweep") }
     }

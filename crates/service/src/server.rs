@@ -16,10 +16,10 @@
 //!                               ResultCache ──miss──▶ Driver::run
 //! ```
 //!
-//! `sweep` requests short-circuit the queue: the connection thread peeks
-//! every cell in the cache, runs only the misses through the sharded
-//! coordinator, re-inserts them, and answers with the merged in-order
-//! stream — so a repeated sweep is almost entirely cache traffic.
+//! `sweep` requests bypass the queue: the connection thread serves the
+//! specs through [`ResultCache::serve`], the same audited path a `submit`
+//! job takes, in blocks of `shards` cells that run at once, and answers
+//! in request order — so a repeated sweep is almost entirely cache traffic.
 //!
 //! Shutdown is cooperative: the `shutdown` command (or
 //! [`ServiceHandle::request_shutdown`]) stops intake, wakes blocked
@@ -27,11 +27,10 @@
 //! loopback connection to itself; [`ServiceHandle::join`] then reaps the
 //! threads.
 
-use crate::cache::{CacheConfig, ResultCache};
+use crate::cache::{CacheConfig, ResultCache, Served};
 use crate::protocol::{Request, Response, ServiceStats};
 use crate::queue::{JobQueue, JobSnapshot, SubmitError};
-use crate::shard::{run_sweep_sharded, ShardMode};
-use radionet_api::{Driver, MemorySink, RunSpec};
+use radionet_api::{Driver, RunError};
 use radionet_telemetry::{MetricsSnapshot, Registry, Stopwatch};
 use std::io::{self, BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -347,40 +346,35 @@ fn snapshot_response(snap: JobSnapshot, with_report: bool) -> Response {
     }
 }
 
-/// `sweep`: cache-peek every cell, run only the misses through the
-/// sharded coordinator, merge, re-insert, and answer in request order.
+/// `sweep`: serve every cell through the cache in blocks of `shards`
+/// cells, each cell of a block on its own thread and timed like a job,
+/// and answer in request order. The first failing cell fails the request.
 fn handle_sweep(shared: &Shared, request: Request) -> Response {
     let Some(specs) = request.specs else {
         return Response::err("sweep needs \"specs\"");
     };
-    let shards = request.shards.unwrap_or(1);
-    let lookups = Stopwatch::start(true);
-    let mut reports: Vec<Option<radionet_api::RunReport>> =
-        specs.iter().map(|s| shared.cache.lookup(s)).collect();
-    lookups.stop(Some(&shared.registry), "service_cache_lookup_micros");
-    let misses: Vec<(usize, RunSpec)> = specs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| reports[*i].is_none())
-        .map(|(i, s)| (i, s.clone()))
-        .collect();
-    let cache_hits: Vec<bool> = reports.iter().map(Option::is_some).collect();
-    if !misses.is_empty() {
-        let miss_specs: Vec<RunSpec> = misses.iter().map(|(_, s)| s.clone()).collect();
-        let mut sink = MemorySink::default();
-        if let Err(e) =
-            run_sweep_sharded(&shared.driver, &miss_specs, shards, &ShardMode::InProcess, &mut sink)
-        {
-            return Response::err(e.to_string());
-        }
-        for ((i, _), report) in misses.iter().zip(sink.reports) {
-            if let Err(e) = shared.cache.insert(&report) {
-                return Response::err(e.to_string());
+    let mut reports = Vec::with_capacity(specs.len());
+    let mut cache_hits = Vec::with_capacity(specs.len());
+    for block in specs.chunks(request.shards.unwrap_or(1).max(1)) {
+        let served: Vec<Result<Served, RunError>> = std::thread::scope(|s| {
+            let serve = |spec| {
+                let watch = Stopwatch::start(true);
+                let served = shared.cache.serve(&shared.driver, spec);
+                watch.stop(Some(&shared.registry), "service_cache_serve_micros");
+                served
+            };
+            let cells: Vec<_> = block.iter().map(|spec| s.spawn(move || serve(spec))).collect();
+            cells.into_iter().map(|cell| cell.join().expect("a sweep cell panicked")).collect()
+        });
+        for served in served {
+            match served {
+                Ok(served) => {
+                    reports.push(served.report);
+                    cache_hits.push(served.hit);
+                }
+                Err(e) => return Response::err(e.to_string()),
             }
-            reports[*i] = Some(report);
         }
     }
-    let reports: Vec<radionet_api::RunReport> =
-        reports.into_iter().map(|r| r.expect("every cell hit or ran")).collect();
     Response { reports: Some(reports), cache_hits: Some(cache_hits), ..Response::ok() }
 }

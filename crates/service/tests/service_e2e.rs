@@ -77,6 +77,45 @@ fn sweep_via_the_client_matches_direct_runs_and_reports_hits() {
     handle.join();
 }
 
+/// A poisoned persisted entry served through `sweep` is audited like a
+/// `submit` hit: re-run, caught, replaced, and answered with the fresh
+/// report.
+#[test]
+fn sweep_hits_pass_the_audit_guard() {
+    let spec = tiny(21);
+    let fresh = Driver::standard().run(&spec).unwrap();
+    let mut tampered = fresh.clone();
+    tampered.clock_total += 1;
+    let path =
+        std::env::temp_dir().join(format!("radionet-sweep-audit-{}.jsonl", std::process::id()));
+    let row = serde_json::to_string(&tampered).unwrap();
+    std::fs::write(
+        &path,
+        format!("{{\"hash\":\"{}\",\"report\":{row}}}\n", spec.spec_hash().to_hex()),
+    )
+    .unwrap();
+    let config = ServiceConfig {
+        cache: CacheConfig {
+            audit_fraction: 1.0,
+            persist: Some(path.clone()),
+            ..CacheConfig::default()
+        },
+        ..ServiceConfig::default()
+    };
+    let (handle, mut client) = start(config);
+    let (reports, hits) = client.sweep(&[spec], 1).unwrap();
+    assert_eq!(
+        serde_json::to_string(&reports).unwrap(),
+        serde_json::to_string(&vec![fresh]).unwrap(),
+        "the sweep served the poisoned entry"
+    );
+    assert_eq!(hits, vec![false], "a failed audit is not a hit");
+    assert_eq!(client.stats().unwrap().cache.audit_failures, 1);
+    client.shutdown().unwrap();
+    handle.join();
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn async_submission_settles_and_unknown_ids_fail_cleanly() {
     let (handle, mut client) = start(ServiceConfig::default());

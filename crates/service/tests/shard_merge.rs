@@ -1,52 +1,49 @@
-//! Shard-merge determinism over the extended catalogue: sharded sweeps
-//! (2, 3, and 7 shards) must produce a JSONL stream byte-identical to the
-//! sequential [`Driver::run_sweep`] output, `fell_back` propagation
-//! included — and subprocess workers must be indistinguishable from
-//! in-process threads.
+//! Executor parity for the one sweep loop, `Driver::run_sweep`: N-cell
+//! rayon blocks (what `--shards N` selects in process) and `radionetd
+//! --worker` subprocesses must emit a stream byte-identical to the
+//! sequential sweep over the extended catalogue, `fell_back` propagation
+//! included — and when a cell fails, every executor must emit the same
+//! sequential prefix and name the cause.
 
-use radionet_api::{Driver, JsonlSink, RunSpec};
+use radionet_api::{Driver, Executor, JsonArraySink, JsonlSink, MemorySink, RunReport, RunSpec};
 use radionet_graph::families::Family;
-use radionet_scenario::runner::{cell_result_from_report, spec_for_cell, SweepConfig};
+use radionet_scenario::runner::SweepConfig;
 use radionet_scenario::Scenario;
-use radionet_service::{run_sweep_sharded, ShardMode};
-use radionet_sim::Kernel;
+use radionet_sim::{Kernel, Registry};
+use std::path::PathBuf;
 
 /// Every cell of the extended catalogue (static + mobility presets) at one
-/// modest size, as façade specs under `kernel`.
-fn extended_cells(kernel: Kernel) -> (SweepConfig, Vec<RunSpec>) {
-    let config = SweepConfig {
+/// modest size.
+fn extended_config() -> SweepConfig {
+    SweepConfig {
         scenarios: Scenario::extended_catalogue(),
         sizes: vec![36],
         seeds: 1,
         base_seed: 0x00DA_51E5,
-    };
-    let specs = config.cells().iter().map(|cell| spec_for_cell(cell, kernel)).collect();
-    (config, specs)
+    }
 }
 
-fn sequential_bytes(driver: &Driver, specs: &[RunSpec]) -> Vec<u8> {
-    let mut out = Vec::new();
-    driver.run_sweep(specs, &mut JsonlSink::new(&mut out)).unwrap();
-    out
+fn workers(shards: usize) -> Executor {
+    Executor::Workers { exe: PathBuf::from(env!("CARGO_BIN_EXE_radionetd")), shards }
 }
 
-fn sharded_bytes(driver: &Driver, specs: &[RunSpec], shards: usize, mode: &ShardMode) -> Vec<u8> {
+/// The JSONL stream of a sweep that must succeed.
+fn sweep_bytes(specs: &[RunSpec], chunk: usize, executor: &Executor) -> Vec<u8> {
     let mut out = Vec::new();
-    let emitted =
-        run_sweep_sharded(driver, specs, shards, mode, &mut JsonlSink::new(&mut out)).unwrap();
+    let sink = &mut JsonlSink::new(&mut out);
+    let emitted = Driver::standard().run_sweep(specs.to_vec(), chunk, executor, sink).unwrap();
     assert_eq!(emitted, specs.len(), "every cell must be emitted");
     out
 }
 
 #[test]
 fn sharded_sweeps_are_byte_identical_over_the_extended_catalogue() {
-    let driver = Driver::standard();
-    let (_, specs) = extended_cells(Kernel::Sparse);
+    let specs: Vec<RunSpec> = extended_config().specs(Kernel::Sparse).collect();
     assert!(specs.len() >= 8, "the extended catalogue should be a real sweep");
-    let sequential = sequential_bytes(&driver, &specs);
+    let sequential = sweep_bytes(&specs, 1, &Executor::Threads);
     for shards in [2, 3, 7] {
-        let sharded = sharded_bytes(&driver, &specs, shards, &ShardMode::InProcess);
-        assert_eq!(sequential, sharded, "{shards}-way shard merge diverged from sequential");
+        let sharded = sweep_bytes(&specs, shards, &Executor::Threads);
+        assert_eq!(sequential, sharded, "{shards}-cell blocks diverged from sequential");
     }
 }
 
@@ -54,22 +51,21 @@ fn sharded_sweeps_are_byte_identical_over_the_extended_catalogue() {
 fn fell_back_propagates_through_the_merged_stream() {
     // The event kernel is where sparse→dense fallbacks live; `fell_back`
     // rides each report's stats inside the same bytes, and the derived
-    // per-cell rows must agree between sequential and sharded execution.
-    let driver = Driver::standard();
-    let (config, specs) = extended_cells(Kernel::Event);
-    let sequential = sequential_bytes(&driver, &specs);
-    let sharded = sharded_bytes(&driver, &specs, 3, &ShardMode::InProcess);
-    assert_eq!(sequential, sharded, "event-kernel shard merge diverged");
+    // per-cell rows must agree between sequential and parallel execution.
+    let config = extended_config();
+    let specs: Vec<RunSpec> = config.specs(Kernel::Event).collect();
+    let sequential = sweep_bytes(&specs, 1, &Executor::Threads);
+    let sharded = sweep_bytes(&specs, 3, &Executor::Threads);
+    assert_eq!(sequential, sharded, "event-kernel blocks diverged");
 
-    let reports: Vec<radionet_api::RunReport> = String::from_utf8(sharded)
+    let reports: Vec<RunReport> = String::from_utf8(sharded)
         .unwrap()
         .lines()
         .map(|line| serde_json::from_str(line).unwrap())
         .collect();
-    let cells = config.cells();
-    assert_eq!(cells.len(), reports.len());
-    for (cell, report) in cells.iter().zip(&reports) {
-        let row = cell_result_from_report(cell, report, None);
+    let rows = config.results(&reports);
+    assert_eq!(rows.len(), specs.len());
+    for (row, report) in rows.iter().zip(&reports) {
         assert_eq!(
             row.fell_back,
             report.stats.kernel_fallbacks > 0,
@@ -81,13 +77,57 @@ fn fell_back_propagates_through_the_merged_stream() {
 
 #[test]
 fn subprocess_workers_match_in_process_workers() {
-    let driver = Driver::standard();
     let specs: Vec<RunSpec> =
         (0..6).map(|i| RunSpec::new("broadcast", Family::Grid, 16).with_seed(i as u64)).collect();
-    let sequential = sequential_bytes(&driver, &specs);
-    let in_process = sharded_bytes(&driver, &specs, 3, &ShardMode::InProcess);
-    let exe = std::path::PathBuf::from(env!("CARGO_BIN_EXE_radionetd"));
-    let subprocess = sharded_bytes(&driver, &specs, 3, &ShardMode::Subprocess { exe });
-    assert_eq!(sequential, in_process);
+    let sequential = sweep_bytes(&specs, 1, &Executor::Threads);
+    assert_eq!(sequential, sweep_bytes(&specs, 3, &Executor::Threads));
+    let subprocess = sweep_bytes(&specs, 4, &workers(3));
     assert_eq!(sequential, subprocess, "subprocess workers must be output-indistinguishable");
+    // The coordinator's loop records the sweep metrics for worker blocks too.
+    let tel = Registry::default();
+    let driver = Driver::standard().with_telemetry(tel.clone());
+    driver.run_sweep(specs, 4, &workers(3), &mut MemorySink::default()).unwrap();
+    let snap = tel.snapshot();
+    assert_eq!(snap.counter("sweep_cells"), Some(6));
+    assert!(snap.histograms.iter().any(|h| h.name == "sweep_chunk_micros" && h.count == 2));
+}
+
+/// A failing cell anywhere in the sweep: every executor emits exactly the
+/// sequential prefix before it into a sink that still finishes as valid
+/// JSON, and returns an error naming the cell's cause.
+#[test]
+fn failing_cells_keep_the_sequential_prefix_on_every_executor() {
+    let cases = [
+        (5, 0, "invalid spec"),
+        (5, 2, "invalid spec"),
+        (5, 4, "invalid spec"),
+        (2, 1, "unknown task"),
+        (6, 4, "unknown task"),
+    ];
+    let driver = Driver::standard();
+    let executors = [(1, Executor::Threads), (3, Executor::Threads), (3, workers(2))];
+    for (len, failing, cause) in cases {
+        let mut specs: Vec<RunSpec> =
+            (0..len).map(|s| RunSpec::new("luby-mis", Family::Path, 8).with_seed(s)).collect();
+        match cause {
+            "invalid spec" => specs[failing].n = 2,
+            _ => specs[failing].task = "no-such-task".into(),
+        }
+        let mut prefix = Vec::new();
+        let cells = specs[..failing].to_vec();
+        driver
+            .run_sweep(cells, 1, &Executor::Threads, &mut JsonArraySink::new(&mut prefix))
+            .unwrap();
+        for (chunk, executor) in &executors {
+            let label = format!("cell {failing} of {len} on {executor:?} in blocks of {chunk}");
+            let mut out = Vec::new();
+            let sink = &mut JsonArraySink::new(&mut out);
+            let err = driver.run_sweep(specs.clone(), *chunk, executor, sink).unwrap_err();
+            assert!(err.to_string().contains(cause), "{label}: {err}");
+            assert_eq!(out, prefix, "{label}: not the sequential prefix");
+            let parsed: Vec<RunReport> =
+                serde_json::from_str(&String::from_utf8(out).unwrap()).unwrap();
+            assert_eq!(parsed.len(), failing, "{label}");
+        }
+    }
 }

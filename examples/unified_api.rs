@@ -5,11 +5,11 @@
 //! ```
 //!
 //! Builds one `RunSpec` per registered task, runs them all through
-//! `Driver::run_sweep_parallel` with an in-memory sink, and prints a
+//! `Driver::run_sweep` on the rayon pool with an in-memory sink, and prints a
 //! one-line summary per task — no hand-wired `Sim`, no per-algorithm
 //! plumbing.
 
-use radionet::api::{Driver, Dynamics, MemorySink, RunSpec};
+use radionet::api::{Driver, Dynamics, Executor, MemorySink, RunSpec};
 use radionet::graph::families::Family;
 use radionet::sim::ReceptionMode;
 
@@ -32,7 +32,7 @@ fn main() {
         .collect();
 
     let mut sink = MemorySink::default();
-    driver.run_sweep_parallel(&specs, 8, &mut sink).expect("all specs valid");
+    driver.run_sweep(specs, 8, &Executor::Threads, &mut sink).expect("all specs valid");
 
     println!("{:<22} {:>3}  {:>8}  {:>9}  {:>10}", "task", "ok", "achieved", "clock", "steps");
     for report in &sink.reports {

@@ -17,14 +17,14 @@
 //! buffer in memory.
 
 use radionet::api::{
-    replay, Driver, Dynamics, JsonArraySink, JsonlSink, ResultSink, RunReport, RunSpec,
+    replay, Driver, Dynamics, Executor, JsonArraySink, JsonlSink, ResultSink, RunReport, RunSpec,
     TaskRegistry,
 };
 use radionet::graph::families::Family;
 use radionet::journal::{bisect, ClassMask, EventKind, Journal};
-use radionet::scenario::runner::{spec_for_cell, SweepConfig};
+use radionet::scenario::runner::SweepConfig;
 use radionet::scenario::Scenario;
-use radionet::service::{cli as service_cli, run_sweep_sharded, ShardMode};
+use radionet::service::cli as service_cli;
 use radionet::sim::{Kernel, ReceptionMode, SinrConfig};
 use radionet::telemetry::{ProgressEvent, ProgressMeter, ProgressSink};
 use serde::Serialize;
@@ -106,13 +106,15 @@ SWEEP OPTIONS:
   --scenario NAME     restrict to a named scenario (repeatable)
   --kernel K          sparse | dense | event       [default: sparse]
   --format F          jsonl | json                 [default: jsonl]
-  --sequential        one cell at a time (default: rayon chunks; the
-                      output stream is byte-identical either way)
-  --chunk N           parallel chunk size          [default: 64]
-  --shards N          route the sweep through the sharded coordinator with N
-                      deterministic shards (output stays byte-identical)
-  --shard-exec PATH   shard via spawned `PATH --worker` subprocesses instead
-                      of in-process threads (implies the sharded path)
+  --sequential        one cell at a time (default: blocks of --chunk cells on
+                      rayon threads; the output stream is byte-identical
+                      either way)
+  --chunk N           cells per block              [default: 64]
+  --shards N          in process: at most N cells in flight (N-cell blocks;
+                      exclusive with --chunk); with --shard-exec: split each
+                      block across N worker subprocesses
+  --shard-exec PATH   run each block on spawned `PATH --worker` subprocesses
+                      (normally radionetd) instead of rayon threads
   --progress          live progress line on stderr (done/total, rate, ETA;
                       rate-limited to ~5 updates/sec)
   --progress-jsonl F  append one ProgressEvent JSON line per update to F
@@ -358,8 +360,8 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
     let mut kernel = Kernel::default();
     let mut format = "jsonl".to_string();
     let mut sequential = false;
-    let mut chunk = 64usize;
-    let mut shards = 1usize;
+    let mut chunk: Option<usize> = None;
+    let mut shards: Option<usize> = None;
     let mut shard_exec: Option<String> = None;
     let mut progress = false;
     let mut progress_jsonl: Option<String> = None;
@@ -373,8 +375,8 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
             "--kernel" => kernel = parse_kernel(args.value(flag)?)?,
             "--format" => format = args.value(flag)?.to_string(),
             "--sequential" => sequential = true,
-            "--chunk" => chunk = parse(flag, args.value(flag)?)?,
-            "--shards" => shards = parse(flag, args.value(flag)?)?,
+            "--chunk" => chunk = Some(parse(flag, args.value(flag)?)?),
+            "--shards" => shards = Some(parse(flag, args.value(flag)?)?),
             "--shard-exec" => shard_exec = Some(args.value(flag)?.to_string()),
             "--progress" => progress = true,
             "--progress-jsonl" => progress_jsonl = Some(args.value(flag)?.to_string()),
@@ -448,6 +450,22 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
         }
     }
 
+    // Two executors, one block size: in process, `--shards N` keeps meaning
+    // "at most N cells in flight", so it picks the block size and cannot be
+    // combined with `--chunk`; with `--shard-exec` it is the worker count.
+    let (executor, chunk) = match (shard_exec, shards) {
+        (Some(exe), shards) => {
+            (Executor::Workers { exe: exe.into(), shards: shards.unwrap_or(1) }, chunk)
+        }
+        (None, Some(_)) if chunk.is_some() => {
+            return Err("--chunk and --shards both set how many cells run at once; \
+                        pass one of them"
+                .into())
+        }
+        (None, shards) => (Executor::Threads, shards.or(chunk)),
+    };
+    let chunk = if sequential { 1 } else { chunk.unwrap_or(64) };
+
     let mut scenarios = Scenario::extended_catalogue();
     if !names.is_empty() {
         for name in &names {
@@ -493,25 +511,11 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
         traffic_thpt: 0.0,
         progress: meter,
     };
-    let emitted = if shards > 1 || shard_exec.is_some() {
-        // The sharded coordinator partitions by cell position, so it needs
-        // the whole spec list up front (O(cells) memory — the trade for
-        // multi-worker execution); the merged stream stays byte-identical.
-        let specs: Vec<RunSpec> =
-            config.cells_iter().map(|cell| spec_for_cell(&cell, kernel)).collect();
-        let mode = match shard_exec {
-            Some(exe) => ShardMode::Subprocess { exe: exe.into() },
-            None => ShardMode::InProcess,
-        };
-        run_sweep_sharded(&driver, &specs, shards, &mode, &mut tally).map_err(|e| e.to_string())?
-    } else {
-        // Cells are generated lazily and specs exist only chunk-at-a-time,
-        // so the sweep's memory footprint is O(chunk) regardless of size.
-        let specs = config.cells_iter().map(|cell| spec_for_cell(&cell, kernel));
-        driver
-            .run_sweep_streaming(specs, if sequential { 1 } else { chunk }, &mut tally)
-            .map_err(|e| e.to_string())?
-    };
+    // Cells are generated lazily and specs exist only a block at a time,
+    // so the sweep's memory footprint is O(chunk) regardless of size.
+    let emitted = driver
+        .run_sweep(config.specs(kernel), chunk, &executor, &mut tally)
+        .map_err(|e| e.to_string())?;
     if tally.fallbacks > 0 {
         eprintln!(
             "warning: {} phase(s) across {} cell(s) fell back to a slower kernel \
@@ -698,8 +702,7 @@ fn cmd_catalogue(rest: &[String]) -> Result<(), String> {
         [flag] if flag == "--cells" => {
             // The catalogue expanded at the default sweep shape, as specs.
             let config = SweepConfig::catalogue(vec![36], 1, 0);
-            let specs: Vec<RunSpec> =
-                config.cells().iter().map(|c| spec_for_cell(c, Kernel::default())).collect();
+            let specs: Vec<RunSpec> = config.specs(Kernel::default()).collect();
             println!("{}", serde_json::to_string_pretty(&specs).map_err(|e| e.to_string())?);
             Ok(())
         }
