@@ -431,6 +431,38 @@ mod tests {
     }
 
     #[test]
+    fn specs_that_cannot_run_are_invalid_not_panics() {
+        use crate::{Dynamics, MobilitySpec, PartitionSpec};
+        use radionet_mobility::{MobilityModel, WaypointParams};
+        let driver = Driver::standard();
+        let partition =
+            |parts| Dynamics::PartitionRepair(PartitionSpec { parts, at: 0.05, heal_at: 0.35 });
+        let stalled = Dynamics::Mobility(MobilitySpec {
+            model: MobilityModel::RandomWaypoint(WaypointParams {
+                speed_lo: 0.0,
+                speed_hi: 0.08,
+                pause_lo: 10,
+                pause_hi: 60,
+                range: 0.0,
+            }),
+            tick: 1,
+            sample_every: None,
+        });
+        let specs = [
+            RunSpec::new("broadcast", Family::RandomRegular, 4),
+            RunSpec::new("broadcast", Family::Grid, 36).with_dynamics(partition(0)),
+            RunSpec::new("broadcast", Family::Grid, 36).with_dynamics(partition(1)),
+            RunSpec::new("broadcast", Family::UnitDisk, 36).with_dynamics(stalled),
+        ];
+        for spec in specs {
+            let err = driver.run(&spec).unwrap_err();
+            assert!(matches!(err, RunError::InvalidSpec(_)), "{err}");
+        }
+        // The size floor is per family: random-regular runs from n = 5.
+        driver.run(&RunSpec::new("broadcast", Family::RandomRegular, 5)).unwrap();
+    }
+
+    #[test]
     fn cd_wakeup_requires_cd_reception() {
         let driver = Driver::standard();
         let spec = RunSpec::new("cd-wakeup", Family::Path, 16);

@@ -229,20 +229,12 @@ impl TopologyView for DynamicTopology {
         !self.is_active(v) && self.pending_returns[v.index()] == 0
     }
 
-    fn supports_change_feed(&self) -> bool {
-        true
-    }
-
     fn drain_status_changes(&mut self, out: &mut Vec<NodeId>) {
         out.append(&mut self.changed);
     }
 
     fn jammed_nodes(&self) -> &[NodeId] {
         &self.jam_list
-    }
-
-    fn supports_event_jumps(&self) -> bool {
-        true
     }
 
     /// The next scripted event strictly after `clock`. The script is

@@ -447,15 +447,25 @@ impl RunSpec {
     }
 
     /// Structural validation that needs no registry: the family size
-    /// floor, the mobility × family compatibility rule, and the
-    /// SINR position-source × dynamics compatibility rules.
+    /// floor ([`Family::min_n`]), the dynamics parameters that would
+    /// otherwise fail inside the run (a partition needs two parts, the
+    /// mobility model's own rules), the mobility × family compatibility
+    /// rule, and the SINR position-source × dynamics compatibility rules.
     /// [`Driver::run`](crate::Driver::run) calls this before
     /// instantiating anything, and separately checks the SINR position
     /// count against the **instantiated** graph (families may round `n`,
     /// so the exact count is unknowable here).
     pub fn validate(&self) -> Result<(), String> {
-        if self.n < 4 {
-            return Err(format!("n = {} but graph families need n >= 4", self.n));
+        let floor = self.family.min_n();
+        if self.n < floor {
+            return Err(format!("n = {} but {} needs n >= {floor}", self.n, self.family));
+        }
+        match &self.dynamics {
+            Dynamics::PartitionRepair(p) if p.parts < 2 => {
+                return Err(format!("partition-repair needs at least 2 parts, got {}", p.parts));
+            }
+            Dynamics::Mobility(m) => m.model.validate()?,
+            _ => {}
         }
         if let Some(journal) = &self.journal {
             journal.mask()?;

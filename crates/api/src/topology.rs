@@ -84,13 +84,6 @@ impl TopologyView for RunTopology {
         }
     }
 
-    fn supports_change_feed(&self) -> bool {
-        match self {
-            RunTopology::Scripted(t) => t.supports_change_feed(),
-            RunTopology::Mobile(t) => t.supports_change_feed(),
-        }
-    }
-
     fn drain_status_changes(&mut self, out: &mut Vec<NodeId>) {
         match self {
             RunTopology::Scripted(t) => t.drain_status_changes(out),
@@ -102,13 +95,6 @@ impl TopologyView for RunTopology {
         match self {
             RunTopology::Scripted(t) => t.jammed_nodes(),
             RunTopology::Mobile(t) => t.jammed_nodes(),
-        }
-    }
-
-    fn supports_event_jumps(&self) -> bool {
-        match self {
-            RunTopology::Scripted(t) => t.supports_event_jumps(),
-            RunTopology::Mobile(t) => t.supports_event_jumps(),
         }
     }
 
@@ -158,7 +144,6 @@ mod tests {
         let mut topo = RunTopology::Scripted(DynamicTopology::new(&g, script));
         assert!(topo.scripted().is_some());
         assert!(topo.mobile().is_none());
-        assert!(topo.supports_change_feed());
         assert!(topo.is_active(g.node(1)));
         topo.advance_to(&g, 3);
         assert!(!topo.is_active(g.node(1)));
@@ -174,7 +159,6 @@ mod tests {
         let inner = MobileTopology::new(&p.geometry.unwrap(), MobilityModel::Static, 1, 1);
         let mut topo = RunTopology::Mobile(inner);
         assert!(topo.mobile().is_some());
-        assert!(topo.supports_change_feed());
         topo.advance_to(&p.graph, 10);
         for v in p.graph.nodes() {
             assert!(topo.is_active(v));

@@ -214,6 +214,16 @@ impl Family {
         )
     }
 
+    /// The smallest `n` [`Family::instantiate`] accepts: 4, or 5 for
+    /// [`Family::RandomRegular`], whose 4-regular generator needs more
+    /// than four nodes.
+    pub fn min_n(self) -> usize {
+        match self {
+            Family::RandomRegular => 5,
+            _ => 4,
+        }
+    }
+
     /// Instantiates a connected graph with roughly `n` nodes.
     ///
     /// Geometric families retry with densified parameters until connected
@@ -222,7 +232,7 @@ impl Family {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 4`.
+    /// Panics if `n < self.min_n()`.
     pub fn instantiate(self, n: usize, seed: u64) -> Graph {
         self.instantiate_positioned(n, seed).graph
     }
@@ -237,9 +247,9 @@ impl Family {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 4`.
+    /// Panics if `n < self.min_n()`.
     pub fn instantiate_positioned(self, n: usize, seed: u64) -> Positioned {
-        assert!(n >= 4, "families need n >= 4");
+        assert!(n >= self.min_n(), "{self} needs n >= {}", self.min_n());
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_0000);
         let plain = |graph: Graph| Positioned { graph, geometry: None };
         match self {
@@ -379,6 +389,14 @@ mod tests {
             let g = fam.instantiate(64, 1);
             assert!(traversal::is_connected(&g), "{fam} not connected");
             assert!(g.n() >= 15, "{fam} too small: {}", g.n());
+        }
+    }
+
+    #[test]
+    fn every_family_instantiates_at_its_floor() {
+        for fam in Family::ALL {
+            let g = fam.instantiate(fam.min_n(), 3);
+            assert!(traversal::is_connected(&g), "{fam} not connected at n = {}", fam.min_n());
         }
     }
 

@@ -19,7 +19,7 @@ pub enum EventClass {
     Radio,
     /// Node status flips from the topology change feed.
     Topology,
-    /// Phase boundaries and kernel fallbacks.
+    /// Phase boundaries.
     Phase,
     /// Sparse-kernel scheduling: wake hints, SINR grid rebuilds.
     Sched,
@@ -163,7 +163,7 @@ pub struct StatusInfo {
     pub active: bool,
 }
 
-/// Payload of [`EventKind::PhaseStart`] and [`EventKind::Fallback`].
+/// Payload of [`EventKind::PhaseStart`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseInfo {
     /// Zero-based phase index within the run.
@@ -228,8 +228,6 @@ pub enum EventKind {
     PhaseStart(PhaseInfo),
     /// A phase ended.
     PhaseEnd(PhaseEndInfo),
-    /// A sparse-kernel request fell back to the dense reference.
-    Fallback(PhaseInfo),
     /// The sparse scheduler took a wake hint.
     Hint(HintInfo),
     /// The SINR decode-range index was (re)built.
@@ -244,9 +242,7 @@ impl EventKind {
                 EventClass::Radio
             }
             EventKind::Status(_) => EventClass::Topology,
-            EventKind::PhaseStart(_) | EventKind::PhaseEnd(_) | EventKind::Fallback(_) => {
-                EventClass::Phase
-            }
+            EventKind::PhaseStart(_) | EventKind::PhaseEnd(_) => EventClass::Phase,
             EventKind::Hint(_) | EventKind::GridRebuild(_) => EventClass::Sched,
         }
     }
@@ -260,7 +256,6 @@ impl EventKind {
             EventKind::Status(_) => "status",
             EventKind::PhaseStart(_) => "phase-start",
             EventKind::PhaseEnd(_) => "phase-end",
-            EventKind::Fallback(_) => "fallback",
             EventKind::Hint(_) => "hint",
             EventKind::GridRebuild(_) => "grid-rebuild",
         }
@@ -274,13 +269,12 @@ impl EventKind {
             EventKind::Collision(i) => Some(i.node),
             EventKind::Status(i) => Some(i.node),
             EventKind::Hint(i) => Some(i.node),
-            EventKind::PhaseStart(_)
-            | EventKind::PhaseEnd(_)
-            | EventKind::Fallback(_)
-            | EventKind::GridRebuild(_) => None,
+            EventKind::PhaseStart(_) | EventKind::PhaseEnd(_) | EventKind::GridRebuild(_) => None,
         }
     }
 
+    /// The kind's digest tag. Tag 6 is retired and never reused, so the
+    /// digests of recorded journals stay valid.
     fn tag(&self) -> u8 {
         match self {
             EventKind::Transmit(_) => 0,
@@ -289,7 +283,6 @@ impl EventKind {
             EventKind::Status(_) => 3,
             EventKind::PhaseStart(_) => 4,
             EventKind::PhaseEnd(_) => 5,
-            EventKind::Fallback(_) => 6,
             EventKind::Hint(_) => 7,
             EventKind::GridRebuild(_) => 8,
         }
@@ -309,7 +302,6 @@ impl EventKind {
                 i.steps ^ i.transmissions.rotate_left(16) ^ i.deliveries.rotate_left(32),
                 i.collisions ^ (u64::from(i.completed) << 63),
             ],
-            EventKind::Fallback(i) => [i.phase, 0, 0],
             EventKind::Hint(i) => [
                 i.node as u64,
                 (u64::from(i.now) << 2) | (u64::from(i.listen) << 1) | u64::from(i.retire),
@@ -379,7 +371,6 @@ impl fmt::Display for Event {
                 "phase {} steps {} tx {} rx {} coll {} completed {}",
                 i.phase, i.steps, i.transmissions, i.deliveries, i.collisions, i.completed
             ),
-            EventKind::Fallback(i) => write!(f, "phase {} (dense reference executed)", i.phase),
             EventKind::Hint(i) => {
                 write!(f, "node {}", i.node)?;
                 if i.now {

@@ -167,7 +167,7 @@ pub struct JournalSummary {
     pub radio: u64,
     /// Topology-class events (status flips).
     pub topology: u64,
-    /// Phase-class events (boundaries, fallbacks).
+    /// Phase-class events (phase boundaries).
     pub phase: u64,
     /// Sched-class events (hints, grid rebuilds).
     pub sched: u64,

@@ -7,9 +7,9 @@
 //! uninstrumented one (the bench suite pins this with a no-regression
 //! guard). Give it a [`Recorder`] and the engine streams compact
 //! [`Event`]s — transmissions, receptions, collisions, node status flips,
-//! phase boundaries, kernel fallbacks, scheduler hints, spatial-index
-//! rebuilds — plus periodic [`Waypoint`]s: cheap digests of everything so
-//! far, taken at completed-step boundaries.
+//! phase boundaries, scheduler hints, spatial-index rebuilds — plus
+//! periodic [`Waypoint`]s: cheap digests of everything so far, taken at
+//! completed-step boundaries.
 //!
 //! On top of the stream sit the comparison tools:
 //!

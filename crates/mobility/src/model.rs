@@ -98,29 +98,33 @@ impl MobilityModel {
         }
     }
 
-    fn validate(&self) {
-        match self {
-            MobilityModel::Static => {}
-            MobilityModel::RandomWaypoint(p) => {
-                assert!(
-                    p.speed_lo > 0.0 && p.speed_hi >= p.speed_lo,
-                    "waypoint speeds need 0 < lo <= hi"
-                );
-                assert!(p.pause_hi >= p.pause_lo, "waypoint pauses need lo <= hi");
-                assert!(p.range >= 0.0 && p.range.is_finite(), "waypoint range must be >= 0");
-            }
-            MobilityModel::RandomWalk(p) => {
-                assert!(p.step > 0.0, "walk step must be positive");
-                assert!(p.levy_alpha >= 0.0, "levy_alpha must be >= 0");
-                assert!(p.run_lo >= 1 && p.run_hi >= p.run_lo, "walk runs need 1 <= lo <= hi");
-                assert!(p.pause_hi >= p.pause_lo, "walk pauses need lo <= hi");
-            }
-            MobilityModel::GroupDrift(p) => {
-                assert!(p.groups >= 1, "group drift needs at least one group");
-                assert!(p.speed >= 0.0 && p.jitter >= 0.0, "group speeds must be >= 0");
-                assert!(p.hold >= 1, "group hold must be >= 1 tick");
-            }
-        }
+    /// Checks the model's parameters: positive speeds and steps, ordered
+    /// `lo <= hi` ranges, at least one group.
+    ///
+    /// # Errors
+    ///
+    /// Names the first parameter rule the model breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        let rules: &[(bool, &str)] = match self {
+            MobilityModel::Static => &[],
+            MobilityModel::RandomWaypoint(p) => &[
+                (p.speed_lo > 0.0 && p.speed_hi >= p.speed_lo, "waypoint speeds need 0 < lo <= hi"),
+                (p.pause_hi >= p.pause_lo, "waypoint pauses need lo <= hi"),
+                (p.range >= 0.0 && p.range.is_finite(), "waypoint range must be >= 0"),
+            ],
+            MobilityModel::RandomWalk(p) => &[
+                (p.step > 0.0, "walk step must be positive"),
+                (p.levy_alpha >= 0.0, "levy_alpha must be >= 0"),
+                (p.run_lo >= 1 && p.run_hi >= p.run_lo, "walk runs need 1 <= lo <= hi"),
+                (p.pause_hi >= p.pause_lo, "walk pauses need lo <= hi"),
+            ],
+            MobilityModel::GroupDrift(p) => &[
+                (p.groups >= 1, "group drift needs at least one group"),
+                (p.speed >= 0.0 && p.jitter >= 0.0, "group speeds must be >= 0"),
+                (p.hold >= 1, "group hold must be >= 1 tick"),
+            ],
+        };
+        rules.iter().find(|(ok, _)| !ok).map_or(Ok(()), |(_, rule)| Err(rule.to_string()))
     }
 }
 
@@ -220,7 +224,7 @@ impl Motion {
         assert!(matches!(dim, 2 | 3), "mobility supports 2D and 3D only");
         assert!(side > 0.0 && side.is_finite(), "domain side must be positive");
         assert!(scale > 0.0 && scale.is_finite(), "interaction radius must be positive");
-        model.validate();
+        model.validate().unwrap_or_else(|e| panic!("{e}"));
         let n = positions.len();
         let mut rngs: Vec<SmallRng> = (0..n)
             .map(|i| {
@@ -569,6 +573,17 @@ mod tests {
             let back: MobilityModel = serde_json::from_str(&json).unwrap();
             assert_eq!(back, model);
         }
+    }
+
+    #[test]
+    fn validate_names_the_broken_rule() {
+        for model in [MobilityModel::Static, WAYPOINT, WALK, LEVY, GROUP] {
+            assert_eq!(model.validate(), Ok(()), "{model:?}");
+        }
+        let MobilityModel::RandomWaypoint(mut p) = WAYPOINT else { unreachable!() };
+        p.speed_lo = 0.0;
+        let err = MobilityModel::RandomWaypoint(p).validate().unwrap_err();
+        assert!(err.contains("speeds need"), "{err}");
     }
 
     #[test]

@@ -514,12 +514,10 @@ impl TopologyView for MobileTopology {
 
     /// Mobility never changes node activity or jamming, so the empty
     /// change feed is exact and the sparse kernel applies unmodified.
-    fn supports_change_feed(&self) -> bool {
-        true
-    }
+    fn drain_status_changes(&mut self, _out: &mut Vec<NodeId>) {}
 
-    fn supports_event_jumps(&self) -> bool {
-        true
+    fn jammed_nodes(&self) -> &[NodeId] {
+        &[]
     }
 
     /// The next tick or sample boundary strictly after `clock`. Landing on

@@ -116,24 +116,11 @@ pub struct CellResult {
     pub clock_total: u64,
     /// Clock when the success criterion was first met, if ever.
     pub clock_done: Option<u64>,
-    /// Whether any phase fell back from the sparse to the dense kernel.
-    /// Lifted out of [`SimStats::kernel_fallbacks`] so sweep rows surface
-    /// a per-cell fallback without digging into the nested counters — a
-    /// silent per-cell fallback would otherwise only be visible on
-    /// single-run CLI output.
-    pub fell_back: bool,
-    /// `Some(hit)` when the cell was served through a content-addressed
-    /// result cache (`radionet-service`): `true` means the report came
-    /// straight from the cache, `false` means it executed fresh and was
-    /// inserted. `None` for direct (uncached) runs — which is also what
-    /// pre-service recorded rows deserialize to.
-    pub cache_hit: Option<bool>,
     /// Engine counters.
     pub stats: SimStats,
 }
 
-/// Builds the sweep row a [`RunReport`] denotes for `cell` (a direct run,
-/// so `cache_hit` is `None`).
+/// Builds the sweep row a [`RunReport`] denotes for `cell`.
 pub fn cell_result_from_report(cell: &CellSpec, report: &RunReport) -> CellResult {
     CellResult {
         scenario: cell.scenario.name.clone(),
@@ -149,8 +136,6 @@ pub fn cell_result_from_report(cell: &CellSpec, report: &RunReport) -> CellResul
         achieved: report.achieved,
         clock_total: report.clock_total,
         clock_done: report.clock_done,
-        fell_back: report.stats.kernel_fallbacks > 0,
-        cache_hit: None,
         stats: report.stats,
     }
 }
@@ -177,7 +162,7 @@ pub fn to_run_records(results: &[CellResult]) -> Vec<RunRecord> {
     results
         .iter()
         .map(|r| {
-            let record = RunRecord::new()
+            RunRecord::new()
                 .param("scenario", &r.scenario)
                 .param("family", &r.family)
                 .param("workload", &r.workload)
@@ -191,22 +176,12 @@ pub fn to_run_records(results: &[CellResult]) -> Vec<RunRecord> {
                 .metric("achieved", r.achieved)
                 .metric("clock_total", r.clock_total as f64)
                 .metric("clock_done", r.clock_done.map(|c| c as f64).unwrap_or(-1.0))
-                .metric("fell_back", if r.fell_back { 1.0 } else { 0.0 })
-                .metric("kernel_fallbacks", r.stats.kernel_fallbacks as f64)
                 .metric("simulated_steps", r.stats.simulated_steps as f64)
                 .metric("transmissions", r.stats.transmissions as f64)
                 .metric("deliveries", r.stats.deliveries as f64)
                 .metric("collisions", r.stats.collisions as f64)
                 .metric("scheduler_events", r.stats.scheduler_events as f64)
-                .metric("silent_steps_skipped", r.stats.silent_steps_skipped as f64);
-            // A cell served through a result cache carries its hit/miss as
-            // a 1/0 metric; direct runs omit it (the ingest aggregations
-            // skip rows without a metric), so a hit-rate summary over a
-            // service-served sweep counts exactly the served cells.
-            match r.cache_hit {
-                Some(hit) => record.metric("cache_hit", if hit { 1.0 } else { 0.0 }),
-                None => record,
-            }
+                .metric("silent_steps_skipped", r.stats.silent_steps_skipped as f64)
         })
         .collect()
 }
@@ -331,21 +306,11 @@ mod tests {
         assert_eq!(record.runs.len(), results.len());
         assert_eq!(record.runs[0].params["scenario"], "t-static");
         assert!(record.runs[0].metrics.contains_key("clock_total"));
-        // Kernel-fallback telemetry reaches every sweep row, not just
-        // single-run CLI output.
-        assert_eq!(record.runs[0].metrics["fell_back"], 0.0);
-        assert_eq!(record.runs[0].metrics["kernel_fallbacks"], 0.0);
-        assert!(!results[0].fell_back, "protocol-mode grid cells never fall back");
-        // Event-kernel telemetry makes service-served sweeps auditable:
-        // every row states how much scheduling work it really did.
+        // Event-kernel telemetry makes sweeps auditable: every row states
+        // how much scheduling work it really did.
         assert!(record.runs[0].metrics.contains_key("scheduler_events"));
         assert!(record.runs[0].metrics.contains_key("silent_steps_skipped"));
-        // Direct (uncached) runs carry no cache metric at all…
+        // No row carries a cache metric: sweep rows are direct runs.
         assert!(!record.runs[0].metrics.contains_key("cache_hit"));
-        // …while served cells surface their hit/miss as 1/0.
-        let mut served = results[0].clone();
-        served.cache_hit = Some(true);
-        let row = &to_record("ES", "served", &[served]).runs[0];
-        assert_eq!(row.metrics["cache_hit"], 1.0);
     }
 }

@@ -1,48 +1,150 @@
 //! Shared command implementations behind the `radionetd` binary and the
-//! `radionet serve / submit / status / fetch / call` subcommands — one
-//! place parses flags and speaks the protocol, two binaries expose it.
+//! `radionet` subcommands — one place parses flags (the [`Args`] cursor
+//! and the [`SpecFlags`] that `run` and `submit` share) and speaks the
+//! protocol, two binaries expose it.
 
 use crate::client::ServiceClient;
 use crate::protocol::Request;
 use crate::server::{Service, ServiceConfig};
 use radionet_api::sweep::worker_loop;
-use radionet_api::{Driver, RunSpec};
+use radionet_api::{Driver, Dynamics, RunSpec};
 use radionet_graph::families::Family;
-use radionet_sim::Kernel;
+use radionet_sim::{Kernel, ReceptionMode, SinrConfig};
 use std::io::{BufRead, Write};
 
 /// The default loopback endpoint shared by server and client commands.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7177";
 
-/// A tiny `--key value` / `--switch` cursor (mirrors the root CLI's).
-struct Args<'a> {
+/// A tiny `--key value` / `--switch` cursor over an argument list.
+pub struct Args<'a> {
     rest: &'a [String],
     i: usize,
 }
 
 impl<'a> Args<'a> {
-    fn new(rest: &'a [String]) -> Self {
+    /// A cursor at the first argument of `rest`.
+    pub fn new(rest: &'a [String]) -> Self {
         Args { rest, i: 0 }
     }
 
-    fn next_flag(&mut self) -> Option<&'a str> {
+    /// The next argument, if any.
+    pub fn next_flag(&mut self) -> Option<&'a str> {
         let flag = self.rest.get(self.i)?;
         self.i += 1;
         Some(flag.as_str())
     }
 
-    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+    /// The value following `flag`; an error if `flag` came last.
+    pub fn value(&mut self, flag: &str) -> Result<&'a str, String> {
         let v = self.rest.get(self.i).ok_or_else(|| format!("{flag} needs a value"))?;
         self.i += 1;
         Ok(v.as_str())
     }
 }
 
-fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+/// Parses a flag's value, naming the flag and the value on failure.
+pub fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
     value.parse().map_err(|e| format!("{flag} {value:?}: {e}"))
+}
+
+/// Parses a `--kernel` value: `sparse`, `dense` or `event`.
+pub fn parse_kernel(name: &str) -> Result<Kernel, String> {
+    match name {
+        "sparse" => Ok(Kernel::Sparse),
+        "dense" => Ok(Kernel::Dense),
+        "event" => Ok(Kernel::Event),
+        other => Err(format!("unknown kernel {other:?}; sparse, dense or event")),
+    }
+}
+
+/// The spec flags `radionet run` and `radionet submit` share: either
+/// `--spec FILE|-` (a full JSON document, stdin for `-`) or the quick
+/// flags `--task`, `--family`, `--n`, `--seed`, `--reception`,
+/// `--kernel`, `--dynamics` and `--steps` over a command's default spec.
+pub struct SpecFlags {
+    spec: RunSpec,
+    file: Option<String>,
+    quick: usize,
+}
+
+impl SpecFlags {
+    /// Starts from a command's default spec.
+    pub fn new(default: RunSpec) -> Self {
+        SpecFlags { spec: default, file: None, quick: 0 }
+    }
+
+    /// Consumes `flag` (and its value from `args`) if it is a spec flag;
+    /// `Ok(false)` leaves any other flag to the caller. Errors name a
+    /// missing or malformed value.
+    pub fn take(&mut self, args: &mut Args<'_>, flag: &str) -> Result<bool, String> {
+        let spec = &mut self.spec;
+        match flag {
+            "--spec" => {
+                self.file = Some(args.value(flag)?.to_string());
+                return Ok(true);
+            }
+            "--task" => spec.task = args.value(flag)?.to_string(),
+            "--family" => {
+                let name = args.value(flag)?;
+                let known = || Family::ALL.map(Family::name).join(", ");
+                spec.family = Family::ALL
+                    .into_iter()
+                    .find(|f| f.name() == name)
+                    .ok_or_else(|| format!("unknown family {name:?}; one of: {}", known()))?;
+            }
+            "--n" => spec.n = parse(flag, args.value(flag)?)?,
+            "--seed" => spec.seed = parse(flag, args.value(flag)?)?,
+            "--reception" => {
+                spec.reception = match args.value(flag)? {
+                    "protocol" => ReceptionMode::Protocol,
+                    "protocol+cd" | "cd" => ReceptionMode::ProtocolCd,
+                    // Geometry-sourced physical reception: positions come
+                    // from the family's own embedding (static) or the live
+                    // moving point set (mobility dynamics) — no
+                    // hand-shipped coordinates. Custom physics or explicit
+                    // snapshots go through --spec.
+                    "sinr" => ReceptionMode::Sinr(SinrConfig::geometric()),
+                    other => {
+                        return Err(format!(
+                            "unknown reception {other:?}; protocol, protocol+cd, or sinr \
+                             (geometric families; custom SINR configs go through --spec)"
+                        ))
+                    }
+                };
+            }
+            "--kernel" => spec.kernel = parse_kernel(args.value(flag)?)?,
+            "--dynamics" => {
+                let name = args.value(flag)?;
+                spec.dynamics = Dynamics::preset(name).ok_or_else(|| {
+                    format!("unknown dynamics {name:?}; one of: {}", Dynamics::PRESETS.join(", "))
+                })?;
+            }
+            "--steps" => spec.steps = Some(parse(flag, args.value(flag)?)?),
+            _ => return Ok(false),
+        }
+        self.quick += 1;
+        Ok(true)
+    }
+
+    /// The spec the flags describe: the `--spec` document, or the default
+    /// spec with the quick flags applied. Errors on `--spec` together with
+    /// a quick flag, an unreadable file, or a document that is not a
+    /// `RunSpec`.
+    pub fn finish(self) -> Result<RunSpec, String> {
+        let Some(path) = self.file else { return Ok(self.spec) };
+        if self.quick > 0 {
+            return Err("--spec replaces the whole spec; drop the other spec flags".into());
+        }
+        let json = if path == "-" {
+            std::io::read_to_string(std::io::stdin()).map_err(|e| e.to_string())?
+        } else {
+            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?
+        };
+        serde_json::from_str(&json).map_err(|e| format!("bad spec in {path}: {e}"))
+    }
 }
 
 /// `serve`: run the daemon in the foreground until a client sends
@@ -92,48 +194,11 @@ pub fn worker_cmd() -> Result<(), String> {
     worker_loop(&driver, stdin.lock(), stdout.lock()).map_err(|e| e.to_string())
 }
 
-/// Builds the spec a `submit` command describes: either `--spec FILE|-`
-/// (a full JSON document) or the quick flags
-/// `--task/--family/--n/--seed/--kernel`.
-fn spec_from_flags(args: &mut Args<'_>, flag: &str, spec: &mut RunSpec) -> Result<bool, String> {
-    match flag {
-        "--task" => spec.task = args.value(flag)?.to_string(),
-        "--family" => {
-            let name = args.value(flag)?;
-            spec.family = Family::ALL
-                .into_iter()
-                .find(|f| f.name() == name)
-                .ok_or_else(|| format!("unknown family {name:?}"))?;
-        }
-        "--n" => spec.n = parse(flag, args.value(flag)?)?,
-        "--seed" => spec.seed = parse(flag, args.value(flag)?)?,
-        "--kernel" => {
-            spec.kernel = match args.value(flag)? {
-                "sparse" => Kernel::Sparse,
-                "dense" => Kernel::Dense,
-                "event" => Kernel::Event,
-                other => return Err(format!("unknown kernel {other:?}")),
-            };
-        }
-        _ => return Ok(false),
-    }
-    Ok(true)
-}
-
-/// Reads a full spec document from a file or stdin (`-`).
-fn spec_from_file(path: &str) -> Result<RunSpec, String> {
-    let json = if path == "-" {
-        std::io::read_to_string(std::io::stdin()).map_err(|e| e.to_string())?
-    } else {
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
-    };
-    serde_json::from_str(&json).map_err(|e| format!("bad spec in {path}: {e}"))
-}
-
 /// `submit`: send one spec to a running service.
 ///
-/// Flags: `--addr A`, `--spec FILE|-` or the quick spec flags, `--wait`
-/// (block for the terminal response). Prints the response as pretty JSON.
+/// Flags: `--addr A`, the [`SpecFlags`] (default: broadcast on a 36-node
+/// grid), `--wait` (block for the terminal response). Prints the response
+/// as pretty JSON.
 ///
 /// # Errors
 ///
@@ -141,24 +206,17 @@ fn spec_from_file(path: &str) -> Result<RunSpec, String> {
 pub fn submit_cmd(rest: &[String]) -> Result<(), String> {
     let mut args = Args::new(rest);
     let mut addr = DEFAULT_ADDR.to_string();
-    let mut spec = RunSpec::new("broadcast", Family::Grid, 36);
-    let mut spec_file: Option<String> = None;
+    let mut spec = SpecFlags::new(RunSpec::new("broadcast", Family::Grid, 36));
     let mut wait = false;
     while let Some(flag) = args.next_flag() {
         match flag {
             "--addr" => addr = args.value(flag)?.to_string(),
-            "--spec" => spec_file = Some(args.value(flag)?.to_string()),
             "--wait" => wait = true,
-            other => {
-                if !spec_from_flags(&mut args, other, &mut spec)? {
-                    return Err(format!("unknown flag {other:?}"));
-                }
-            }
+            other if spec.take(&mut args, other)? => {}
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if let Some(path) = spec_file {
-        spec = spec_from_file(&path)?;
-    }
+    let spec = spec.finish()?;
     let mut client = ServiceClient::connect(&addr).map_err(|e| e.to_string())?;
     let response = client.call(&Request::submit(spec, wait)).map_err(|e| e.to_string())?;
     println!("{}", serde_json::to_string_pretty(&response).map_err(|e| e.to_string())?);
@@ -278,4 +336,50 @@ pub fn call_cmd(rest: &[String]) -> Result<(), String> {
         return Err(format!("{failures} request(s) answered ok: false"));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The spec `submit`'s flag loop builds from `argv`.
+    fn spec_of(argv: &[&str]) -> Result<RunSpec, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let mut args = Args::new(&argv);
+        let mut flags = SpecFlags::new(RunSpec::new("broadcast", Family::Grid, 36));
+        while let Some(flag) = args.next_flag() {
+            if !flags.take(&mut args, flag)? {
+                return Err(format!("unknown flag {flag:?}"));
+            }
+        }
+        flags.finish()
+    }
+
+    #[test]
+    fn spec_flags_cover_every_axis_and_guard_spec_documents() {
+        let spec = spec_of(&[
+            "--family",
+            "unit-disk",
+            "--reception",
+            "sinr",
+            "--dynamics",
+            "mobility:waypoint",
+            "--steps",
+            "50",
+            "--kernel",
+            "event",
+        ])
+        .unwrap();
+        assert_eq!(spec.family, Family::UnitDisk);
+        assert_eq!(spec.reception, ReceptionMode::Sinr(SinrConfig::geometric()));
+        assert_eq!(spec.dynamics, Dynamics::preset("mobility:waypoint").unwrap());
+        assert_eq!((spec.steps, spec.kernel), (Some(50), Kernel::Event));
+        assert_eq!((spec.task.as_str(), spec.n), ("broadcast", 36), "the defaults survive");
+        // A spec document replaces the whole spec, so mixing is refused
+        // (before stdin is read).
+        let err = spec_of(&["--spec", "-", "--n", "9"]).unwrap_err();
+        assert!(err.contains("--spec replaces the whole spec"), "{err}");
+        let err = spec_of(&["--family", "nope"]).unwrap_err();
+        assert!(err.contains("one of: path, cycle, grid"), "{err}");
+    }
 }

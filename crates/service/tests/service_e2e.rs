@@ -141,6 +141,22 @@ fn async_submission_settles_and_unknown_ids_fail_cleanly() {
 }
 
 #[test]
+fn an_invalid_spec_fails_its_job_and_the_worker_survives() {
+    // One worker: a spec that failed inside the run used to take the only
+    // worker thread down, leaving this job and every later one `running`.
+    let config = ServiceConfig { workers: 1, ..ServiceConfig::default() };
+    let (handle, mut client) = start(config);
+    let failed = client.submit_wait(&RunSpec::new("broadcast", Family::RandomRegular, 4)).unwrap();
+    assert_eq!(failed.state.as_deref(), Some("failed"));
+    let error = failed.error.unwrap_or_default();
+    assert!(error.contains("invalid spec"), "{error}");
+    let done = client.submit_wait(&tiny(5)).unwrap();
+    assert_eq!(done.state.as_deref(), Some("done"), "the worker must survive");
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
 fn shutdown_is_acknowledged_and_drains() {
     let (handle, mut client) = start(ServiceConfig::default());
     // A job accepted before shutdown still completes (drain semantics).

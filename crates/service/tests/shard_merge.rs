@@ -1,8 +1,8 @@
 //! Executor parity for the one sweep loop, `Driver::run_sweep`: N-cell
 //! rayon blocks (what `--shards N` selects in process) and `radionetd
 //! --worker` subprocesses must emit a stream byte-identical to the
-//! sequential sweep over the extended catalogue, `fell_back` propagation
-//! included — and when a cell fails, every executor must emit the same
+//! sequential sweep over the extended catalogue, under the sparse and the
+//! event kernel — and when a cell fails, every executor must emit the same
 //! sequential prefix and name the cause.
 
 use radionet_api::{Driver, Executor, JsonArraySink, JsonlSink, MemorySink, RunReport, RunSpec};
@@ -48,31 +48,13 @@ fn sharded_sweeps_are_byte_identical_over_the_extended_catalogue() {
 }
 
 #[test]
-fn fell_back_propagates_through_the_merged_stream() {
-    // The event kernel is where sparse→dense fallbacks live; `fell_back`
-    // rides each report's stats inside the same bytes, and the derived
-    // per-cell rows must agree between sequential and parallel execution.
-    let config = extended_config();
-    let specs: Vec<RunSpec> = config.specs(Kernel::Event).collect();
+fn event_kernel_blocks_match_the_sequential_sweep() {
+    // The event kernel jumps the clock per cell; its reports (and their
+    // `silent_steps_skipped` counters) must not depend on the block size.
+    let specs: Vec<RunSpec> = extended_config().specs(Kernel::Event).collect();
     let sequential = sweep_bytes(&specs, 1, &Executor::Threads);
     let sharded = sweep_bytes(&specs, 3, &Executor::Threads);
     assert_eq!(sequential, sharded, "event-kernel blocks diverged");
-
-    let reports: Vec<RunReport> = String::from_utf8(sharded)
-        .unwrap()
-        .lines()
-        .map(|line| serde_json::from_str(line).unwrap())
-        .collect();
-    let rows = config.results(&reports);
-    assert_eq!(rows.len(), specs.len());
-    for (row, report) in rows.iter().zip(&reports) {
-        assert_eq!(
-            row.fell_back,
-            report.stats.kernel_fallbacks > 0,
-            "fell_back must mirror the merged report's fallback counter for {}",
-            row.scenario
-        );
-    }
 }
 
 #[test]

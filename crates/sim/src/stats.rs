@@ -20,11 +20,8 @@ pub struct SimStats {
     pub deliveries: u64,
     /// Listener-side collisions (≥ 2 transmitting neighbors).
     pub collisions: u64,
-    /// Phases that requested [`Kernel::Sparse`](crate::Kernel::Sparse) but
-    /// executed the dense reference kernel because the topology view has
-    /// no change feed. Zero on every healthy configuration — a nonzero
-    /// count means the run silently paid `Θ(n)` per step and should be
-    /// surfaced, not ignored (the CLI warns on it).
+    /// Always zero: every phase executes the kernel that was requested.
+    /// The field stays so recorded reports keep their shape.
     pub kernel_fallbacks: u64,
     /// Phases executed ([`Sim::run_phase`](crate::Sim::run_phase) calls).
     pub phases: u64,
@@ -61,13 +58,13 @@ impl SimStats {
     }
 
     /// A copy with every kernel-*dependent* counter zeroed
-    /// (`kernel_fallbacks`, `scheduler_events`, `silent_steps_skipped`).
+    /// (`scheduler_events`, `silent_steps_skipped`).
     /// What remains must be byte-identical across the dense, sparse and
     /// event kernels, so cross-kernel equivalence tests compare
     /// `a.kernel_invariant() == b.kernel_invariant()` instead of listing
     /// fields.
     pub fn kernel_invariant(&self) -> SimStats {
-        SimStats { kernel_fallbacks: 0, scheduler_events: 0, silent_steps_skipped: 0, ..*self }
+        SimStats { scheduler_events: 0, silent_steps_skipped: 0, ..*self }
     }
 
     pub(crate) fn absorb_phase(&mut self, rep: &PhaseReport) {
@@ -75,7 +72,6 @@ impl SimStats {
         self.transmissions += rep.transmissions;
         self.deliveries += rep.deliveries;
         self.collisions += rep.collisions;
-        self.kernel_fallbacks += u64::from(rep.fell_back);
         self.phases += 1;
     }
 }
@@ -93,7 +89,6 @@ mod tests {
             deliveries: 3,
             collisions: 1,
             completed: true,
-            fell_back: false,
         });
         s.absorb_phase(&PhaseReport {
             steps: 2,
@@ -101,13 +96,11 @@ mod tests {
             deliveries: 2,
             collisions: 0,
             completed: false,
-            fell_back: true,
         });
         assert_eq!(s.simulated_steps, 12);
         assert_eq!(s.transmissions, 7);
         assert_eq!(s.deliveries, 5);
         assert_eq!(s.collisions, 1);
-        assert_eq!(s.kernel_fallbacks, 1);
         assert_eq!(s.phases, 2);
         assert_eq!(s.total_steps(), 12);
     }
@@ -116,13 +109,11 @@ mod tests {
     fn kernel_invariant_zeroes_only_scheduler_counters() {
         let s = SimStats {
             deliveries: 3,
-            kernel_fallbacks: 1,
             scheduler_events: 5,
             silent_steps_skipped: 9,
             ..SimStats::default()
         };
         let inv = s.kernel_invariant();
-        assert_eq!(inv.kernel_fallbacks, 0);
         assert_eq!(inv.scheduler_events, 0);
         assert_eq!(inv.silent_steps_skipped, 0);
         assert_eq!(inv.deliveries, 3, "invariant counters must survive");

@@ -13,7 +13,9 @@
 //!   — a jammed listener never decodes, and with collision detection hears a
 //!   collision signal);
 //! * how the view evolves ([`advance_to`](TopologyView::advance_to), called
-//!   once per step with the global clock).
+//!   once per step with the global clock), which nodes that touched
+//!   ([`drain_status_changes`](TopologyView::drain_status_changes)), and
+//!   when it may next change ([`next_event`](TopologyView::next_event)).
 //!
 //! [`StaticTopology`] is the zero-cost identity view reproducing the paper's
 //! model exactly; `radionet-scenario` provides the dynamic overlay.
@@ -29,10 +31,24 @@ use radionet_graph::{Graph, NodeId};
 /// # Contract
 ///
 /// `advance_to` is called with non-decreasing clock values; after
-/// `advance_to(base, t)` the other three methods must describe the topology
-/// at time `t`. `neighbors(base, v)` must be a subset of `base.neighbors(v)`
+/// `advance_to(base, t)` the other methods must describe the topology at
+/// time `t`. `neighbors(base, v)` must be a subset of `base.neighbors(v)`
 /// (views may remove edges, never invent them), and edge removal must be
 /// symmetric.
+///
+/// Every kernel runs over every view, so three methods have no default and
+/// each view states its answer:
+///
+/// * [`drain_status_changes`](TopologyView::drain_status_changes) reports
+///   every node whose `is_active` / `is_retired` answer may have changed
+///   since the previous drain (the sparse and event kernels never poll);
+/// * [`jammed_nodes`](TopologyView::jammed_nodes) lists exactly the nodes
+///   for which `is_jammed` is true;
+/// * [`next_event`](TopologyView::next_event) bounds the next observable
+///   change from below, so the event kernel never jumps past one.
+///
+/// A view whose status never changes states an empty feed and `None`
+/// explicitly, as [`StaticTopology`] does.
 pub trait TopologyView {
     /// Advances the view's internal state to global clock `clock`.
     fn advance_to(&mut self, base: &Graph, clock: u64);
@@ -61,37 +77,21 @@ pub trait TopologyView {
         !self.is_active(v)
     }
 
-    /// Whether this view supports the sparse kernel's **batch change feed**
-    /// ([`drain_status_changes`](TopologyView::drain_status_changes) and
-    /// [`jammed_nodes`](TopologyView::jammed_nodes)). Views answering
-    /// `false` force [`Sim::run_phase`](crate::Sim::run_phase) onto the
-    /// dense reference kernel, which polls every node every step — always
-    /// correct, never fast.
-    fn supports_change_feed(&self) -> bool {
-        false
-    }
-
     /// Drains the set of nodes whose `is_active` / `is_retired` answer may
-    /// have changed since the previous drain, appending them to `out`. The
-    /// engine calls this once per step right after
-    /// [`advance_to`](TopologyView::advance_to) and re-queries the status of
-    /// every reported node, so over-approximating is safe; **omitting a
-    /// changed node is not** — the sparse kernel would keep a stale view of
-    /// it. Only consulted when
-    /// [`supports_change_feed`](TopologyView::supports_change_feed) is true.
-    fn drain_status_changes(&mut self, out: &mut Vec<NodeId>) {
-        let _ = out;
-    }
+    /// have changed since the previous drain, appending them to `out` (the
+    /// **batch change feed**). The engine calls this once per step right
+    /// after [`advance_to`](TopologyView::advance_to) and re-queries the
+    /// status of every reported node, so over-approximating is safe;
+    /// **omitting a changed node is not** — the sparse kernel would keep a
+    /// stale view of it.
+    fn drain_status_changes(&mut self, out: &mut Vec<NodeId>);
 
     /// The exact set of currently jam-exposed nodes (those for which
     /// [`is_jammed`](TopologyView::is_jammed) returns true). The sparse
     /// kernel iterates this instead of scanning all listeners to deliver
     /// the collision-detection "jamming sounds like a collision" signal on
-    /// otherwise silent steps. Only consulted when
-    /// [`supports_change_feed`](TopologyView::supports_change_feed) is true.
-    fn jammed_nodes(&self) -> &[NodeId] {
-        &[]
-    }
+    /// otherwise silent steps.
+    fn jammed_nodes(&self) -> &[NodeId];
 
     /// The current node positions (`[x, y, z]`, one per node), when this
     /// view derives its topology from geometry — what
@@ -115,23 +115,13 @@ pub trait TopologyView {
         0
     }
 
-    /// Whether this view can **bound its next observable change** via
-    /// [`next_event`](TopologyView::next_event), which is what the
-    /// event-driven kernel ([`Kernel::Event`](crate::Kernel)) needs to jump
-    /// the clock over silent spans, and what
-    /// `Checkpoint::restore_into` uses to fast-forward a restored topology
-    /// event-to-event instead of step-by-step. Views answering `false`
-    /// force the event kernel back onto the stepping sparse kernel
-    /// (recorded via the `fell_back` path). Only meaningful alongside
-    /// [`supports_change_feed`](TopologyView::supports_change_feed).
-    fn supports_event_jumps(&self) -> bool {
-        false
-    }
-
     /// The earliest global clock `t > clock` at which this view's
     /// observable state (active/jammed/retired status, edge set, positions,
     /// or any [`advance_to`](TopologyView::advance_to)-driven counter) may
-    /// next change, or `None` if it never will.
+    /// next change, or `None` if it never will. The event-driven kernel
+    /// ([`Kernel::Event`](crate::Kernel)) jumps the clock over silent spans
+    /// up to this bound, and `Checkpoint::restore_into` fast-forwards a
+    /// restored topology event-to-event with it.
     ///
     /// # Contract (batch fast-forward)
     ///
@@ -142,14 +132,8 @@ pub trait TopologyView {
     /// [`index_work`](TopologyView::index_work)) — in the same state as
     /// calling `advance_to` at every intermediate clock value. Returning a
     /// time that turns out to be changeless is safe (the caller lands on an
-    /// uneventful step); returning a time *past* a change is not. Only
-    /// consulted when
-    /// [`supports_event_jumps`](TopologyView::supports_event_jumps) is
-    /// true.
-    fn next_event(&self, clock: u64) -> Option<u64> {
-        let _ = clock;
-        None
-    }
+    /// uneventful step); returning a time *past* a change is not.
+    fn next_event(&self, clock: u64) -> Option<u64>;
 
     /// Cumulative spatial-index maintenance work the view has performed:
     /// `(cell_crossings, rows_recomputed)`. The engine copies these into
@@ -193,15 +177,17 @@ impl TopologyView for StaticTopology {
 
     /// Nothing ever changes, so the (empty) change feed is trivially exact.
     #[inline]
-    fn supports_change_feed(&self) -> bool {
-        true
+    fn drain_status_changes(&mut self, _out: &mut Vec<NodeId>) {}
+
+    #[inline]
+    fn jammed_nodes(&self) -> &[NodeId] {
+        &[]
     }
 
-    /// Nothing ever changes, so the next-event bound is trivially exact:
-    /// there is none.
+    /// Nothing ever changes, so there is no next event.
     #[inline]
-    fn supports_event_jumps(&self) -> bool {
-        true
+    fn next_event(&self, _clock: u64) -> Option<u64> {
+        None
     }
 }
 
@@ -213,7 +199,6 @@ mod tests {
     fn static_view_is_identity() {
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
         let mut view = StaticTopology;
-        assert!(view.supports_event_jumps());
         assert_eq!(view.next_event(0), None, "a static view never has a next event");
         view.advance_to(&g, 1000);
         for v in g.nodes() {
@@ -221,5 +206,8 @@ mod tests {
             assert!(view.is_active(v));
             assert!(!view.is_jammed(v));
         }
+        let mut changed = Vec::new();
+        view.drain_status_changes(&mut changed);
+        assert!(changed.is_empty() && view.jammed_nodes().is_empty(), "the feed is empty");
     }
 }

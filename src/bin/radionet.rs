@@ -17,15 +17,15 @@
 //! buffer in memory.
 
 use radionet::api::{
-    replay, Driver, Dynamics, Executor, JsonArraySink, JsonlSink, ResultSink, RunReport, RunSpec,
+    replay, Driver, Executor, JsonArraySink, JsonlSink, ResultSink, RunReport, RunSpec,
     TaskRegistry,
 };
 use radionet::graph::families::Family;
 use radionet::journal::{bisect, ClassMask, EventKind, Journal};
 use radionet::scenario::runner::SweepConfig;
 use radionet::scenario::Scenario;
-use radionet::service::cli as service_cli;
-use radionet::sim::{Kernel, ReceptionMode, SinrConfig};
+use radionet::service::cli::{self as service_cli, parse, parse_kernel, Args, SpecFlags};
+use radionet::sim::Kernel;
 use radionet::telemetry::{ProgressEvent, ProgressMeter, ProgressSink};
 use serde::Serialize;
 use std::io::Write;
@@ -122,9 +122,11 @@ SWEEP OPTIONS:
 
 SERVICE COMMANDS:
   serve / submit / status / fetch / call / metrics speak the radionetd NDJSON
-  protocol and accept --addr (default 127.0.0.1:7177); `metrics` renders the
-  daemon's telemetry snapshot as Prometheus-style text (--json for raw JSON).
-  See `radionetd --help`.
+  protocol and accept --addr (default 127.0.0.1:7177). `submit` takes the
+  RUN spec flags (--spec, --task, --family, --n [default: 36], --seed,
+  --reception, --kernel, --dynamics, --steps) plus --wait (block until the
+  job is done or failed). `metrics` renders the daemon's telemetry snapshot
+  as Prometheus-style text (--json for raw JSON). See `radionetd --help`.
 ";
 
 fn main() -> ExitCode {
@@ -164,69 +166,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// A tiny flag cursor over `--key value` / `--switch` argument lists.
-struct Args<'a> {
-    rest: &'a [String],
-    i: usize,
-}
-
-impl<'a> Args<'a> {
-    fn new(rest: &'a [String]) -> Self {
-        Args { rest, i: 0 }
-    }
-
-    fn next_flag(&mut self) -> Option<&'a str> {
-        let flag = self.rest.get(self.i)?;
-        self.i += 1;
-        Some(flag.as_str())
-    }
-
-    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
-        let v = self.rest.get(self.i).ok_or_else(|| format!("{flag} needs a value"))?;
-        self.i += 1;
-        Ok(v.as_str())
-    }
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    value.parse().map_err(|e| format!("{flag} {value:?}: {e}"))
-}
-
-fn parse_family(name: &str) -> Result<Family, String> {
-    Family::ALL.into_iter().find(|f| f.name() == name).ok_or_else(|| {
-        let all: Vec<&str> = Family::ALL.iter().map(|f| f.name()).collect();
-        format!("unknown family {name:?}; one of: {}", all.join(", "))
-    })
-}
-
-fn parse_kernel(name: &str) -> Result<Kernel, String> {
-    match name {
-        "sparse" => Ok(Kernel::Sparse),
-        "dense" => Ok(Kernel::Dense),
-        "event" => Ok(Kernel::Event),
-        other => Err(format!("unknown kernel {other:?}; sparse, dense or event")),
-    }
-}
-
-fn parse_reception(name: &str) -> Result<ReceptionMode, String> {
-    match name {
-        "protocol" => Ok(ReceptionMode::Protocol),
-        "protocol+cd" | "cd" => Ok(ReceptionMode::ProtocolCd),
-        // Geometry-sourced physical reception: positions come from the
-        // family's own embedding (static) or the live moving point set
-        // (mobility dynamics) — no hand-shipped coordinates. Custom
-        // physics or explicit snapshots go through --spec.
-        "sinr" => Ok(ReceptionMode::Sinr(SinrConfig::geometric())),
-        other => Err(format!(
-            "unknown reception {other:?}; protocol, protocol+cd, or sinr \
-             (geometric families; custom SINR configs go through --spec)"
-        )),
-    }
-}
-
 fn parse_sizes(list: &str) -> Result<Vec<usize>, String> {
     list.split(',')
         .map(|s| parse::<usize>("--sizes", s.trim()))
@@ -246,9 +185,7 @@ fn open_out(path: Option<&str>) -> Result<Box<dyn Write>, String> {
 
 fn cmd_run(rest: &[String]) -> Result<(), String> {
     let mut args = Args::new(rest);
-    let mut spec_file: Option<String> = None;
-    let mut spec = RunSpec::new("broadcast", Family::Grid, 64);
-    let mut flag_count = 0usize;
+    let mut spec = SpecFlags::new(RunSpec::new("broadcast", Family::Grid, 64));
     let mut compact = false;
     let mut out: Option<String> = None;
     let mut journal_out: Option<String> = None;
@@ -256,65 +193,21 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
     let mut checkpoint_every: Option<u64> = None;
     while let Some(flag) = args.next_flag() {
         match flag {
-            "--spec" => spec_file = Some(args.value(flag)?.to_string()),
-            "--task" => {
-                spec.task = args.value(flag)?.to_string();
-                flag_count += 1;
-            }
-            "--family" => {
-                spec.family = parse_family(args.value(flag)?)?;
-                flag_count += 1;
-            }
-            "--n" => {
-                spec.n = parse(flag, args.value(flag)?)?;
-                flag_count += 1;
-            }
-            "--seed" => {
-                spec.seed = parse(flag, args.value(flag)?)?;
-                flag_count += 1;
-            }
-            "--reception" => {
-                spec.reception = parse_reception(args.value(flag)?)?;
-                flag_count += 1;
-            }
-            "--kernel" => {
-                spec.kernel = parse_kernel(args.value(flag)?)?;
-                flag_count += 1;
-            }
-            "--dynamics" => {
-                let name = args.value(flag)?;
-                spec.dynamics =
-                    Dynamics::preset(name).ok_or_else(|| format!("unknown dynamics {name:?}"))?;
-                flag_count += 1;
-            }
-            "--steps" => {
-                spec.steps = Some(parse(flag, args.value(flag)?)?);
-                flag_count += 1;
-            }
             "--compact" => compact = true,
             "--out" => out = Some(args.value(flag)?.to_string()),
             // Journal flags are output/observability controls, not spec
-            // axes, so they compose with --spec (flag_count untouched).
+            // axes, so they compose with --spec.
             "--journal" => journal_out = Some(args.value(flag)?.to_string()),
             "--journal-classes" => journal_classes = Some(args.value(flag)?.to_string()),
             "--checkpoint-every" => checkpoint_every = Some(parse(flag, args.value(flag)?)?),
+            other if spec.take(&mut args, other)? => {}
             other => return Err(format!("unknown flag {other:?} (see `radionet help`)")),
         }
     }
     if journal_out.is_none() && (journal_classes.is_some() || checkpoint_every.is_some()) {
         return Err("--journal-classes / --checkpoint-every need --journal FILE".into());
     }
-    if let Some(path) = spec_file {
-        if flag_count > 0 {
-            return Err("--spec replaces the whole spec; drop the other spec flags".into());
-        }
-        let json = if path == "-" {
-            std::io::read_to_string(std::io::stdin()).map_err(|e| e.to_string())?
-        } else {
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?
-        };
-        spec = serde_json::from_str(&json).map_err(|e| format!("bad spec in {path}: {e}"))?;
-    }
+    let mut spec = spec.finish()?;
     let report = match &journal_out {
         None => Driver::standard().run(&spec).map_err(|e| e.to_string())?,
         Some(jpath) => {
@@ -336,16 +229,6 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
             report
         }
     };
-    if report.stats.kernel_fallbacks > 0 {
-        // Never silent: the run asked for the sparse or event kernel but
-        // (some of) its phases executed a slower one.
-        eprintln!(
-            "warning: {} phase(s) fell back to a slower kernel \
-             (the topology view lacks a change feed or event-jump support); \
-             see stats.kernel_fallbacks",
-            report.stats.kernel_fallbacks
-        );
-    }
     let rendered = render(&report, compact)?;
     let mut w = open_out(out.as_deref())?;
     writeln!(w, "{rendered}").and_then(|()| w.flush()).map_err(|e| e.to_string())
@@ -409,16 +292,12 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
         }
     }
 
-    // Delegating sink that tallies kernel fallbacks across the sweep so a
-    // silently-degraded cell is reported on stderr, matching `run`'s
-    // warning (the counts also sit in every cell's stats.kernel_fallbacks),
-    // and ticks the optional progress meter — reports stream through here
-    // in deterministic cell order on one thread, whichever execution path
-    // produced them.
-    struct FallbackTally<'a> {
+    // Delegating sink that totals the streaming-traffic cells for the
+    // summary line and ticks the optional progress meter — reports stream
+    // through here in deterministic cell order on one thread, whichever
+    // execution path produced them.
+    struct SweepTally<'a> {
         inner: &'a mut dyn ResultSink,
-        fallbacks: u64,
-        cells: u64,
         /// Streaming-traffic cells seen, their injected/delivered message
         /// totals and summed delivered throughput — the sweep-level view
         /// of the delivery pipeline for the summary line.
@@ -428,12 +307,8 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
         traffic_thpt: f64,
         progress: Option<(ProgressMeter, ProgressWriter)>,
     }
-    impl ResultSink for FallbackTally<'_> {
+    impl ResultSink for SweepTally<'_> {
         fn emit(&mut self, report: &RunReport) -> std::io::Result<()> {
-            if report.stats.kernel_fallbacks > 0 {
-                self.fallbacks += report.stats.kernel_fallbacks;
-                self.cells += 1;
-            }
             if let Some(t) = &report.traffic {
                 self.traffic_cells += 1;
                 self.traffic_injected += t.injected;
@@ -501,10 +376,8 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
     });
     let meter = meter.transpose()?;
     let sweep_started = Instant::now();
-    let mut tally = FallbackTally {
+    let mut tally = SweepTally {
         inner: sink.as_mut(),
-        fallbacks: 0,
-        cells: 0,
         traffic_cells: 0,
         traffic_injected: 0,
         traffic_delivered: 0,
@@ -516,24 +389,13 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
     let emitted = driver
         .run_sweep(config.specs(kernel), chunk, &executor, &mut tally)
         .map_err(|e| e.to_string())?;
-    if tally.fallbacks > 0 {
-        eprintln!(
-            "warning: {} phase(s) across {} cell(s) fell back to a slower kernel \
-             (topology views without a change feed or event-jump support); \
-             see stats.kernel_fallbacks",
-            tally.fallbacks, tally.cells
-        );
-    }
-    // The one-line sweep summary (always, progress or not): how much work,
-    // how fast, and whether anything degraded. Cache hits only exist on
-    // service-served sweeps — the direct driver has no cache — so this
-    // line reports fallbacks and leaves hit rates to `radionet metrics`.
+    // The one-line sweep summary (always, progress or not): how much work
+    // and how fast. Cache hits only exist on service-served sweeps — the
+    // direct driver has no cache — so hit rates are left to
+    // `radionet metrics`.
     let wall = sweep_started.elapsed().as_secs_f64();
     let rate = if wall > 0.0 { emitted as f64 / wall } else { 0.0 };
-    eprintln!(
-        "swept {emitted} cells in {wall:.2}s ({rate:.1} cells/s), {} kernel fallback(s)",
-        tally.fallbacks
-    );
+    eprintln!("swept {emitted} cells in {wall:.2}s ({rate:.1} cells/s)");
     // Streaming-traffic cells get their own line: how much of the
     // injected workload was fully delivered and the mean delivered
     // throughput across the traffic cells (absent when nothing in the
