@@ -19,9 +19,9 @@
 //!    samples land in `results/e17.json` and the α drift is summarized via
 //!    [`radionet_analysis::ingest::drift`].
 //!
-//! Large instances construct their geometry directly (uniform points +
-//! disk rule) because the family generators are `O(n²)`; the derived
-//! t = 0 edge set is identical to what the generator would produce.
+//! Instances construct their geometry directly (uniform points + disk
+//! rule, seeded per cell, with no connectivity retry); the derived t = 0
+//! edge set follows the same disk rule as the unit-disk generator.
 
 use super::{banner, print_notes};
 use crate::Scale;

@@ -89,14 +89,6 @@ pub struct Positioned {
     pub geometry: Option<Geometry>,
 }
 
-fn points2(points: &[Point2]) -> Vec<[f64; 3]> {
-    points.iter().map(|p| [p.x, p.y, 0.0]).collect()
-}
-
-fn points3(points: &[Point3]) -> Vec<[f64; 3]> {
-    points.iter().map(|p| [p.x, p.y, p.z]).collect()
-}
-
 /// Named graph families used across the experiment suite.
 ///
 /// Each family maps `(n, seed)` to a **connected** graph of roughly `n`
@@ -283,38 +275,26 @@ impl Family {
                 let p = (3.0 / n as f64).min(1.0);
                 plain(generators::connected_gnp(n, p, &mut rng))
             }
-            Family::UnitDisk => connected_geometric(n, |rng, side| {
+            Family::UnitDisk => connected_geometric(n, 2, |rng, side| {
                 let inst = generators::unit_disk_in_square(n, side, rng);
-                let geometry = Geometry {
-                    points: points2(&inst.points),
-                    dim: 2,
-                    side,
-                    rule: GeometryRule::Disk { radius: 1.0 },
-                };
-                (inst.graph, geometry)
+                let points = inst.points.iter().map(Point2::xyz).collect();
+                (inst.graph, points, GeometryRule::Disk { radius: 1.0 })
             }),
-            Family::QuasiUnitDisk => connected_geometric(n, |rng, side| {
+            Family::QuasiUnitDisk => connected_geometric(n, 2, |rng, side| {
                 let inst = generators::quasi_unit_disk_in_square(n, side, 0.5, 1.0, 0.5, rng);
-                let geometry = Geometry {
-                    points: points2(&inst.points),
-                    dim: 2,
-                    side,
-                    rule: GeometryRule::Quasi { r: 0.5, big_r: 1.0, gray_p: 0.5 },
-                };
-                (inst.graph, geometry)
+                let points = inst.points.iter().map(Point2::xyz).collect();
+                (inst.graph, points, GeometryRule::Quasi { r: 0.5, big_r: 1.0, gray_p: 0.5 })
             }),
-            Family::UnitBall3 => connected_geometric3(n),
-            Family::GeometricRadio => connected_geometric(n, |rng, side| {
+            Family::UnitBall3 => connected_geometric(n, 3, |rng, side| {
+                let inst = generators::geometric::unit_ball3_in_cube(n, side, rng);
+                let points = inst.points.iter().map(Point3::xyz).collect();
+                (inst.graph, points, GeometryRule::Disk { radius: 1.0 })
+            }),
+            Family::GeometricRadio => connected_geometric(n, 2, |rng, side| {
                 let pts = generators::uniform_points2(n, side, rng);
                 let ranges = generators::geometric::uniform_ranges(n, 0.75, 1.5, rng);
-                let inst = generators::geometric_radio_undirected(&pts, &ranges);
-                let geometry = Geometry {
-                    points: points2(&inst.points),
-                    dim: 2,
-                    side,
-                    rule: GeometryRule::Radio { ranges },
-                };
-                (inst.graph, geometry)
+                let graph = generators::geometric_radio_undirected(&pts, &ranges).graph;
+                (graph, pts.iter().map(Point2::xyz).collect(), GeometryRule::Radio { ranges })
             }),
             Family::RandomRegular => {
                 let n = if n.is_multiple_of(2) { n } else { n + 1 }; // even n·d
@@ -335,48 +315,36 @@ impl std::fmt::Display for Family {
     }
 }
 
-/// Instantiates a 2D geometric family, shrinking the square until connected.
+/// Instantiates a geometric family in `dim` dimensions, shrinking the
+/// domain `[0, side)^dim` until the graph is connected.
 ///
-/// Starts at constant density (expected degree ≈ 10) and densifies by 20%
-/// per failed attempt; panics after 64 attempts (practically unreachable).
-fn connected_geometric<F>(n: usize, mut gen: F) -> Positioned
+/// Starts at constant density (expected degree ≈ 10 in the plane, ≈ 12 in
+/// 3D) and densifies by 20% per failed attempt; panics after 64 attempts
+/// (practically unreachable).
+fn connected_geometric<F>(n: usize, dim: u32, mut gen: F) -> Positioned
 where
-    F: FnMut(&mut StdRng, f64) -> (Graph, Geometry),
+    F: FnMut(&mut StdRng, f64) -> (Graph, Vec<[f64; 3]>, GeometryRule),
 {
-    // Expected degree ≈ π side⁻²·n... choose side so that n·π/side² ≈ 10.
-    let mut side = (n as f64 * std::f64::consts::PI / 10.0).sqrt();
+    // Choose side so that n·π/side² ≈ 10 (2D) or n·(4/3)π/side³ ≈ 12 (3D,
+    // 4/3·π ≈ 4.19); the 3D stream is salted apart from the 2D ones.
+    let (mut side, salt) = match dim {
+        3 => ((n as f64 * 4.19 / 12.0).cbrt(), 0x3d),
+        _ => ((n as f64 * std::f64::consts::PI / 10.0).sqrt(), 0),
+    };
     for attempt in 0..64u64 {
-        let mut rng = StdRng::seed_from_u64(geo_seed(attempt, n));
-        let (g, geometry) = gen(&mut rng, side);
-        if traversal::is_connected(&g) {
-            return Positioned { graph: g, geometry: Some(geometry) };
+        let mut rng = StdRng::seed_from_u64(geo_seed(attempt, n) ^ salt);
+        let (graph, points, rule) = gen(&mut rng, side);
+        if traversal::is_connected(&graph) {
+            let geometry = Geometry { points, dim, side, rule };
+            return Positioned { graph, geometry: Some(geometry) };
         }
         side *= 0.8;
     }
-    panic!("could not generate a connected geometric graph for n={n}");
+    panic!("could not generate a connected {dim}d geometric graph for n={n}");
 }
 
 fn geo_seed(attempt: u64, n: usize) -> u64 {
     attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (n as u64)
-}
-
-fn connected_geometric3(n: usize) -> Positioned {
-    let mut side = (n as f64 * 4.19 / 12.0).cbrt(); // 4/3·π ≈ 4.19, degree ≈ 12
-    for attempt in 0..64u64 {
-        let mut rng = StdRng::seed_from_u64(geo_seed(attempt, n) ^ 0x3d);
-        let inst = generators::geometric::unit_ball3_in_cube(n, side, &mut rng);
-        if traversal::is_connected(&inst.graph) {
-            let geometry = Geometry {
-                points: points3(&inst.points),
-                dim: 3,
-                side,
-                rule: GeometryRule::Disk { radius: 1.0 },
-            };
-            return Positioned { graph: inst.graph, geometry: Some(geometry) };
-        }
-        side *= 0.8;
-    }
-    panic!("could not generate a connected 3d geometric graph for n={n}");
 }
 
 #[cfg(test)]

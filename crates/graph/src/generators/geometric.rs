@@ -5,17 +5,25 @@
 //! * **unit disk graphs** — [`unit_disk`] / [`unit_disk_in_square`];
 //! * **quasi unit disk graphs** — [`quasi_unit_disk`] (edges certain below
 //!   `r`, impossible above `R`, random in between);
-//! * **unit ball graphs** — [`unit_ball`], generic over any
-//!   [`Metric`] — doubling metrics give growth-bounded graphs;
+//! * **unit ball graphs** — [`unit_ball3_in_cube`] in 3D Euclidean space,
+//!   and [`unit_ball`], generic over any [`Metric`] — doubling metrics give
+//!   growth-bounded graphs;
 //! * **geometric radio networks** — [`geometric_radio_undirected`], the
 //!   undirected subclass the paper restricts to (mutual-reachability edges,
 //!   bounded max/min range ratio).
+//!
+//! The Euclidean family generators take `O(n·deg)` time at bounded
+//! density: every edge joins points at most one radius apart, so they test
+//! only the pairs that share a neighbourhood of a spatial grid.
+//! [`unit_ball`] is the `O(n²)` all-pairs definition, kept for the
+//! non-Euclidean metrics and as the test oracle of the others.
 //!
 //! Every generator returns a [`GeometricInstance`] carrying the graph
 //! together with its embedding, so experiments can relate graph quantities
 //! (α, D) back to geometry.
 
 use crate::geometry::{Euclidean2, Euclidean3, Metric, Point2, Point3};
+use crate::spatial::for_each_candidate_pair;
 use crate::{Graph, GraphBuilder};
 use rand::Rng;
 
@@ -46,8 +54,9 @@ pub fn uniform_points3<R: Rng + ?Sized>(n: usize, side: f64, rng: &mut R) -> Vec
 /// `dist(u, v) ≤ radius`.
 ///
 /// With a doubling metric the result is growth-bounded (Section 1.3). This
-/// is the work-horse behind all the specialized constructors. `O(n²)`
-/// distance evaluations.
+/// is the definition the Euclidean generators are tested against: `O(n²)`
+/// distance evaluations, where [`unit_disk`] and [`unit_ball3_in_cube`]
+/// check only the pairs a spatial grid proposes.
 ///
 /// # Panics
 ///
@@ -69,9 +78,32 @@ where
     GeometricInstance { graph: b.build(), points: points.to_vec() }
 }
 
+/// The graph on `points` whose edges are the pairs `keep` accepts among
+/// those [`for_each_candidate_pair`] proposes for `radius`, which `keep`
+/// sees in lexicographic order. `radius` must bound the distance of every
+/// pair `keep` can accept.
+fn grid_graph<P: Clone>(
+    points: &[P],
+    xyz: fn(&P) -> [f64; 3],
+    dim: usize,
+    radius: f64,
+    mut keep: impl FnMut(usize, usize) -> bool,
+) -> GeometricInstance<P> {
+    let pos: Vec<[f64; 3]> = points.iter().map(xyz).collect();
+    let mut b = GraphBuilder::new(points.len());
+    for_each_candidate_pair(&pos, dim, radius, |i, j| {
+        if keep(i, j) {
+            b.add_edge(i, j);
+        }
+    });
+    GeometricInstance { graph: b.build(), points: points.to_vec() }
+}
+
 /// Unit disk graph on the given 2D points: edge iff Euclidean distance ≤ 1.
+///
+/// Any points are accepted; the spatial grid spans their bounding box.
 pub fn unit_disk(points: &[Point2]) -> GeometricInstance<Point2> {
-    unit_ball(points, &Euclidean2, 1.0)
+    grid_graph(points, Point2::xyz, 2, 1.0, |i, j| Euclidean2.dist(&points[i], &points[j]) <= 1.0)
 }
 
 /// Unit disk graph on `n` uniform points in `[0, side)²` with unit radius.
@@ -94,13 +126,16 @@ pub fn unit_ball3_in_cube<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> GeometricInstance<Point3> {
     let pts = uniform_points3(n, side, rng);
-    unit_ball(&pts, &Euclidean3, 1.0)
+    grid_graph(&pts, Point3::xyz, 3, 1.0, |i, j| Euclidean3.dist(&pts[i], &pts[j]) <= 1.0)
 }
 
 /// Quasi unit disk graph (paper, Section 1.3): edges are certain below
 /// distance `r`, impossible above `R ≥ r`, and present with probability
 /// `gray_p` in between. The ratio `R/r` is the class parameter and must be
 /// treated as constant for growth-boundedness.
+///
+/// The gray-zone coin is drawn once per pair at distance in `(r, R]`, in
+/// lexicographic pair order.
 ///
 /// # Panics
 ///
@@ -114,17 +149,10 @@ pub fn quasi_unit_disk<R2: Rng + ?Sized>(
 ) -> GeometricInstance<Point2> {
     assert!(r > 0.0 && big_r >= r, "need 0 < r <= R");
     assert!((0.0..=1.0).contains(&gray_p), "gray_p must be a probability");
-    let n = points.len();
-    let mut b = GraphBuilder::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = Euclidean2.dist(&points[i], &points[j]);
-            if d <= r || (d <= big_r && rng.gen::<f64>() < gray_p) {
-                b.add_edge(i, j);
-            }
-        }
-    }
-    GeometricInstance { graph: b.build(), points: points.to_vec() }
+    grid_graph(points, Point2::xyz, 2, big_r, |i, j| {
+        let d = Euclidean2.dist(&points[i], &points[j]);
+        d <= r || (d <= big_r && rng.gen::<f64>() < gray_p)
+    })
 }
 
 /// Quasi unit disk graph on `n` uniform points in `[0, side)²`.
@@ -156,17 +184,10 @@ pub fn quasi_unit_disk_in_square<R2: Rng + ?Sized>(
 pub fn geometric_radio_undirected(points: &[Point2], ranges: &[f64]) -> GeometricInstance<Point2> {
     assert_eq!(points.len(), ranges.len(), "one range per point");
     assert!(ranges.iter().all(|&r| r >= 0.0), "ranges must be nonnegative");
-    let n = points.len();
-    let mut b = GraphBuilder::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = Euclidean2.dist(&points[i], &points[j]);
-            if d <= ranges[i].min(ranges[j]) {
-                b.add_edge(i, j);
-            }
-        }
-    }
-    GeometricInstance { graph: b.build(), points: points.to_vec() }
+    let max_range = ranges.iter().copied().fold(0.0, f64::max);
+    grid_graph(points, Point2::xyz, 2, max_range, |i, j| {
+        Euclidean2.dist(&points[i], &points[j]) <= ranges[i].min(ranges[j])
+    })
 }
 
 /// Uniform ranges in `[r_lo, r_hi]` for [`geometric_radio_undirected`].

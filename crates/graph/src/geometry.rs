@@ -23,6 +23,11 @@ impl Point2 {
     pub fn new(x: f64, y: f64) -> Self {
         Point2 { x, y }
     }
+
+    /// The point as `[x, y, 0]`, the layout of [`crate::spatial`].
+    pub fn xyz(&self) -> [f64; 3] {
+        [self.x, self.y, 0.0]
+    }
 }
 
 /// A point in three-dimensional space.
@@ -40,6 +45,11 @@ impl Point3 {
     /// Creates a point from coordinates.
     pub fn new(x: f64, y: f64, z: f64) -> Self {
         Point3 { x, y, z }
+    }
+
+    /// The point as `[x, y, z]`, the layout of [`crate::spatial`].
+    pub fn xyz(&self) -> [f64; 3] {
+        [self.x, self.y, self.z]
     }
 }
 

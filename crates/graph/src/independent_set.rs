@@ -193,6 +193,10 @@ pub fn maximum_independent_set(g: &Graph, budget: u64) -> ExactAlpha {
         best: Vec<u32>,
         budget: u64,
         exhausted: bool,
+        /// Scratch bitsets of [`Search::bound`]: the vertices no clique
+        /// covers yet, and the candidates that extend the current clique.
+        remaining: Vec<u64>,
+        cand: Vec<u64>,
     }
 
     impl Search<'_> {
@@ -201,23 +205,31 @@ pub fn maximum_independent_set(g: &Graph, budget: u64) -> ExactAlpha {
         }
 
         /// Greedy clique-cover bound restricted to `alive`.
-        fn bound(&self, alive: &[u64]) -> usize {
-            let mut remaining = alive.to_vec();
+        ///
+        /// Both scans only ever clear bits, so each resumes at the word
+        /// where it last found one: `remaining` is zero below `from`, and
+        /// `cand` (a subset of `remaining`) is neither read nor written
+        /// below it.
+        fn bound(&mut self, alive: &[u64]) -> usize {
+            let (words, adj) = (self.words, self.adj);
+            let (remaining, cand) = (&mut self.remaining, &mut self.cand);
+            remaining.copy_from_slice(alive);
             let mut cliques = 0usize;
-            while let Some(v) = first_set_bit(&remaining) {
-                // Members of this clique: grow greedily within `remaining`.
-                clear_bit(&mut remaining, v);
-                let mut members = vec![v];
-                let mut cand: Vec<u64> =
-                    (0..self.words).map(|w| remaining[w] & self.adj[v * self.words + w]).collect();
-                while let Some(u) = first_set_bit(&cand) {
+            let mut from = 0;
+            while let Some(v) = first_set_bit(remaining, &mut from) {
+                // Grow a clique from `v` greedily within `remaining`.
+                clear_bit(remaining, v);
+                for w in from..words {
+                    cand[w] = remaining[w] & adj[v * words + w];
+                }
+                let mut cand_from = from;
+                while let Some(u) = first_set_bit(cand, &mut cand_from) {
                     // u is adjacent to all members by construction of cand.
-                    clear_bit(&mut remaining, u);
-                    for (w, c) in cand.iter_mut().enumerate() {
-                        *c &= self.adj[u * self.words + w];
+                    clear_bit(remaining, u);
+                    for w in cand_from..words {
+                        cand[w] &= adj[u * words + w];
                     }
-                    clear_bit(&mut cand, u);
-                    members.push(u);
+                    clear_bit(cand, u);
                 }
                 cliques += 1;
             }
@@ -284,11 +296,13 @@ pub fn maximum_independent_set(g: &Graph, budget: u64) -> ExactAlpha {
         }
     }
 
-    fn first_set_bit(set: &[u64]) -> Option<usize> {
-        for (w, &bits) in set.iter().enumerate() {
+    /// The lowest set bit in words `*from..`, leaving `*from` at its word.
+    fn first_set_bit(set: &[u64], from: &mut usize) -> Option<usize> {
+        while let Some(&bits) = set.get(*from) {
             if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
+                return Some(*from * 64 + bits.trailing_zeros() as usize);
             }
+            *from += 1;
         }
         None
     }
@@ -324,6 +338,8 @@ pub fn maximum_independent_set(g: &Graph, budget: u64) -> ExactAlpha {
         best: seed.iter().map(|v| v.index() as u32).collect(),
         budget,
         exhausted: false,
+        remaining: vec![0; words],
+        cand: vec![0; words],
     };
     let mut current = Vec::new();
     search.run(&mut alive, &mut current);
@@ -472,6 +488,24 @@ mod tests {
         assert_eq!(b.lower, 10);
         assert_eq!(b.upper, 10);
         assert!((b.estimate() - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn budgeted_brackets_are_pinned() {
+        // Recorded before the clique-cover bound reused its scratch
+        // bitsets: an exhausted budget returns whatever the search reached,
+        // so these brackets move if the search order does.
+        let grid = generators::grid2d(40, 40);
+        let want = AlphaBounds { lower: 763, upper: 800, exact: false };
+        assert_eq!(alpha_bounds(&grid, 2_000), want);
+        let udg = crate::families::Family::UnitDisk.instantiate(120, 1);
+        let want = AlphaBounds { lower: 20, upper: 29, exact: false };
+        assert_eq!(alpha_bounds(&udg, 5_000), want);
+        // Both lower bounds beat the greedy incumbent the search starts from.
+        assert_eq!(
+            (greedy_mis_min_degree(&grid).len(), greedy_mis_min_degree(&udg).len()),
+            (762, 19)
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! * [`geometry`] — points and metrics (Euclidean, Chebyshev, Manhattan,
 //!   torus) used by the geometric graph classes of Section 1.3 of the paper;
 //! * [`spatial`] — [`spatial::SpatialGrid`], a uniform-grid spatial index
-//!   shared by the mobility subsystem (incremental derived adjacency) and
-//!   the simulator's sparse SINR reception kernel;
+//!   shared by the geometric generators (their `O(n·deg)` candidate-pair
+//!   sweep), the mobility subsystem (incremental derived adjacency) and the
+//!   simulator's sparse SINR reception kernel;
 //! * [`generators`] — every graph family the paper names: unit disk, quasi
 //!   unit disk, unit ball over arbitrary metrics, undirected geometric radio
 //!   networks, plus the classic and random general-graph families used as

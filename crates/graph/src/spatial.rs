@@ -7,12 +7,14 @@
 //! displacements far below the radius, crossings are rare, which is what
 //! makes incremental edge maintenance cheap.
 //!
-//! The index serves two consumers: `radionet-mobility` maintains derived
-//! adjacency over moving nodes with it, and `radionet-sim` culls candidate
-//! transmitters per listener in the sparse SINR reception kernel (where
-//! [`SpatialGrid::for_candidates_within`] additionally bounds the far-field
-//! interference search to an arbitrary radius). It lives in this crate —
-//! below both — so neither has to depend on the other.
+//! The index serves three consumers: the geometric generators enumerate
+//! their candidate edges with a pair sweep over it, `radionet-mobility`
+//! maintains derived adjacency over moving nodes with it, and
+//! `radionet-sim` culls candidate transmitters per listener in the sparse
+//! SINR reception kernel (where [`SpatialGrid::for_candidates_within`]
+//! additionally bounds the far-field interference search to an arbitrary
+//! radius). It lives in this crate — below mobility and the simulator — so
+//! neither has to depend on the other.
 
 /// Euclidean distance between two `[x, y, z]` points (2D points carry
 /// `z = 0`, so one routine serves both dimensions). The shared distance
@@ -20,6 +22,79 @@
 #[inline]
 pub fn dist3(a: &[f64; 3], b: &[f64; 3]) -> f64 {
     ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt()
+}
+
+/// Per-axis bounding box of the positions — the domain a spatial index
+/// over them must be anchored to (offset or origin-straddling point sets
+/// would otherwise clamp into boundary cells and lose all selectivity).
+pub fn position_bounds(pos: &[[f64; 3]]) -> ([f64; 3], [f64; 3]) {
+    let mut lo = [f64::INFINITY; 3];
+    let mut hi = [f64::NEG_INFINITY; 3];
+    for p in pos {
+        for axis in 0..3 {
+            lo[axis] = lo[axis].min(p[axis]);
+            hi[axis] = hi[axis].max(p[axis]);
+        }
+    }
+    (lo, hi)
+}
+
+/// The cell width for a grid over `n` points in `dim` dimensions whose
+/// domain is `side` wide: at least `radius`, and floored so the cell count
+/// never exceeds ≈ one cell per node (a radius far below the point spacing
+/// would otherwise allocate a uselessly fine grid; wider cells are always
+/// correct, just less selective).
+pub fn capped_cell_width(n: usize, dim: usize, side: f64, radius: f64) -> f64 {
+    let per_axis_cap = (n.max(1) as f64).powf(1.0 / dim as f64).ceil().max(1.0);
+    radius.max(side / per_axis_cap)
+}
+
+/// Calls `f(i, j)` for every pair `i < j` of `positions` within `radius`
+/// of each other, in lexicographic `(i, j)` order. The pairs come from a
+/// [`SpatialGrid`] over the points' bounding box, so `f` also sees some
+/// farther pairs that share a cell neighbourhood and must filter by exact
+/// distance. At bounded density this costs `O(n·deg)` instead of the
+/// `n(n−1)/2` distance checks of an all-pairs loop; the fixed order lets a
+/// caller that draws randomness per visited pair reproduce such a loop's
+/// random stream exactly.
+///
+/// # Panics
+///
+/// Panics if `radius` is negative or NaN, or `dim` is not 2 or 3.
+pub(crate) fn for_each_candidate_pair(
+    positions: &[[f64; 3]],
+    dim: usize,
+    radius: f64,
+    mut f: impl FnMut(usize, usize),
+) {
+    assert!(radius >= 0.0, "radius must be nonnegative");
+    let n = positions.len();
+    let (lo, hi) = position_bounds(positions);
+    let extent = (0..dim).map(|a| hi[a] - lo[a]).fold(0.0, f64::max);
+    // A hair of slack keeps a pair at distance exactly `radius` in
+    // adjacent cells despite rounding in the cell arithmetic.
+    let scale = (0..dim).map(|a| lo[a].abs().max(hi[a].abs())).fold(radius, f64::max);
+    let reach = radius + scale * 1e-9;
+    let finite = lo.iter().all(|c| c.is_finite()) && (extent + reach).is_finite();
+    let grid = if finite && reach > 0.0 {
+        let side = extent.max(reach);
+        SpatialGrid::with_origin(lo, side, capped_cell_width(n, dim, side, reach), dim, positions)
+    } else {
+        // No points, a non-finite coordinate or radius, or radius 0 with
+        // every point at the origin: one cell holds every point.
+        SpatialGrid::with_origin([0.0; 3], 1.0, 1.0, dim, positions)
+    };
+    let mut near = Vec::new();
+    for (i, p) in positions.iter().enumerate() {
+        near.clear();
+        grid.for_candidates(*p, |j| {
+            if j as usize > i {
+                near.push(j as usize);
+            }
+        });
+        near.sort_unstable();
+        near.iter().for_each(|&j| f(i, j));
+    }
 }
 
 /// The uniform grid: node buckets per cell plus each node's current cell.
@@ -318,6 +393,37 @@ mod tests {
             // small fraction of the fleet, not a boundary-cell pileup.
             assert!(max_bucket < 60, "domain [{lo},{hi}]: selectivity lost ({max_bucket})");
         }
+    }
+
+    #[test]
+    fn pair_sweep_visits_every_close_pair_once_in_order() {
+        for dim in [2usize, 3] {
+            let pts = points(300, dim, 7.0, 13);
+            let mut seen = Vec::new();
+            for_each_candidate_pair(&pts, dim, 1.0, |i, j| seen.push((i, j)));
+            assert!(seen.windows(2).all(|w| w[0] < w[1]), "dim {dim}: not lexicographic");
+            for i in 0..pts.len() {
+                for j in (i + 1)..pts.len() {
+                    if dist(&pts[i], &pts[j]) <= 1.0 {
+                        assert!(seen.binary_search(&(i, j)).is_ok(), "dim {dim}: {i}-{j} missed");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_sweep_puts_degenerate_inputs_in_one_cell() {
+        let odd = [[0.0; 3], [f64::INFINITY, 0.0, 0.0], [f64::NAN, 1.0, 0.0], [0.0; 3]];
+        for radius in [0.0, 1.0, f64::INFINITY] {
+            let mut seen = 0;
+            for_each_candidate_pair(&odd, 2, radius, |_, _| seen += 1);
+            assert_eq!(seen, 6, "radius {radius}");
+        }
+        let mut seen = 0;
+        for_each_candidate_pair(&[[0.0; 3]; 3], 2, 0.0, |_, _| seen += 1);
+        assert_eq!(seen, 3);
+        for_each_candidate_pair(&[], 3, 1.0, |_, _| unreachable!("no points, no pairs"));
     }
 
     #[test]

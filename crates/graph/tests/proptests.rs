@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use radionet_graph::generators::{self, geometric};
-use radionet_graph::geometry::{Euclidean2, Metric};
+use radionet_graph::geometry::{Euclidean2, Euclidean3, Metric, Point2};
 use radionet_graph::independent_set::{
     alpha_bounds, clique_cover_upper_bound, greedy_mis, is_independent_set,
     is_maximal_independent_set, matching_upper_bound, maximum_independent_set,
@@ -12,7 +12,7 @@ use radionet_graph::traversal::{
 };
 use radionet_graph::{Graph, GraphBuilder};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a random graph given by (n, edge list over 0..n).
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -152,4 +152,116 @@ proptest! {
             }
         }
     }
+}
+
+/// The quasi unit disk rule as the all-pairs loop that defines it.
+fn quasi_all_pairs(pts: &[Point2], r: f64, big_r: f64, gray_p: f64, rng: &mut StdRng) -> Graph {
+    let mut b = GraphBuilder::new(pts.len());
+    for i in 0..pts.len() {
+        for j in (i + 1)..pts.len() {
+            let d = Euclidean2.dist(&pts[i], &pts[j]);
+            if d <= r || (d <= big_r && rng.gen::<f64>() < gray_p) {
+                b.add_edge(i, j);
+            }
+        }
+    }
+    b.build()
+}
+
+/// The undirected geometric radio rule as the all-pairs loop that defines it.
+fn radio_all_pairs(pts: &[Point2], ranges: &[f64]) -> Graph {
+    let mut b = GraphBuilder::new(pts.len());
+    for i in 0..pts.len() {
+        for j in (i + 1)..pts.len() {
+            if Euclidean2.dist(&pts[i], &pts[j]) <= ranges[i].min(ranges[j]) {
+                b.add_edge(i, j);
+            }
+        }
+    }
+    b.build()
+}
+
+/// Checks the four spatial-grid generators against their all-pairs
+/// definitions on `n` points. `layout` places the 2D points: 0 uniform in
+/// `[0, side)²`, 1 all on one spot, 2 straddling the origin, 3 far off
+/// (`+1e6`), 4 far negative.
+fn check_against_all_pairs(n: usize, side: f64, layout: u8, gray_p: f64, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let offset = match layout {
+        2 => -side / 2.0,
+        3 => 1e6,
+        4 => -1e6 - side,
+        _ => 0.0,
+    };
+    let spot = Point2::new(rng.gen::<f64>() * side, rng.gen::<f64>() * side);
+    let pts: Vec<Point2> = generators::uniform_points2(n, side, &mut rng)
+        .into_iter()
+        .map(|p| if layout == 1 { spot } else { Point2::new(p.x + offset, p.y + offset) })
+        .collect();
+    let case =
+        format!("n = {n}, side = {side}, layout = {layout}, gray_p = {gray_p}, seed = {seed}");
+
+    let udg = generators::unit_disk(&pts).graph;
+    assert_eq!(udg, geometric::unit_ball(&pts, &Euclidean2, 1.0).graph, "unit disk: {case}");
+
+    let ball = geometric::unit_ball3_in_cube(n, side, &mut rng);
+    let want = geometric::unit_ball(&ball.points, &Euclidean3, 1.0).graph;
+    assert_eq!(ball.graph, want, "unit ball: {case}");
+
+    let r = 0.2 + rng.gen::<f64>();
+    let big_r = r * (1.0 + 2.0 * rng.gen::<f64>());
+    let mut grid_rng = StdRng::seed_from_u64(seed ^ 0x9a11);
+    let mut loop_rng = grid_rng.clone();
+    let quasi = geometric::quasi_unit_disk(&pts, r, big_r, gray_p, &mut grid_rng).graph;
+    let want = quasi_all_pairs(&pts, r, big_r, gray_p, &mut loop_rng);
+    assert_eq!(quasi, want, "quasi unit disk (r = {r}, R = {big_r}): {case}");
+    assert_eq!(grid_rng.gen::<u64>(), loop_rng.gen::<u64>(), "quasi coin stream: {case}");
+
+    let ranges = geometric::uniform_ranges(n, 0.3, 1.6, &mut rng);
+    let radio = generators::geometric_radio_undirected(&pts, &ranges).graph;
+    assert_eq!(radio, radio_all_pairs(&pts, &ranges), "geometric radio: {case}");
+}
+
+/// Maps a selector to a gray-zone probability: the extremes 0 and 1, or a
+/// seeded value strictly between.
+fn gray_p(selector: u8, seed: u64) -> f64 {
+    match selector {
+        0 => 0.0,
+        1 => 1.0,
+        _ => StdRng::seed_from_u64(seed).gen::<f64>(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn grid_generators_equal_their_all_pairs_definitions(
+        n in 0usize..=2_000,
+        side in 0.5f64..60.0,
+        layout in 0u8..5,
+        gray in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        // Dense draws (a side below √n/4, or every point on one spot) keep
+        // to 300 nodes, so the all-pairs oracles' edge lists stay small.
+        let dense = layout == 1 || side < (n as f64).sqrt() / 4.0;
+        let n = if dense { n.min(300) } else { n };
+        check_against_all_pairs(n, side, layout, gray_p(gray, seed), seed);
+    }
+}
+
+#[test]
+fn grid_generators_equal_their_all_pairs_definitions_on_tiny_inputs() {
+    for n in 0..=2 {
+        for layout in 0..5 {
+            for gray in 0..3 {
+                for side in [0.5, 3.0] {
+                    check_against_all_pairs(n, side, layout, gray_p(gray, 7), 7 + n as u64);
+                }
+            }
+        }
+    }
+    // Many nodes stacked on one spot: every pair is at distance 0.
+    check_against_all_pairs(300, 5.0, 1, 0.5, 3);
 }

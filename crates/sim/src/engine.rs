@@ -70,7 +70,7 @@ use crate::protocol::{Action, NetInfo, NodeCtx, Protocol, Wake};
 use crate::reception::{dist3, FarFieldPolicy, PositionSource, ReceptionMode, SinrConfig};
 use crate::stats::SimStats;
 use crate::topology::{StaticTopology, TopologyView};
-use radionet_graph::spatial::SpatialGrid;
+use radionet_graph::spatial::{capped_cell_width, position_bounds, SpatialGrid};
 use radionet_graph::{Graph, NodeId};
 use radionet_journal::{
     CollisionInfo, DeliverInfo, EventClass, EventKind, GridInfo, HintInfo, PhaseEndInfo, PhaseInfo,
@@ -1611,21 +1611,6 @@ fn sinr_positions<'a, T: TopologyView>(cfg: &'a SinrConfig, topo: &'a T) -> &'a 
     }
 }
 
-/// Per-axis bounding box of the positions — the domain a spatial index
-/// over them must be anchored to (offset or origin-straddling snapshots
-/// would otherwise clamp into boundary cells and lose all selectivity).
-fn position_bounds(pos: &[[f64; 3]]) -> ([f64; 3], [f64; 3]) {
-    let mut lo = [f64::INFINITY; 3];
-    let mut hi = [f64::NEG_INFINITY; 3];
-    for p in pos {
-        for axis in 0..3 {
-            lo[axis] = lo[axis].min(p[axis]);
-            hi[axis] = hi[axis].max(p[axis]);
-        }
-    }
-    (lo, hi)
-}
-
 /// Builds the decode-range spatial index over the current positions,
 /// anchored one decode range *outside* their bounding box (`(lo, hi)` =
 /// [`position_bounds`], hoisted so the caller can also use it for
@@ -1638,10 +1623,8 @@ fn position_bounds(pos: &[[f64; 3]]) -> ([f64; 3], [f64; 3]) {
 /// the caller records `(anchor, side)` for the staleness check, so the
 /// two derivations cannot drift apart.
 ///
-/// The cell width is the calibrated decode range — floored so the cell
-/// count never exceeds ≈ one cell per node (a decode range far below the
-/// point spacing would otherwise allocate a uselessly fine grid; wider
-/// cells are always correct, just less selective).
+/// The cell width is the calibrated decode range, widened by
+/// [`capped_cell_width`] so the grid has at most ≈ one cell per node.
 fn build_sinr_grid(
     cfg: &SinrConfig,
     pos: &[[f64; 3]],
@@ -1653,8 +1636,7 @@ fn build_sinr_grid(
     let span = (0..3).map(|a| hi[a] - lo[a]).fold(0.0f64, f64::max) + 2.0 * decode;
     let side = span.max(decode);
     let dim = if pos.iter().any(|p| p[2] != 0.0) { 3 } else { 2 };
-    let per_axis_cap = (pos.len().max(1) as f64).powf(1.0 / dim as f64).ceil().max(1.0);
-    let radius = decode.max(side / per_axis_cap);
+    let radius = capped_cell_width(pos.len(), dim, side, decode);
     (SpatialGrid::with_origin(anchor, side, radius, dim, pos), anchor, side)
 }
 
