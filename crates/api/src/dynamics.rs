@@ -111,16 +111,6 @@ impl DynamicTopology {
         self.events.len() - self.cursor
     }
 
-    /// Whether `v` is currently alive (not crashed).
-    pub fn is_alive(&self, v: NodeId) -> bool {
-        self.alive[v.index()]
-    }
-
-    /// Whether `v` is currently an active jammer.
-    pub fn is_jammer(&self, v: NodeId) -> bool {
-        self.jammer[v.index()]
-    }
-
     /// Current number of undirected overlay edges.
     pub fn current_edge_count(&self) -> usize {
         self.adj.iter().map(Vec::len).sum::<usize>() / 2

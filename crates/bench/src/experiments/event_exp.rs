@@ -51,11 +51,9 @@ const PERIOD_BURSTS: u64 = 32768;
 /// during a one-iteration burst window at the start of every period, and
 /// sleep (deaf) in between; listeners stay passive through the whole
 /// horizon. Between bursts nothing is scheduled — exactly the silent-span
-/// shape the event kernel exists for. Shared with `benches/kernel.rs` so
-/// the criterion bench measures the exact workload the E19 bar is
-/// asserted on.
+/// shape the event kernel exists for.
 #[derive(Clone)]
-pub struct BurstDecay {
+struct BurstDecay {
     schedule: DecaySchedule,
     burst: u64,
     period: u64,
@@ -69,7 +67,7 @@ impl BurstDecay {
     /// A node running `bursts` duty cycles of one Decay iteration each,
     /// `period_bursts` iterations apart (duty cycle `1/period_bursts`).
     /// Transmitters carry `Some(message)`; `None` is a passive listener.
-    pub fn new(schedule: DecaySchedule, period_bursts: u64, bursts: u64, msg: Option<u64>) -> Self {
+    fn new(schedule: DecaySchedule, period_bursts: u64, bursts: u64, msg: Option<u64>) -> Self {
         let burst = schedule.steps_per_iteration() as u64;
         let period = period_bursts * burst;
         BurstDecay {
@@ -84,7 +82,7 @@ impl BurstDecay {
     }
 
     /// The phase length: every node is done or retired by this step.
-    pub fn horizon(&self) -> u64 {
+    fn horizon(&self) -> u64 {
         self.horizon
     }
 
@@ -296,12 +294,11 @@ pub fn e19_event(scale: Scale) -> ExperimentRecord {
         FACEOFF_SOURCES,
     ));
     // Like E15's bar, timing is soft: a contended runner must not abort the
-    // batch (the criterion `kernel` bench is the stable measurement;
-    // correctness is the hard asserts above).
+    // batch (correctness is the hard asserts above).
     if speedup < 5.0 {
         record.note(format!(
             "WARNING: measured speedup {speedup:.1}x is below the 5x bar — expected only \
-             under heavy host contention; see benches/kernel.rs for the stable measurement"
+             under heavy host contention; re-run E19 on an idle host"
         ));
         eprintln!("E19: WARNING: event/sparse speedup {speedup:.1}x below the 5x bar");
     }

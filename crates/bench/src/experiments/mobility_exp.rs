@@ -38,9 +38,8 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// Uniform 2D unit-disk geometry at expected degree ≈ 10 (shared with
-/// `benches/mobility.rs` so the criterion bench measures the exact
-/// population the E17 acceptance bar is asserted on).
-pub fn udg_geometry(n: usize, seed: u64) -> Geometry {
+/// E18 and E19).
+pub(crate) fn udg_geometry(n: usize, seed: u64) -> Geometry {
     let side = (n as f64 * std::f64::consts::PI / 10.0).sqrt();
     let mut rng = StdRng::seed_from_u64(seed);
     let points = (0..n).map(|_| [rng.gen::<f64>() * side, rng.gen::<f64>() * side, 0.0]).collect();
@@ -49,8 +48,8 @@ pub fn udg_geometry(n: usize, seed: u64) -> Geometry {
 
 /// Dwell-heavy micromobility: short local legs, long pauses — the
 /// sensor-field regime where almost everything is stationary at any
-/// instant (shared with `benches/mobility.rs`).
-pub fn dwell_heavy_waypoint() -> MobilityModel {
+/// instant (shared with E19).
+pub(crate) fn dwell_heavy_waypoint() -> MobilityModel {
     MobilityModel::RandomWaypoint(WaypointParams {
         speed_lo: 0.04,
         speed_hi: 0.08,

@@ -41,10 +41,11 @@ mod traffic_exp;
 
 pub use broadcast_exp::{e11_ablations, e8_broadcast, e9_leader_election};
 pub use cluster_exp::{e5_cluster_distance, e6_bad_j, e7_lemma4};
-pub use event_exp::{e19_event, BurstDecay};
+pub use event_exp::e19_event;
 pub use facade_exp::e16_facade;
 pub use mis_exp::{e10_golden_rounds, e3_mis_scaling, e4_mis_baselines};
-pub use mobility_exp::{dwell_heavy_waypoint, e17_mobility, udg_geometry};
+pub use mobility_exp::e17_mobility;
+pub(crate) use mobility_exp::{dwell_heavy_waypoint, udg_geometry};
 pub use models_exp::e13_models;
 pub use primitives_exp::{e12_calibration, e1_decay, e2_eed};
 pub use scenarios_exp::e14_scenarios;

@@ -111,7 +111,6 @@ pub const TRACE_CAP: usize = 512;
 pub struct MobileTopology {
     dim: usize,
     rule: GeometryRule,
-    radius: f64,
     coin_seed: u64,
     /// Engine steps per mobility tick.
     tick: u64,
@@ -165,7 +164,6 @@ impl MobileTopology {
         let mut topo = MobileTopology {
             dim,
             rule: geometry.rule.clone(),
-            radius,
             coin_seed: mix(seed ^ 0xc01),
             tick,
             motion,
@@ -225,11 +223,6 @@ impl MobileTopology {
     /// Current node positions.
     pub fn positions(&self) -> &[[f64; 3]] {
         &self.pos
-    }
-
-    /// The interaction radius (grid cell floor and speed unit).
-    pub fn interaction_radius(&self) -> f64 {
-        self.radius
     }
 
     /// Current number of derived undirected edges.

@@ -95,11 +95,6 @@ impl<M: Clone> DecayProtocol<M> {
     pub fn heard_any(&self) -> bool {
         !self.heard.is_empty()
     }
-
-    /// Whether this node is in the transmitting set.
-    pub fn is_transmitter(&self) -> bool {
-        self.message.is_some()
-    }
 }
 
 impl<M: Clone> Protocol for DecayProtocol<M> {

@@ -172,11 +172,6 @@ impl ResultCache {
         })
     }
 
-    /// An in-memory cache with the default budget and no persistence.
-    pub fn in_memory() -> ResultCache {
-        ResultCache::open(CacheConfig::default()).expect("no persistence, cannot fail")
-    }
-
     /// A snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
         self.inner.lock().expect("cache poisoned").stats

@@ -31,11 +31,12 @@ impl ServiceClient {
     /// I/O failures and unparseable response lines. A transport-level
     /// error is distinct from `ok: false`, which this returns unchanged.
     pub fn call(&mut self, request: &Request) -> io::Result<Response> {
-        let line = serde_json::to_string(request)
+        let mut line = serde_json::to_string(request)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        // One write per line: a separate write of the newline would wait
+        // out the peer's delayed ACK under Nagle's algorithm.
+        line.push('\n');
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
         let mut reply = String::new();
         if self.reader.read_line(&mut reply)? == 0 {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "service closed"));

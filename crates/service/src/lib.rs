@@ -15,9 +15,9 @@
 //!   byte-for-byte, so a stale or corrupted entry cannot survive silently.
 //! * [`queue`] — a **bounded job queue** (std `Mutex`/`Condvar`, no new
 //!   dependencies) feeding a worker pool, with explicit job states
-//!   (`queued → running → done | failed`, `queued → cancelled`),
-//!   backpressure ([`SubmitError::QueueFull`](queue::SubmitError) beyond
-//!   the high-water mark), cancellation, and per-job timing.
+//!   (`queued → running → done | failed`), backpressure
+//!   ([`SubmitError::QueueFull`](queue::SubmitError) beyond the high-water
+//!   mark), and per-job timing.
 //! * [`protocol`] / [`server`] / [`client`] — a newline-delimited JSON
 //!   request/response protocol (`submit`, `status`, `result`, `sweep`,
 //!   `stats`, `shutdown`) served over `std::net::TcpListener` by a

@@ -96,7 +96,7 @@ pub struct ServiceStats {
     pub cache: CacheStats,
     /// Jobs accepted and still live (queued or running).
     pub jobs_live: u64,
-    /// Jobs in a terminal state (done, failed, or cancelled).
+    /// Jobs in a terminal state (done or failed).
     pub jobs_terminal: u64,
     /// Submissions rejected by backpressure.
     pub rejected: u64,
@@ -118,8 +118,7 @@ pub struct Response {
     pub error: Option<String>,
     /// `submit`: the accepted job's id; `status`/`result`: echoed back.
     pub id: Option<u64>,
-    /// Job state name (`queued`, `running`, `done`, `failed`,
-    /// `cancelled`).
+    /// Job state name (`queued`, `running`, `done`, `failed`).
     pub state: Option<String>,
     /// Whether the result came from the cache.
     pub cache_hit: Option<bool>,

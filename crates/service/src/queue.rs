@@ -1,5 +1,5 @@
-//! The bounded job queue: backpressure, cancellation, and monotone job
-//! states over std `Mutex`/`Condvar` — no new dependencies.
+//! The bounded job queue: backpressure and monotone job states over std
+//! `Mutex`/`Condvar` — no new dependencies.
 //!
 //! Producers [`submit`](JobQueue::submit) specs; beyond the capacity
 //! high-water mark submission fails fast with
@@ -10,13 +10,12 @@
 //! deterministic property tests drive), run them, and
 //! [`complete`](JobQueue::complete) them.
 //!
-//! **State machine.** `Queued → Running → Done | Failed`, plus
-//! `Queued → Cancelled`. Transitions are checked at the single mutation
-//! point (the private `Inner::transition`), so an illegal move (e.g. completing a
-//! cancelled job, cancelling a running one) is impossible by construction
-//! — the queue-semantics proptest then verifies the *observable* story:
-//! states only ever move forward, and every accepted job reaches a
-//! terminal state once workers drain the queue.
+//! **State machine.** `Queued → Running → Done | Failed`. Transitions are
+//! checked at the single mutation point (the private `Inner::transition`),
+//! so an illegal move (e.g. completing a job twice) is impossible by
+//! construction — the queue-semantics proptest then verifies the
+//! *observable* story: states only ever move forward, and every accepted
+//! job reaches a terminal state once workers drain the queue.
 
 // Nearest-rank quantiles come from the workspace-shared helper so the
 // queue's latency summary and the traffic layer's delivery percentiles can
@@ -43,10 +42,6 @@ pub enum JobState {
     Done,
     /// Finished with an error.
     Failed,
-    /// Cancelled while still queued (running jobs cannot be cancelled —
-    /// the engine has no preemption point, and a deterministic run is
-    /// cheap enough to let finish).
-    Cancelled,
 }
 
 impl JobState {
@@ -55,7 +50,7 @@ impl JobState {
         match self {
             JobState::Queued => 0,
             JobState::Running => 1,
-            JobState::Done | JobState::Failed | JobState::Cancelled => 2,
+            JobState::Done | JobState::Failed => 2,
         }
     }
 
@@ -64,14 +59,13 @@ impl JobState {
         self.rank() == 2
     }
 
-    /// The wire name (`queued`, `running`, `done`, `failed`, `cancelled`).
+    /// The wire name (`queued`, `running`, `done`, `failed`).
     pub fn name(self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
             JobState::Done => "done",
             JobState::Failed => "failed",
-            JobState::Cancelled => "cancelled",
         }
     }
 }
@@ -150,8 +144,7 @@ struct Job {
 
 struct Inner {
     next_id: JobId,
-    /// Accepted-but-untaken ids in FIFO order; cancelled ids are lazily
-    /// skipped at take time (cancellation does not reshuffle the deque).
+    /// Accepted-but-untaken ids in FIFO order.
     pending: VecDeque<JobId>,
     jobs: HashMap<JobId, Job>,
     shutdown: bool,
@@ -165,9 +158,7 @@ impl Inner {
         assert!(to.rank() > job.state.rank(), "illegal job transition {:?} → {to:?}", job.state);
         match to {
             JobState::Running => job.started = Some(Instant::now()),
-            JobState::Done | JobState::Failed | JobState::Cancelled => {
-                job.finished = Some(Instant::now());
-            }
+            JobState::Done | JobState::Failed => job.finished = Some(Instant::now()),
             JobState::Queued => unreachable!("rank check rejects moves back to Queued"),
         }
         job.state = to;
@@ -216,11 +207,7 @@ impl JobQueue {
         if inner.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
-        // Count only live pending entries: lazily-skipped cancellations
-        // must not eat capacity, or backpressure would lie.
-        let backlog =
-            inner.pending.iter().filter(|id| inner.jobs[id].state == JobState::Queued).count();
-        if backlog >= self.capacity {
+        if inner.pending.len() >= self.capacity {
             return Err(SubmitError::QueueFull { capacity: self.capacity });
         }
         let id = inner.next_id;
@@ -241,19 +228,6 @@ impl JobQueue {
         inner.pending.push_back(id);
         self.ready.notify_one();
         Ok(id)
-    }
-
-    /// Cancels a job iff it is still queued; returns whether it did.
-    pub fn cancel(&self, id: JobId) -> bool {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        match inner.jobs.get(&id) {
-            Some(job) if job.state == JobState::Queued => {
-                inner.transition(id, JobState::Cancelled);
-                self.settled.notify_all();
-                true
-            }
-            _ => false,
-        }
     }
 
     /// Blocking worker intake: waits for a queued job, marks it running,
@@ -277,17 +251,11 @@ impl JobQueue {
         Self::pop_queued(&mut self.inner.lock().expect("queue poisoned"))
     }
 
-    /// Pops the first still-queued pending id and marks it running.
+    /// Pops the oldest pending id and marks it running.
     fn pop_queued(inner: &mut Inner) -> Option<(JobId, RunSpec)> {
-        while let Some(id) = inner.pending.pop_front() {
-            if inner.jobs[&id].state == JobState::Queued {
-                inner.transition(id, JobState::Running);
-                let spec = inner.jobs[&id].spec.clone();
-                return Some((id, spec));
-            }
-            // Cancelled while pending: drop the stale deque entry.
-        }
-        None
+        let id = inner.pending.pop_front()?;
+        inner.transition(id, JobState::Running);
+        Some((id, inner.jobs[&id].spec.clone()))
     }
 
     /// Worker hand-back: a running job finished with a served report
@@ -337,20 +305,16 @@ impl JobQueue {
     }
 
     /// Queue wait / run-time quantiles over every terminal job, or `None`
-    /// before the first job finishes. Cancelled jobs contribute their
-    /// queue wait but no run time sample (they never ran).
+    /// before the first job finishes.
     pub fn latency(&self) -> Option<QueueLatency> {
         let inner = self.inner.lock().expect("queue poisoned");
         let mut queued: Vec<u64> = Vec::new();
         let mut run: Vec<u64> = Vec::new();
         for job in inner.jobs.values() {
-            if !job.state.is_terminal() {
-                continue;
-            }
-            // Same derivations as `snapshot`, without cloning the report.
-            let queued_end = job.started.or(job.finished).expect("terminal jobs are stamped");
-            queued.push(queued_end.duration_since(job.submitted).as_micros() as u64);
+            // Same derivations as `snapshot`, without cloning the report;
+            // only terminal jobs are stamped `finished`.
             if let (Some(s), Some(f)) = (job.started, job.finished) {
+                queued.push(s.duration_since(job.submitted).as_micros() as u64);
                 run.push(f.duration_since(s).as_micros() as u64);
             }
         }
@@ -379,8 +343,7 @@ impl JobQueue {
 
 /// Builds the observable snapshot of a job record.
 fn snapshot(id: JobId, job: &Job) -> JobSnapshot {
-    let queued_end = job.started.or(job.finished);
-    let queued_micros = match queued_end {
+    let queued_micros = match job.started {
         Some(t) => t.duration_since(job.submitted).as_micros() as u64,
         None => job.submitted.elapsed().as_micros() as u64,
     };
@@ -436,43 +399,9 @@ mod tests {
         q.submit(spec(2)).unwrap();
         let err = q.submit(spec(3)).unwrap_err();
         assert_eq!(err, SubmitError::QueueFull { capacity: 2 });
-        // Cancelling a pending job frees its slot immediately.
-        let id = q.submit_front_cancel();
-        assert!(q.submit(spec(4)).is_ok(), "cancelled job {id} must not eat capacity");
-    }
-
-    impl JobQueue {
-        /// Test helper: cancel the oldest pending job, returning its id.
-        fn submit_front_cancel(&self) -> JobId {
-            let id = *self.inner.lock().unwrap().pending.front().unwrap();
-            assert!(self.cancel(id));
-            id
-        }
-    }
-
-    #[test]
-    fn cancellation_only_while_queued() {
-        let q = JobQueue::new(4);
-        let id = q.submit(spec(1)).unwrap();
-        let (taken, _) = q.try_take().unwrap();
-        assert_eq!(taken, id);
-        assert!(!q.cancel(id), "running jobs cannot be cancelled");
-        q.complete(id, Err("boom".into()));
-        assert!(!q.cancel(id), "terminal jobs cannot be cancelled");
-        let snap = q.status(id).unwrap();
-        assert_eq!(snap.state, JobState::Failed);
-        assert_eq!(snap.error.as_deref(), Some("boom"));
-    }
-
-    #[test]
-    fn cancelled_jobs_never_reach_workers() {
-        let q = JobQueue::new(8);
-        let a = q.submit(spec(1)).unwrap();
-        let b = q.submit(spec(2)).unwrap();
-        assert!(q.cancel(a));
-        let (taken, _) = q.try_take().unwrap();
-        assert_eq!(taken, b, "the cancelled head is skipped");
-        assert!(q.try_take().is_none());
+        // Taking a pending job frees its slot immediately.
+        let (id, _) = q.try_take().unwrap();
+        assert!(q.submit(spec(4)).is_ok(), "running job {id} must not eat capacity");
     }
 
     #[test]
@@ -490,7 +419,8 @@ mod tests {
             })
         };
         let id = q.submit(spec(1)).unwrap();
-        assert_eq!(q.wait_terminal(id).unwrap().state, JobState::Failed);
+        let snap = q.wait_terminal(id).unwrap();
+        assert_eq!((snap.state, snap.error.as_deref()), (JobState::Failed, Some("drained")));
         q.shutdown();
         assert_eq!(worker.join().unwrap(), 1);
         assert_eq!(q.submit(spec(2)).unwrap_err(), SubmitError::ShuttingDown);

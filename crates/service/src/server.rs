@@ -248,9 +248,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
 /// One client session: request lines in, response lines out, until EOF or
 /// a `shutdown` command.
-fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
+fn serve_connection(shared: &Shared, mut stream: TcpStream) -> io::Result<()> {
     let reader = io::BufReader::new(stream.try_clone()?);
-    let mut writer = io::BufWriter::new(stream);
     for line in reader.lines() {
         let line = line?;
         if line.trim().is_empty() {
@@ -263,11 +262,12 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         };
         request_watch.stop(Some(&shared.registry), "service_request_micros");
         shared.registry.count("service_requests", 1);
-        let encoded = serde_json::to_string(&response)
+        let mut encoded = serde_json::to_string(&response)
             .unwrap_or_else(|e| format!("{{\"ok\":false,\"error\":\"encode: {e}\"}}"));
-        writer.write_all(encoded.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        // One write per line: a newline sent on its own would wait out the
+        // client's delayed ACK under Nagle's algorithm.
+        encoded.push('\n');
+        stream.write_all(encoded.as_bytes())?;
         if stop {
             shared.begin_shutdown();
             break;
@@ -277,7 +277,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
 }
 
 /// Executes one request; the bool asks the session loop to begin
-/// shutdown after the response is flushed.
+/// shutdown after the response is sent.
 fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
     match request.cmd.as_str() {
         "submit" => (handle_submit(shared, request), false),

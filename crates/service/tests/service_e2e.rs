@@ -6,6 +6,7 @@
 use radionet_api::{Driver, RunSpec};
 use radionet_graph::families::Family;
 use radionet_service::{CacheConfig, Service, ServiceClient, ServiceConfig, ServiceHandle};
+use std::time::{Duration, Instant};
 
 fn tiny(seed: u64) -> RunSpec {
     RunSpec::new("broadcast", Family::Grid, 16).with_seed(seed)
@@ -152,6 +153,41 @@ fn an_invalid_spec_fails_its_job_and_the_worker_survives() {
     assert!(error.contains("invalid spec"), "{error}");
     let done = client.submit_wait(&tiny(5)).unwrap();
     assert_eq!(done.state.as_deref(), Some("done"), "the worker must survive");
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// Each request and response line goes out in one write. A line sent as
+/// two writes (the JSON, then its newline) stalls every round on the
+/// peer's delayed ACK under Nagle's algorithm, about 40 ms on Linux, so
+/// these rounds would take seconds instead of milliseconds.
+#[test]
+fn wire_rounds_do_not_stall_on_split_writes() {
+    let config = ServiceConfig {
+        cache: CacheConfig { audit_fraction: 0.0, ..CacheConfig::default() },
+        ..ServiceConfig::default()
+    };
+    let (handle, mut client) = start(config);
+    let started = Instant::now();
+    for _ in 0..100 {
+        client.stats().unwrap();
+    }
+    let stats_wall = started.elapsed();
+    assert!(stats_wall < Duration::from_secs(1), "100 stats rounds took {stats_wall:?}");
+
+    // A 12-cell sweep reply is over 8 KB: a buffered server writer passes
+    // a line larger than its buffer straight through and sends the newline
+    // alone.
+    let specs: Vec<RunSpec> =
+        (0..12).map(|seed| RunSpec::new("luby-mis", Family::Grid, 36).with_seed(seed)).collect();
+    client.sweep(&specs, 2).unwrap();
+    let started = Instant::now();
+    for _ in 0..40 {
+        let (_, hits) = client.sweep(&specs, 2).unwrap();
+        assert_eq!(hits, vec![true; 12], "the repeated sweep is pure cache traffic");
+    }
+    let sweep_wall = started.elapsed();
+    assert!(sweep_wall < Duration::from_secs(1), "40 cached sweeps took {sweep_wall:?}");
     client.shutdown().unwrap();
     handle.join();
 }
