@@ -448,11 +448,23 @@ mod tests {
             tick: 1,
             sample_every: None,
         });
+        // Each SINR parameter is valid, but the decode range overflows; or
+        // every coordinate is finite, but the padded bounding box is not.
+        let mut overflowing = radionet_sim::SinrConfig::geometric();
+        overflowing.path_loss = 1e-5;
+        overflowing.noise = 0.1;
+        let far_apart: Vec<[f64; 3]> =
+            (0..36).map(|i| [if i % 2 == 0 { -1e308 } else { 1e308 }, 0.0, 0.0]).collect();
+        let far_apart = radionet_sim::SinrConfig::for_unit_range(far_apart, 1.0);
         let specs = [
             RunSpec::new("broadcast", Family::RandomRegular, 4),
             RunSpec::new("broadcast", Family::Grid, 36).with_dynamics(partition(0)),
             RunSpec::new("broadcast", Family::Grid, 36).with_dynamics(partition(1)),
             RunSpec::new("broadcast", Family::UnitDisk, 36).with_dynamics(stalled),
+            RunSpec::new("broadcast", Family::UnitDisk, 36)
+                .with_reception(ReceptionMode::Sinr(overflowing)),
+            RunSpec::new("broadcast", Family::UnitDisk, 36)
+                .with_reception(ReceptionMode::Sinr(far_apart)),
         ];
         for spec in specs {
             let err = driver.run(&spec).unwrap_err();

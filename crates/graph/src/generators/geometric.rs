@@ -22,8 +22,8 @@
 //! together with its embedding, so experiments can relate graph quantities
 //! (α, D) back to geometry.
 
-use crate::geometry::{Euclidean2, Euclidean3, Metric, Point2, Point3};
-use crate::spatial::for_each_candidate_pair;
+use crate::geometry::{Metric, Point2, Point3};
+use crate::spatial::{for_each_candidate_pair, within};
 use crate::{Graph, GraphBuilder};
 use rand::Rng;
 
@@ -80,19 +80,19 @@ where
 
 /// The graph on `points` whose edges are the pairs `keep` accepts among
 /// those [`for_each_candidate_pair`] proposes for `radius`, which `keep`
-/// sees in lexicographic order. `radius` must bound the distance of every
-/// pair `keep` can accept.
+/// sees in lexicographic order together with their `[x, y, z]` positions.
+/// `radius` must bound the distance of every pair `keep` can accept.
 fn grid_graph<P: Clone>(
     points: &[P],
     xyz: fn(&P) -> [f64; 3],
     dim: usize,
     radius: f64,
-    mut keep: impl FnMut(usize, usize) -> bool,
+    mut keep: impl FnMut(usize, usize, &[f64; 3], &[f64; 3]) -> bool,
 ) -> GeometricInstance<P> {
     let pos: Vec<[f64; 3]> = points.iter().map(xyz).collect();
     let mut b = GraphBuilder::new(points.len());
     for_each_candidate_pair(&pos, dim, radius, |i, j| {
-        if keep(i, j) {
+        if keep(i, j, &pos[i], &pos[j]) {
             b.add_edge(i, j);
         }
     });
@@ -103,7 +103,7 @@ fn grid_graph<P: Clone>(
 ///
 /// Any points are accepted; the spatial grid spans their bounding box.
 pub fn unit_disk(points: &[Point2]) -> GeometricInstance<Point2> {
-    grid_graph(points, Point2::xyz, 2, 1.0, |i, j| Euclidean2.dist(&points[i], &points[j]) <= 1.0)
+    grid_graph(points, Point2::xyz, 2, 1.0, |_, _, a, b| within(a, b, 2, 1.0))
 }
 
 /// Unit disk graph on `n` uniform points in `[0, side)²` with unit radius.
@@ -126,7 +126,7 @@ pub fn unit_ball3_in_cube<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> GeometricInstance<Point3> {
     let pts = uniform_points3(n, side, rng);
-    grid_graph(&pts, Point3::xyz, 3, 1.0, |i, j| Euclidean3.dist(&pts[i], &pts[j]) <= 1.0)
+    grid_graph(&pts, Point3::xyz, 3, 1.0, |_, _, a, b| within(a, b, 3, 1.0))
 }
 
 /// Quasi unit disk graph (paper, Section 1.3): edges are certain below
@@ -149,9 +149,8 @@ pub fn quasi_unit_disk<R2: Rng + ?Sized>(
 ) -> GeometricInstance<Point2> {
     assert!(r > 0.0 && big_r >= r, "need 0 < r <= R");
     assert!((0.0..=1.0).contains(&gray_p), "gray_p must be a probability");
-    grid_graph(points, Point2::xyz, 2, big_r, |i, j| {
-        let d = Euclidean2.dist(&points[i], &points[j]);
-        d <= r || (d <= big_r && rng.gen::<f64>() < gray_p)
+    grid_graph(points, Point2::xyz, 2, big_r, |_, _, a, b| {
+        within(a, b, 2, r) || (within(a, b, 2, big_r) && rng.gen::<f64>() < gray_p)
     })
 }
 
@@ -185,8 +184,8 @@ pub fn geometric_radio_undirected(points: &[Point2], ranges: &[f64]) -> Geometri
     assert_eq!(points.len(), ranges.len(), "one range per point");
     assert!(ranges.iter().all(|&r| r >= 0.0), "ranges must be nonnegative");
     let max_range = ranges.iter().copied().fold(0.0, f64::max);
-    grid_graph(points, Point2::xyz, 2, max_range, |i, j| {
-        Euclidean2.dist(&points[i], &points[j]) <= ranges[i].min(ranges[j])
+    grid_graph(points, Point2::xyz, 2, max_range, |i, j, a, b| {
+        within(a, b, 2, ranges[i].min(ranges[j]))
     })
 }
 
@@ -203,7 +202,7 @@ pub fn uniform_ranges<R: Rng + ?Sized>(n: usize, r_lo: f64, r_hi: f64, rng: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::{Chebyshev2, Torus2};
+    use crate::geometry::{Chebyshev2, Euclidean2, Torus2};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -15,6 +15,12 @@
 //! additionally bounds the far-field interference search to an arbitrary
 //! radius). It lives in this crate — below mobility and the simulator — so
 //! neither has to depend on the other.
+//!
+//! Beside the index sit the two distance primitives of the `[x, y, z]`
+//! point layout: [`dist3`], the Euclidean distance, and [`within`], the
+//! adjacency decision `distance ≤ r` that the geometric generators and the
+//! mobile topology share, so a pair on the boundary gets the same answer
+//! in both.
 
 /// Euclidean distance between two `[x, y, z]` points (2D points carry
 /// `z = 0`, so one routine serves both dimensions). The shared distance
@@ -22,6 +28,44 @@
 #[inline]
 pub fn dist3(a: &[f64; 3], b: &[f64; 3]) -> f64 {
     ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt()
+}
+
+/// Relative half-width of the band around `r²` in which [`within`] does not
+/// trust the squared distance. The squared distance and `r²` each carry at
+/// most a few ulps of rounding (about `2⁻⁵¹`) and libm's `hypot` at most
+/// one ulp, so `2⁻⁴⁰` leaves a margin of about three orders of magnitude.
+const WITHIN_BAND: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Whether `a` and `b` are within distance `r`: exactly the value of
+/// `hypot(dx, dy) <= r` for `dim == 2` (the `z` coordinates are ignored)
+/// and of `sqrt(dx² + dy² + dz²) <= r` otherwise, which are the distances
+/// [`Euclidean2`](crate::geometry::Euclidean2) and
+/// [`Euclidean3`](crate::geometry::Euclidean3) compute.
+///
+/// Outside a relative band of `2⁻⁴⁰` around `r²` the squared distance
+/// decides, since its rounding cannot move a pair across the boundary
+/// there; inside the band, or when a squared value is not a finite normal
+/// number, the exact expression does. The square root and `hypot` are
+/// therefore evaluated only for pairs almost exactly `r` apart.
+#[inline]
+pub fn within(a: &[f64; 3], b: &[f64; 3], dim: usize, r: f64) -> bool {
+    let (dx, dy, dz) = (a[0] - b[0], a[1] - b[1], a[2] - b[2]);
+    let planar = dx.powi(2) + dy.powi(2);
+    let sq = if dim == 2 { planar } else { planar + dz.powi(2) };
+    let r2 = r * r;
+    if r > 0.0 && sq.is_normal() && r2.is_normal() {
+        if sq < r2 * (1.0 - WITHIN_BAND) {
+            return true;
+        }
+        if sq > r2 * (1.0 + WITHIN_BAND) {
+            return false;
+        }
+    }
+    if dim == 2 {
+        dx.hypot(dy) <= r
+    } else {
+        sq.sqrt() <= r
+    }
 }
 
 /// Per-axis bounding box of the positions — the domain a spatial index
@@ -434,6 +478,62 @@ mod tests {
         let mut cand = Vec::new();
         grid.for_candidates(pts[0], |j| cand.push(j));
         assert_eq!(cand.len(), 10);
+    }
+
+    /// The exact expressions [`within`] must reproduce.
+    fn within_exact(a: &[f64; 3], b: &[f64; 3], dim: usize, r: f64) -> bool {
+        let (dx, dy) = (a[0] - b[0], a[1] - b[1]);
+        if dim == 2 {
+            dx.hypot(dy) <= r
+        } else {
+            dist(a, b) <= r
+        }
+    }
+
+    #[test]
+    fn within_is_exact_at_the_boundary_and_one_ulp_either_side() {
+        let pairs: [([f64; 3], [f64; 3], usize); 3] = [
+            ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 2),
+            ([0.0, 0.0, 0.0], [0.6, 0.8, 0.0], 2),
+            ([0.0, 0.0, 0.0], [1.0, 2.0, 2.0], 3),
+        ];
+        for (a, b, dim) in pairs {
+            let d = if dim == 2 { (a[0] - b[0]).hypot(a[1] - b[1]) } else { dist(&a, &b) };
+            for r in [d.next_down(), d, d.next_up()] {
+                assert_eq!(
+                    within(&a, &b, dim, r),
+                    within_exact(&a, &b, dim, r),
+                    "{a:?}-{b:?} r {r}"
+                );
+                assert_eq!(
+                    within(&b, &a, dim, r),
+                    within_exact(&b, &a, dim, r),
+                    "{b:?}-{a:?} r {r}"
+                );
+            }
+            assert!(within(&a, &b, dim, d) && !within(&a, &b, dim, d.next_down()));
+        }
+    }
+
+    #[test]
+    fn within_matches_the_exact_expression_everywhere() {
+        let mut rng = SmallRng::seed_from_u64(21);
+        let odd = [0.0, -0.0, f64::MIN_POSITIVE, 1e-170, 1e160, f64::INFINITY, f64::NAN];
+        for dim in [2usize, 3] {
+            let pts = points(300, dim, 3.0, 7 + dim as u64);
+            for w in pts.windows(2) {
+                let d = dist(&w[0], &w[1]);
+                for r in [rng.gen::<f64>() * 3.0, d, d * (1.0 + 1e-13), -1.0] {
+                    assert_eq!(within(&w[0], &w[1], dim, r), within_exact(&w[0], &w[1], dim, r));
+                }
+            }
+            for &c in &odd {
+                for &r in &odd {
+                    let (a, b) = ([0.0; 3], [c, c, if dim == 3 { c } else { 0.0 }]);
+                    assert_eq!(within(&a, &b, dim, r), within_exact(&a, &b, dim, r), "{c} {r}");
+                }
+            }
+        }
     }
 
     #[test]

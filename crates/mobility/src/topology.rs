@@ -23,7 +23,7 @@
 //! instance is a pure function of `(points, rule, seed)` — the same pair at
 //! the same distance always gets the same answer, under every strategy.
 
-use crate::grid::SpatialGrid;
+use crate::grid::{within, SpatialGrid};
 use crate::mix;
 use crate::model::{MobilityModel, Motion};
 use radionet_graph::families::{Geometry, GeometryRule};
@@ -266,17 +266,6 @@ impl MobileTopology {
         h
     }
 
-    #[inline]
-    fn dist(&self, i: usize, j: usize) -> f64 {
-        let (a, b) = (&self.pos[i], &self.pos[j]);
-        if self.dim == 2 {
-            // hypot matches the 2D generators bit-for-bit at the boundary.
-            (a[0] - b[0]).hypot(a[1] - b[1])
-        } else {
-            ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt()
-        }
-    }
-
     /// The deterministic gray-zone coin for pair `{i, j}`, uniform in
     /// `[0, 1)` and symmetric in the pair.
     #[inline]
@@ -289,13 +278,13 @@ impl MobileTopology {
     /// Whether the rule connects `{i, j}` at the current positions.
     #[inline]
     fn connected(&self, i: usize, j: usize) -> bool {
-        let d = self.dist(i, j);
+        let near = |r: f64| within(&self.pos[i], &self.pos[j], self.dim, r);
         match &self.rule {
-            GeometryRule::Disk { radius } => d <= *radius,
+            GeometryRule::Disk { radius } => near(*radius),
             GeometryRule::Quasi { r, big_r, gray_p } => {
-                d <= *r || (d <= *big_r && self.pair_coin(i, j) < *gray_p)
+                near(*r) || (near(*big_r) && self.pair_coin(i, j) < *gray_p)
             }
-            GeometryRule::Radio { ranges } => d <= ranges[i].min(ranges[j]),
+            GeometryRule::Radio { ranges } => near(ranges[i].min(ranges[j])),
         }
     }
 

@@ -230,3 +230,70 @@ proptest! {
         prop_assert_eq!(sparse.2, dense.2, "protocol state differs");
     }
 }
+
+/// An integer lattice puts many pairs at exactly an interaction radius:
+/// axis neighbours at 1 and 2 apart. While a pause-heavy waypoint fleet
+/// moves some nodes off the lattice, every index strategy must derive the
+/// generator's graph over the current points, tie pairs included, under
+/// the disk rule, both quasi radii and the radio ranges.
+#[test]
+fn lattice_ties_match_the_generators_under_every_strategy() {
+    use radionet_graph::generators::geometric::quasi_unit_disk;
+    use radionet_graph::generators::{geometric_radio_undirected, unit_disk};
+    use radionet_graph::geometry::Point2;
+    let (w, h) = (12usize, 10usize);
+    let n = w * h;
+    let points: Vec<[f64; 3]> = (0..n).map(|i| [(i % w) as f64, (i / w) as f64, 0.0]).collect();
+    let ranges: Vec<f64> = (0..n).map(|i| if i % 3 == 0 { 2.0 } else { 1.0 }).collect();
+    let model = MobilityModel::RandomWaypoint(WaypointParams {
+        speed_lo: 0.05,
+        speed_hi: 0.2,
+        pause_lo: 20,
+        pause_hi: 100,
+        range: 2.0,
+    });
+    let rules = [
+        GeometryRule::Disk { radius: 1.0 },
+        GeometryRule::Quasi { r: 1.0, big_r: 2.0, gray_p: 0.0 },
+        GeometryRule::Quasi { r: 1.0, big_r: 2.0, gray_p: 1.0 },
+        GeometryRule::Radio { ranges },
+    ];
+    let base = Graph::from_edges(n, []).unwrap();
+    for rule in rules {
+        // The quasi gray zone is certain either way at gray_p 0 and 1, so
+        // the generator's coin stream does not matter.
+        let generated = |pos: &[[f64; 3]]| {
+            let pts: Vec<Point2> = pos.iter().map(|p| Point2::new(p[0], p[1])).collect();
+            match &rule {
+                GeometryRule::Disk { .. } => unit_disk(&pts).graph,
+                GeometryRule::Quasi { r, big_r, gray_p } => {
+                    let mut rng = SmallRng::seed_from_u64(0);
+                    quasi_unit_disk(&pts, *r, *big_r, *gray_p, &mut rng).graph
+                }
+                GeometryRule::Radio { ranges } => geometric_radio_undirected(&pts, ranges).graph,
+            }
+        };
+        let geo = Geometry { points: points.clone(), dim: 2, side: w as f64, rule: rule.clone() };
+        let mut topos =
+            [IndexStrategy::Incremental, IndexStrategy::Rebuild, IndexStrategy::BruteForce]
+                .map(|s| MobileTopology::new(&geo, model, 1, 3).with_strategy(s));
+        if let GeometryRule::Disk { .. } = rule {
+            // Every axis neighbour is exactly one radius away.
+            assert_eq!(topos[0].current_edge_count(), 2 * n - w - h);
+        }
+        for clock in 0..30 {
+            for topo in &mut topos {
+                topo.advance_to(&base, clock);
+            }
+            let expected = generated(topos[0].positions());
+            for topo in &topos {
+                assert_eq!(
+                    topo.current_graph(),
+                    expected,
+                    "{rule:?}, {} strategy, clock {clock}",
+                    topo.strategy().name()
+                );
+            }
+        }
+    }
+}

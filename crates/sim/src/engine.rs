@@ -67,7 +67,9 @@
 use crate::injection::{injections_ordered, Injection};
 use crate::observer::{emit, journal, metrics, Observer, Quiet};
 use crate::protocol::{Action, NetInfo, NodeCtx, Protocol, Wake};
-use crate::reception::{dist3, FarFieldPolicy, PositionSource, ReceptionMode, SinrConfig};
+use crate::reception::{
+    dist3, FarFieldPolicy, PositionSource, ReceptionMode, SinrConfig, TxCoords,
+};
 use crate::stats::SimStats;
 use crate::topology::{StaticTopology, TopologyView};
 use radionet_graph::spatial::{capped_cell_width, position_bounds, SpatialGrid};
@@ -411,13 +413,15 @@ pub struct Sim<'g, T: TopologyView = StaticTopology, O: Observer = Quiet> {
     sched: SparseSched,
     // SINR-only scratch: per-listener strongest candidate gain, the
     // transmitter membership stamp + `tx_nodes` slot for the far-field
-    // ring search (and its candidate-collection buffer), and the
+    // ring search (and its candidate-collection buffer), this step's
+    // transmitter coordinates for the exact-decision filter, and the
     // decode-range spatial index (rebuilt when the position version
     // changes). Empty/None under the protocol models.
     sinr_best: Vec<f64>,
     tx_mark: Vec<u64>,
     tx_slot: Vec<u32>,
     cutoff_cands: Vec<u32>,
+    tx_coords: TxCoords,
     sinr_grid: Option<SpatialGrid>,
     sinr_grid_version: u64,
     /// The domain the grid layout was built for (`[lo, lo + side]` per
@@ -569,6 +573,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
             tx_mark: if sinr { vec![0; graph.n()] } else { Vec::new() },
             tx_slot: if sinr { vec![0; graph.n()] } else { Vec::new() },
             cutoff_cands: Vec::new(),
+            tx_coords: TxCoords::default(),
             sinr_grid: None,
             sinr_grid_version: 0,
             sinr_grid_lo: [0.0; 3],
@@ -1272,6 +1277,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                     let grid = self.sinr_grid.as_ref().expect("built above");
                     let floor = cfg.near_field_floor();
                     let epoch = self.stamp_epoch;
+                    self.tx_coords.gather(pos, &self.tx_nodes);
                     // Cutoff mode: fix this step's truncation radius once
                     // (eps and the transmitter count don't change within
                     // a step — the powf has no business in the
@@ -1319,7 +1325,10 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                     // threshold is exact: the true strongest transmitter
                     // of such a listener (candidate or not) is below
                     // threshold too, so the dense kernel also neither
-                    // delivers nor counts a collision for it.
+                    // delivers nor counts a collision for it. The rest
+                    // are decided by the exact-decision filter (see the
+                    // reception module docs) and, near the threshold, by
+                    // the exact interference sum.
                     let touched = std::mem::take(&mut self.sched.touched);
                     for &w32 in &touched {
                         let wi = w32 as usize;
@@ -1336,50 +1345,47 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                             });
                             continue;
                         }
-                        let total = match cutoff {
-                            // Exact interference: the sum runs over all
-                            // transmitters in `ti` order — the identical
-                            // floating-point reduction the dense kernel
-                            // computes.
-                            None => {
-                                let mut sum = 0.0;
-                                for &t in &self.tx_nodes {
-                                    sum +=
-                                        cfg.gain_clamped(dist3(&pos[t as usize], &pos[wi]), floor);
+                        // Cutoff: only transmitters within the
+                        // eps-calibrated radius contribute; the omitted
+                        // tail is ≤ eps·noise in total (see
+                        // FarFieldPolicy::Cutoff). Their slots are
+                        // collected from the ring walk.
+                        let mut cands = std::mem::take(&mut self.cutoff_cands);
+                        cands.clear();
+                        if let Some(cut) = cutoff {
+                            grid.for_candidates_within(pos[wi], cut, |cand| {
+                                let ci = cand as usize;
+                                if self.tx_mark[ci] == epoch {
+                                    cands.push(self.tx_slot[ci]);
                                 }
-                                sum
-                            }
-                            // Cutoff: only transmitters within the
-                            // eps-calibrated radius contribute; the
-                            // omitted tail is ≤ eps·noise in total (see
-                            // FarFieldPolicy::Cutoff). Candidates are
-                            // collected from the ring walk, then summed
-                            // in `ti` order — the same floating-point
-                            // reduction order as Exact — so a radius
-                            // wide enough to reach every transmitter
-                            // reproduces the Exact sum bit-for-bit
-                            // instead of merely up to rounding.
-                            Some(cut) => {
-                                let mut cands = std::mem::take(&mut self.cutoff_cands);
-                                cands.clear();
-                                grid.for_candidates_within(pos[wi], cut, |cand| {
-                                    let ci = cand as usize;
-                                    if self.tx_mark[ci] == epoch {
-                                        cands.push(self.tx_slot[ci]);
-                                    }
-                                });
-                                cands.sort_unstable();
-                                let mut sum = 0.0;
-                                for &ti in &cands {
-                                    let t = self.tx_nodes[ti as usize] as usize;
-                                    sum += cfg.gain_clamped(dist3(&pos[t], &pos[wi]), floor);
-                                }
-                                self.cutoff_cands = cands;
-                                sum
-                            }
-                        };
-                        let sinr = best / (cfg.noise + (total - best));
-                        if sinr >= cfg.threshold {
+                            });
+                        }
+                        let slots = cutoff.map(|_| cands.as_slice());
+                        let terms = slots.map_or(self.tx_nodes.len(), <[u32]>::len);
+                        let approx = self.tx_coords.interference(cfg, floor, &pos[wi], slots);
+                        let decodes =
+                            cfg.decide_filtered(best, approx, terms).unwrap_or_else(|| {
+                                // The exact sum in `ti` order: the dense
+                                // kernel's floating-point reduction. Cutoff
+                                // candidates are sorted into that order too, so
+                                // a radius wide enough to reach every
+                                // transmitter reproduces the Exact sum
+                                // bit-for-bit instead of merely up to rounding.
+                                let gain = |t: u32| {
+                                    cfg.gain_clamped(dist3(&pos[t as usize], &pos[wi]), floor)
+                                };
+                                let total = if cutoff.is_some() {
+                                    cands.sort_unstable();
+                                    cands.iter().fold(0.0, |sum, &ti| {
+                                        sum + gain(self.tx_nodes[ti as usize])
+                                    })
+                                } else {
+                                    self.tx_nodes.iter().fold(0.0, |sum, &t| sum + gain(t))
+                                };
+                                best / (cfg.noise + (total - best)) >= cfg.threshold
+                            });
+                        self.cutoff_cands = cands;
+                        if decodes {
                             let ti = self.from[wi] as usize;
                             let mut ctx = NodeCtx {
                                 time: local_t,

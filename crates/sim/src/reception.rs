@@ -52,6 +52,40 @@
 //! interference sum at the distance where **total** omitted interference
 //! is provably at most `eps · noise`, trading a one-sided ≤ `eps·noise`
 //! under-estimate of the denominator for locality at scale.
+//!
+//! # Exact decisions
+//!
+//! A listener's outcome is the single comparison
+//! `best / (N + (I − best)) ≥ β`, where `I` is the interference sum in
+//! transmitter order, each term `P·powf(max(d, floor), −α)`. The sparse
+//! and event kernels decide it without the `powf` sum whenever the answer
+//! provably cannot differ:
+//!
+//! * Once per step they gather the transmitters' coordinates into reused
+//!   buffers. Per listener they sum an approximate interference `Ĩ` in any
+//!   order, over the same transmitters the exact sum covers (all of them,
+//!   or the cutoff candidates). Each term uses the same effective distance
+//!   `x = max(d, floor)` as the exact term. It is `P / x^k`, by
+//!   multiplication, when `α` is an integer `k ≤ 8`, and the exact term
+//!   itself otherwise.
+//! * [`SinrConfig::decide_filtered`] compares the approximate denominator
+//!   `N + (Ĩ − best)` with the critical one, `best / β`. It returns the
+//!   outcome only when their distance exceeds an **absolute** bound on how
+//!   far the exact denominator can be from the approximate one. The bound
+//!   covers a per-term error of `2⁻⁴⁸` (libm `powf` within 8 ulps plus one
+//!   rounding; `k − 1` multiplications and one division), the summation
+//!   error of both sums (`T·ε` for `T` terms, any order), an absolute
+//!   underflow allowance per term, and the rounding of the final
+//!   subtraction, addition and division. It must be absolute: the
+//!   near-field cap puts `best` up to about `10⁹ ×` the noise, so no fixed
+//!   relative tolerance on the SINR is sound. It also returns no outcome
+//!   unless every intermediate is a finite normal number.
+//! * Otherwise the kernel computes the exact sum in transmitter order —
+//!   the dense kernel's reduction order — and compares as before.
+//!
+//! The decision therefore equals the unfiltered one bit for bit, and
+//! reports stay identical across kernels. The dense kernel is the
+//! unfiltered reference: it always sums with `powf` in transmitter order.
 
 use serde::{Deserialize, Serialize};
 
@@ -59,6 +93,7 @@ use serde::{Deserialize, Serialize};
 // geometry layer; re-exported here so reception consumers need no direct
 // `radionet_graph` import.
 pub use radionet_graph::spatial::dist3;
+use radionet_graph::spatial::position_bounds;
 
 /// Where SINR reception reads node positions from.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -143,6 +178,27 @@ pub struct SinrConfig {
     pub far_field: FarFieldPolicy,
 }
 
+/// Relative error bound of one interference term of either sum against
+/// `P·x^{-α}` at the same effective distance `x` (module docs, "Exact
+/// decisions"): `2⁻⁴⁸`, which covers libm `powf` within 8 ulps plus the
+/// multiplication by `P`, and the `k − 1` multiplications and one division
+/// of the approximate term for `k ≤ MAX_FAST_EXPONENT`.
+const TERM_ERROR: f64 = 1.0 / (1u64 << 48) as f64;
+
+/// Absolute error allowance of one term, per unit of `max(P, 1)`, for
+/// terms whose intermediates underflow or whose `x^k` overflows: both the
+/// exact and the approximate term then lie in `[0, max(P, 1)·2⁻¹⁰²¹]`.
+const TERM_UNDERFLOW: f64 = 4.0 * f64::MIN_POSITIVE;
+
+/// The largest integer path-loss exponent whose approximate interference
+/// term is multiplied out rather than computed with `powf`.
+const MAX_FAST_EXPONENT: u32 = 8;
+
+/// The most terms a filtered decision accepts; it keeps the summation
+/// error bound `T·ε` below `2⁻²²`, where the bound's first-order
+/// derivation holds.
+const MAX_FILTERED_TERMS: usize = 1 << 30;
+
 /// Effective-distance floor as a fraction of the calibrated decode range
 /// (the near-field model; see the module docs). With the default `β = 2`,
 /// `α = 3` calibration this caps the co-located gain at `2·10⁹ ×` the
@@ -218,6 +274,26 @@ impl SinrConfig {
                 return Err("SINR position snapshot contains a non-finite coordinate".into());
             }
         }
+        // The decode range sizes the sparse kernel's spatial index, which
+        // pads the points' bounding box by one decode range on each side.
+        let decode = self.decode_range();
+        if !(decode.is_normal() && (2.0 * decode).is_finite()) {
+            return Err(format!(
+                "SINR decode range (P/(N·β))^(1/α) = {decode:e} must be a normal number whose \
+                 double is finite"
+            ));
+        }
+        if let PositionSource::Snapshot(points) = &self.positions {
+            let (lo, hi) = position_bounds(points);
+            let padded = |a: usize| {
+                (lo[a] - decode).is_finite() && (hi[a] - lo[a] + 2.0 * decode).is_finite()
+            };
+            if !points.is_empty() && !(0..3).all(padded) {
+                return Err(
+                    "SINR position snapshot spans too far for its decode-range index".into()
+                );
+            }
+        }
         Ok(())
     }
 
@@ -261,6 +337,153 @@ impl SinrConfig {
     pub fn cutoff_distance(&self, eps: f64, tx_count: usize) -> f64 {
         let d = (self.power * tx_count as f64 / (eps * self.noise)).powf(1.0 / self.path_loss);
         d.max(self.decode_range())
+    }
+
+    /// The path-loss exponent as an integer `k ≤ 8`, if it is one: the
+    /// approximate interference term is then `P / x^k` by multiplication
+    /// (module docs, "Exact decisions").
+    pub(crate) fn integer_path_loss(&self) -> Option<u32> {
+        (1..=MAX_FAST_EXPONENT).find(|&k| self.path_loss == f64::from(k))
+    }
+
+    /// Decides a listener's reception, `best / (N + (I − best)) ≥ β`, from
+    /// an approximate interference sum `approx_total` of `terms` terms
+    /// instead of the exact sum `I` (module docs, "Exact decisions").
+    ///
+    /// Returns `Some(decodes)` only when the approximate denominator
+    /// `N + (approx_total − best)` is farther from the critical
+    /// denominator `best / β` than the derived bound on its distance from
+    /// the exact one, and every intermediate is a finite normal number;
+    /// the outcome then equals the exact comparison's. Returns `None`
+    /// otherwise: the caller must sum exactly.
+    pub(crate) fn decide_filtered(
+        &self,
+        best: f64,
+        approx_total: f64,
+        terms: usize,
+    ) -> Option<bool> {
+        let (noise, power) = (self.noise, self.power);
+        // A finite 16·Ĩ and 16·Ĩ/P keep every exact and approximate term,
+        // and `powf(x, −α)` itself, below f64::MAX / 15: no term of either
+        // sum overflowed, and the fast `x^k` did not underflow.
+        let in_range = best.is_normal()
+            && approx_total.is_normal()
+            && noise.is_normal()
+            && power.is_normal()
+            && (16.0 * approx_total).is_finite()
+            && (16.0 * approx_total / power).is_finite();
+        if !in_range || terms > MAX_FILTERED_TERMS {
+            return None;
+        }
+        let t = terms as f64;
+        let critical = best / self.threshold;
+        let approx = noise + (approx_total - best);
+        // |exact sum − Ĩ| ≤ 2(ρ + γ)·Ĩ + 2T·ω to first order (ρ per-term,
+        // γ = T·ε summation, ω underflow allowance); the factor 3 absorbs
+        // the higher-order terms. The last term bounds the rounding of both
+        // denominators, of `best / β` and of this margin arithmetic.
+        let bound = 3.0 * (TERM_ERROR + t * f64::EPSILON) * approx_total
+            + 3.0 * t * power.max(1.0) * TERM_UNDERFLOW
+            + 8.0 * f64::EPSILON * (noise + approx_total + best + critical);
+        if !(critical.is_normal() && approx.is_normal() && bound.is_finite()) {
+            return None;
+        }
+        let margin = critical - approx;
+        if margin > bound {
+            Some(true)
+        } else if margin < -bound {
+            Some(false)
+        } else {
+            None
+        }
+    }
+}
+
+/// This step's transmitter coordinates in transmitter order, one reused
+/// buffer per axis: the input of the approximate interference sums of the
+/// exact-decision filter (module docs, "Exact decisions").
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TxCoords {
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    zs: Vec<f64>,
+}
+
+impl TxCoords {
+    /// Gathers the positions of the transmitters `tx`, in order.
+    pub(crate) fn gather(&mut self, pos: &[[f64; 3]], tx: &[u32]) {
+        self.xs.clear();
+        self.ys.clear();
+        self.zs.clear();
+        for &u in tx {
+            let [x, y, z] = pos[u as usize];
+            self.xs.push(x);
+            self.ys.push(y);
+            self.zs.push(z);
+        }
+    }
+
+    /// The approximate interference at `at`: the sum, in no particular
+    /// order, of every gathered transmitter's term (`slots = None`) or of
+    /// the terms of the transmitters at `slots`. Each term takes the same
+    /// effective distance as [`SinrConfig::gain_clamped`]; it is
+    /// `P / x^k` by multiplication for an integer exponent `k ≤ 8`, and
+    /// the exact term otherwise.
+    pub(crate) fn interference(
+        &self,
+        cfg: &SinrConfig,
+        floor: f64,
+        at: &[f64; 3],
+        slots: Option<&[u32]>,
+    ) -> f64 {
+        let (p, f) = (cfg.power, floor);
+        match cfg.integer_path_loss() {
+            Some(1) => self.fast_sum::<1>(at, slots, p, f),
+            Some(2) => self.fast_sum::<2>(at, slots, p, f),
+            Some(3) => self.fast_sum::<3>(at, slots, p, f),
+            Some(4) => self.fast_sum::<4>(at, slots, p, f),
+            Some(5) => self.fast_sum::<5>(at, slots, p, f),
+            Some(6) => self.fast_sum::<6>(at, slots, p, f),
+            Some(7) => self.fast_sum::<7>(at, slots, p, f),
+            Some(8) => self.fast_sum::<8>(at, slots, p, f),
+            _ => self.sum(at, slots, |d| cfg.gain_clamped(d, floor)),
+        }
+    }
+
+    /// [`sum`](TxCoords::sum) of the terms `P / x^K`, `x = max(d, floor)`,
+    /// with `x^K` multiplied out (`K` is a constant so the product unrolls).
+    fn fast_sum<const K: u32>(&self, at: &[f64; 3], slots: Option<&[u32]>, p: f64, f: f64) -> f64 {
+        self.sum(at, slots, |d| {
+            let x = d.max(f);
+            let mut xk = x;
+            for _ in 1..K {
+                xk *= x;
+            }
+            p / xk
+        })
+    }
+
+    /// The sum of `gain(distance)` over the selected transmitters.
+    fn sum(&self, at: &[f64; 3], slots: Option<&[u32]>, gain: impl Fn(f64) -> f64) -> f64 {
+        let term = |x: f64, y: f64, z: f64| gain(dist3(&[x, y, z], at));
+        if let Some(slots) = slots {
+            let at_slot = |j: usize| term(self.xs[j], self.ys[j], self.zs[j]);
+            return slots.iter().map(|&j| at_slot(j as usize)).sum();
+        }
+        // Four independent accumulators keep the square roots and
+        // divisions of consecutive terms in flight together.
+        let (xs, ys, zs) =
+            (self.xs.chunks_exact(4), self.ys.chunks_exact(4), self.zs.chunks_exact(4));
+        let tail: f64 = (xs.remainder().iter().zip(ys.remainder()).zip(zs.remainder()))
+            .map(|((&x, &y), &z)| term(x, y, z))
+            .sum();
+        let mut lanes = [0.0; 4];
+        for ((x, y), z) in xs.zip(ys).zip(zs) {
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                *lane += term(x[l], y[l], z[l]);
+            }
+        }
+        (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
     }
 }
 
@@ -357,9 +580,168 @@ mod tests {
         assert!(bad.validate().is_err());
         let bad = good.clone().with_far_field(FarFieldPolicy::Cutoff(-1.0));
         assert!(bad.validate().is_err());
-        let mut bad = good;
+        let mut bad = good.clone();
         bad.positions = PositionSource::Snapshot(vec![[0.0, f64::INFINITY, 0.0]]);
         assert!(bad.validate().is_err());
+        // Every parameter is fine on its own, but the decode range
+        // (P/(N·β))^(1/α) = 5^100000 overflows, and with it the grid side.
+        let mut bad = good;
+        bad.path_loss = 1e-5;
+        bad.noise = 0.1;
+        assert!(bad.decode_range().is_infinite());
+        assert!(bad.validate().unwrap_err().contains("decode range"));
+        // Finite coordinates whose padded bounding box overflows.
+        let far = SinrConfig::for_unit_range(vec![[-1e308, 0.0, 0.0], [1e308, 0.0, 0.0]], 1.0);
+        assert!(far.validate().unwrap_err().contains("spans too far"));
+    }
+
+    #[test]
+    fn filtered_decision_defers_at_the_threshold() {
+        let cfg = SinrConfig::geometric();
+        // A lone transmitter exactly at the decode range: SINR = β exactly.
+        let best = cfg.threshold * cfg.noise;
+        assert_eq!(cfg.decide_filtered(best, best, 1), None);
+        // One ulp of approximate interference either way changes nothing.
+        assert_eq!(cfg.decide_filtered(best, best.next_up(), 1), None);
+        assert_eq!(cfg.decide_filtered(best, best.next_down(), 1), None);
+    }
+
+    #[test]
+    fn filtered_decision_settles_clear_cases() {
+        let cfg = SinrConfig::geometric();
+        let (n, beta) = (cfg.noise, cfg.threshold);
+        // A lone strong link, even at the near-field cap (best ≈ 10⁹·N).
+        for best in [10.0 * beta * n, cfg.gain(0.0)] {
+            assert_eq!(cfg.decide_filtered(best, best, 1), Some(true));
+            assert_eq!(cfg.decide_filtered(best, best * (1.0 + 1e-9), 500), Some(true));
+        }
+        // Overwhelming interference drowns a decodable signal.
+        let best = 4.0 * beta * n;
+        assert_eq!(cfg.decide_filtered(best, best + 1e6 * n, 1000), Some(false));
+        // Just past the boundary on either side, with a margin far above
+        // the rounding bound, both outcomes are settled.
+        let critical = best / beta;
+        let at = |denominator: f64| best + denominator - n;
+        assert_eq!(cfg.decide_filtered(best, at(critical * (1.0 - 1e-9)), 64), Some(true));
+        assert_eq!(cfg.decide_filtered(best, at(critical * (1.0 + 1e-9)), 64), Some(false));
+        // Within the bound the exact sum must decide.
+        assert_eq!(cfg.decide_filtered(best, at(critical * (1.0 + 1e-15)), 64), None);
+    }
+
+    #[test]
+    fn filtered_decision_rejects_non_finite_and_non_normal_inputs() {
+        let cfg = SinrConfig::geometric();
+        let best = 10.0;
+        for bad in [f64::NAN, f64::INFINITY, 0.0, f64::MIN_POSITIVE / 2.0, f64::MAX] {
+            assert_eq!(cfg.decide_filtered(bad, best, 1), None, "best {bad}");
+            assert_eq!(cfg.decide_filtered(best, bad, 1), None, "total {bad}");
+        }
+        let mut tiny_noise = cfg.clone();
+        tiny_noise.noise = f64::MIN_POSITIVE / 4.0;
+        assert_eq!(tiny_noise.decide_filtered(best, best, 1), None);
+        // A total this far above the power means some term overflowed.
+        let mut weak = cfg;
+        weak.power = f64::MIN_POSITIVE;
+        assert_eq!(weak.decide_filtered(best, 1e300, 1), None);
+    }
+
+    #[test]
+    fn approximate_interference_tracks_the_exact_sum() {
+        let pts: Vec<[f64; 3]> =
+            (0..37).map(|i| [(i * 7 % 11) as f64 * 0.3, (i * 5 % 13) as f64 * 0.2, 0.0]).collect();
+        let tx: Vec<u32> = (0..37).step_by(2).collect();
+        let mut coords = TxCoords::default();
+        coords.gather(&pts, &tx);
+        let slots: Vec<u32> = vec![0, 3, 4, 9];
+        for path_loss in [2.0, 3.0, 4.0, 2.5, 9.0] {
+            let mut cfg = SinrConfig::for_unit_range(pts.clone(), 1.0);
+            cfg.path_loss = path_loss;
+            let fast = [2.0, 3.0, 4.0].contains(&path_loss).then_some(path_loss as u32);
+            assert_eq!(cfg.integer_path_loss(), fast);
+            let floor = cfg.near_field_floor();
+            let at = pts[1];
+            let exact = |sel: &mut dyn Iterator<Item = u32>| {
+                sel.fold(0.0, |s, t| s + cfg.gain_clamped(dist3(&pts[t as usize], &at), floor))
+            };
+            let all = exact(&mut tx.iter().copied());
+            let some = exact(&mut slots.iter().map(|&j| tx[j as usize]));
+            let approx_all = coords.interference(&cfg, floor, &at, None);
+            let approx_some = coords.interference(&cfg, floor, &at, Some(&slots));
+            assert!((approx_all / all - 1.0).abs() < 1e-13, "alpha {path_loss}");
+            assert!((approx_some / some - 1.0).abs() < 1e-13, "alpha {path_loss}");
+        }
+    }
+
+    /// The filter against the exact comparison on random 3D layouts whose
+    /// threshold is set to the exact SINR times `1 + rel`, from an exact
+    /// tie out to a margin of 10⁻⁶: every settled decision must equal the
+    /// exact one, and the wide margins must settle.
+    #[test]
+    fn filtered_decisions_equal_exact_ones_near_the_threshold() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(19);
+        let (mut settled, mut wide) = (0, 0);
+        for case in 0..1400 {
+            let path_loss = [1.0, 2.0, 2.5, 3.0, 4.0, 5.5, 8.0][case % 7];
+            let terms = rng.gen_range(1..160usize);
+            let side = rng.gen_range(0.2..12.0);
+            let pts: Vec<[f64; 3]> =
+                (0..=terms).map(|_| [(); 3].map(|_| rng.gen::<f64>() * side)).collect();
+            let mut cfg = SinrConfig::for_unit_range(pts.clone(), 1.0);
+            cfg.path_loss = path_loss;
+            let floor = cfg.near_field_floor();
+            let tx: Vec<u32> = (1..=terms as u32).collect();
+            let mut coords = TxCoords::default();
+            coords.gather(&pts, &tx);
+            let at = pts[0];
+            let gains = tx.iter().map(|&u| cfg.gain_clamped(dist3(&pts[u as usize], &at), floor));
+            let (total, best) = gains.fold((0.0, 0.0f64), |(s, b), g| (s + g, b.max(g)));
+            let approx = coords.interference(&cfg, floor, &at, None);
+            let sinr = best / (cfg.noise + (total - best));
+            for rel in [0.0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-10, -1e-10, 1e-6, -1e-6] {
+                cfg.threshold = sinr * (1.0 + rel);
+                let exact = best / (cfg.noise + (total - best)) >= cfg.threshold;
+                if let Some(decodes) = cfg.decide_filtered(best, approx, terms) {
+                    assert_eq!(decodes, exact, "case {case}, alpha {path_loss}, rel {rel}");
+                    settled += 1;
+                    wide += usize::from(rel.abs() == 1e-6);
+                }
+            }
+        }
+        assert_eq!(wide, 2 * 1400, "a 10⁻⁶ margin must always settle");
+        assert!(settled > 3 * 1400, "only {settled} decisions settled");
+    }
+
+    /// Summation order matters most when a near-field term dwarfs many far
+    /// ones: in transmitter order each far term is below half an ulp of the
+    /// running sum and vanishes, while the approximate sum's other lanes
+    /// collect them. With the threshold between the two outcomes the filter
+    /// must defer to the exact sum.
+    #[test]
+    fn summation_order_differences_stay_inside_the_bound() {
+        let far = 1000;
+        let mut pts = vec![[0.0; 3], [0.0; 3]];
+        pts.extend((0..far).map(|i| {
+            let angle = i as f64 * std::f64::consts::TAU / far as f64;
+            [272.0 * angle.cos(), 272.0 * angle.sin(), 0.0]
+        }));
+        let mut cfg = SinrConfig::for_unit_range(pts.clone(), 1.0);
+        let floor = cfg.near_field_floor();
+        let tx: Vec<u32> = (1..pts.len() as u32).collect();
+        let mut coords = TxCoords::default();
+        coords.gather(&pts, &tx);
+        let at = pts[0];
+        let gains = tx.iter().map(|&u| cfg.gain_clamped(dist3(&pts[u as usize], &at), floor));
+        let (total, best) = gains.fold((0.0, 0.0f64), |(s, b), g| (s + g, b.max(g)));
+        assert_eq!(total, best, "every far term vanishes in transmitter order");
+        let approx = coords.interference(&cfg, floor, &at, None);
+        let gap = approx - total;
+        assert!(gap > 1e-5, "the lanes keep the far terms: gap {gap}");
+        // Critical denominator halfway: the exact sum decodes, Ĩ would not.
+        cfg.threshold = best / (cfg.noise + gap / 2.0);
+        assert!(best / (cfg.noise + (total - best)) >= cfg.threshold);
+        assert_eq!(cfg.decide_filtered(best, approx, tx.len()), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use radionet_graph::{Graph, GraphBuilder, NodeId};
 use radionet_sim::{
     injections_ordered, Action, Injection, Kernel, NetInfo, NodeCtx, PhaseReport, Protocol,
-    ReceptionMode, Sim, SimStats, TopologyView, Wake,
+    ReceptionMode, Sim, SimStats, SinrConfig, TopologyView, Wake,
 };
 use rand::Rng;
 
@@ -429,8 +429,45 @@ fn arb_positions(n: usize) -> impl Strategy<Value = Vec<[f64; 3]>> {
         .prop_map(move |raw| raw.into_iter().map(|(x, y)| [x * side, y * side, 0.0]).collect())
 }
 
-fn sinr_mode(points: Vec<[f64; 3]>) -> ReceptionMode {
-    ReceptionMode::Sinr(radionet_sim::SinrConfig::for_unit_range(points, 1.0))
+/// The path-loss exponents the SINR proptests draw: the integer ones whose
+/// approximate interference terms the sparse kernel multiplies out, and a
+/// fractional one whose terms keep `powf`.
+fn arb_path_loss() -> impl Strategy<Value = f64> {
+    (0usize..4).prop_map(|i| [2.0, 3.0, 4.0, 2.5][i])
+}
+
+/// SINR with decode range `range` at path-loss exponent `alpha`, with the
+/// noise calibrated as in `SinrConfig::for_unit_range`: a lone transmitter
+/// exactly `range` away has SINR exactly β.
+fn sinr_config(points: Vec<[f64; 3]>, alpha: f64, range: f64) -> SinrConfig {
+    let mut cfg = SinrConfig::for_unit_range(points, range);
+    cfg.path_loss = alpha;
+    cfg.noise = cfg.power * range.powf(-alpha) / cfg.threshold;
+    cfg
+}
+
+fn sinr_mode(points: Vec<[f64; 3]>, alpha: f64, range: f64) -> ReceptionMode {
+    ReceptionMode::Sinr(sinr_config(points, alpha, range))
+}
+
+/// The positions of an SINR case and their decode range: the given
+/// `scatter` at range 1, or — with `lattice` — as many nodes on an integer
+/// lattice with spacings 3 and 4 at range 5. On the lattice, diagonal
+/// neighbours form 3-4-5 triangles exactly at the decode range, so a lone
+/// transmitter there has SINR exactly β, and every fifth node shares its
+/// predecessor's point, far below the near-field floor.
+fn sinr_layout(lattice: bool, scatter: Vec<[f64; 3]>) -> (Vec<[f64; 3]>, f64) {
+    if !lattice {
+        return (scatter, 1.0);
+    }
+    let width = 2 + scatter.len() % 5;
+    let points = (0..scatter.len())
+        .map(|i| {
+            let k = if i % 5 == 4 { i - 1 } else { i };
+            [(k % width) as f64 * 3.0, (k / width) as f64 * 4.0, 0.0]
+        })
+        .collect();
+    (points, 5.0)
 }
 
 /// Extracts the externally observable state for comparison.
@@ -604,28 +641,33 @@ proptest! {
 
     /// SINR reception on a static topology: the spatially-indexed sparse
     /// resolution must be bit-identical to the dense O(L×T) scan —
-    /// reports, stats (incl. the fallback counter), RNG streams, state.
+    /// reports, stats (incl. the fallback counter), RNG streams, state —
+    /// under every path-loss exponent, on a scatter and on the lattice
+    /// whose links sit exactly on the decision boundary.
     #[test]
     fn talkers_agree_under_sinr(
         g in arb_graph(),
         seed in 0u64..1000,
         p in 1u32..700,
         steps in 1u64..60,
+        alpha in arb_path_loss(),
+        lattice in any::<bool>(),
     ) {
         let n = g.n();
         let view = ScriptView::new(vec![None; n], vec![None; n]);
+        let (pts, range) = sinr_layout(lattice, (0..n).map(|i| {
+            // Deterministic scatter keyed on the seed: positions must
+            // be identical across the kernel runs.
+            let h = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i as u64);
+            let side = (n as f64).sqrt() * 1.8 + 1.0;
+            let x = (h % 1024) as f64 / 1024.0 * side;
+            let y = ((h >> 10) % 1024) as f64 / 1024.0 * side;
+            [x, y, 0.0]
+        }).collect());
         let [a, b, c] = all_kernels_with(
             |_| Talker { p_milli: p, sent: 0, heard: Vec::new() },
             &view, &g, seed, steps,
-            sinr_mode((0..n).map(|i| {
-                // Deterministic scatter keyed on the seed: positions must
-                // be identical across the two kernel runs.
-                let h = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i as u64);
-                let side = (n as f64).sqrt() * 1.8 + 1.0;
-                let x = (h % 1024) as f64 / 1024.0 * side;
-                let y = ((h >> 10) % 1024) as f64 / 1024.0 * side;
-                [x, y, 0.0]
-            }).collect()),
+            sinr_mode(pts, alpha, range),
         );
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&b, &c);
@@ -640,18 +682,20 @@ proptest! {
         positions_seed in 0u64..1000,
         seed in 0u64..1000,
         steps in 1u64..60,
+        alpha in arb_path_loss(),
+        lattice in any::<bool>(),
     ) {
         let (g, view) = case;
         let n = g.n();
         let side = (n as f64).sqrt() * 1.8 + 1.0;
-        let pts: Vec<[f64; 3]> = (0..n).map(|i| {
+        let (pts, range) = sinr_layout(lattice, (0..n).map(|i| {
             let h = positions_seed.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(i as u64 * 7);
             [(h % 2048) as f64 / 2048.0 * side, ((h >> 11) % 2048) as f64 / 2048.0 * side, 0.0]
-        }).collect();
+        }).collect());
         let [a, b, c] = all_kernels_with(
             |_| Talker { p_milli: 300, sent: 0, heard: Vec::new() },
             &view, &g, seed, steps,
-            sinr_mode(pts),
+            sinr_mode(pts, alpha, range),
         );
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&b, &c);
@@ -667,10 +711,13 @@ proptest! {
         seed in 0u64..1000,
         active_for in 1u64..16,
         steps in 1u64..90,
+        alpha in arb_path_loss(),
+        lattice in any::<bool>(),
     ) {
         let n = g.n();
         let mut pts = pts;
         pts.resize(n, [0.5, 0.5, 0.0]);
+        let (pts, range) = sinr_layout(lattice, pts);
         let view = ScriptView::new(vec![None; n], vec![None; n]);
         let [a, b, c] = all_kernels_with(
             |i| Flooder {
@@ -680,7 +727,7 @@ proptest! {
                 heard: 0,
             },
             &view, &g, seed, steps,
-            sinr_mode(pts),
+            sinr_mode(pts, alpha, range),
         );
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&b, &c);
@@ -696,14 +743,17 @@ proptest! {
         pts in (3usize..32).prop_flat_map(arb_positions),
         seed in 0u64..1000,
         steps in 1u64..50,
+        alpha in arb_path_loss(),
+        lattice in any::<bool>(),
     ) {
-        use radionet_sim::{FarFieldPolicy, SinrConfig};
+        use radionet_sim::FarFieldPolicy;
         let n = g.n();
         let mut pts = pts;
         pts.resize(n, [0.5, 0.5, 0.0]);
+        let (pts, range) = sinr_layout(lattice, pts);
         let view = ScriptView::new(vec![None; n], vec![None; n]);
         let run = |far_field| {
-            let cfg = SinrConfig::for_unit_range(pts.clone(), 1.0).with_far_field(far_field);
+            let cfg = sinr_config(pts.clone(), alpha, range).with_far_field(far_field);
             all_kernels_with(
                 |_| Talker { p_milli: 400, sent: 0, heard: Vec::new() },
                 &view, &g, seed, steps,
@@ -769,6 +819,42 @@ fn cd_jam_and_churn_agree() {
         let sparse = run(Kernel::Sparse);
         assert_eq!(sparse, run(Kernel::Dense), "seed {seed}");
         assert_eq!(sparse, run(Kernel::Event), "seed {seed}");
+    }
+}
+
+/// Links on the SINR decision boundary: a lone transmitter exactly at the
+/// decode range gives its listener SINR exactly β, which decodes; a second,
+/// distant transmitter pushes that listener just below β, while a listener
+/// sharing the second transmitter's point hears it at the near-field cap.
+/// Every kernel and far-field policy must agree under every exponent.
+#[test]
+fn boundary_links_decide_identically_on_every_kernel() {
+    use radionet_sim::FarFieldPolicy;
+    let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
+    let view = ScriptView::new(vec![None; 4], vec![None; 4]);
+    // Node 1 is a 3-4-5 hypotenuse (the decode range 5) from node 0; node
+    // 3 shares node 2's point.
+    let pts = vec![[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [30.0, 0.0, 0.0], [30.0, 0.0, 0.0]];
+    let steps = 10;
+    for alpha in [2.0, 3.0, 4.0, 2.5] {
+        for far_field in [FarFieldPolicy::Exact, FarFieldPolicy::Cutoff(1e-12)] {
+            for (second, deliveries, collisions) in [(false, steps, 0), (true, steps, steps)] {
+                let cfg = sinr_config(pts.clone(), alpha, 5.0).with_far_field(far_field);
+                let talks = |i: usize| i == 0 || (second && i == 2);
+                let [a, b, c] = all_kernels_with(
+                    |i| Talker { p_milli: if talks(i) { 1000 } else { 0 }, sent: 0, heard: vec![] },
+                    &view,
+                    &g,
+                    7,
+                    steps,
+                    ReceptionMode::Sinr(cfg),
+                );
+                let case = format!("alpha {alpha}, {far_field:?}, second talker {second}");
+                assert_eq!((a.0.deliveries, a.0.collisions), (deliveries, collisions), "{case}");
+                assert_eq!(a, b, "{case}");
+                assert_eq!(b, c, "{case}");
+            }
+        }
     }
 }
 
