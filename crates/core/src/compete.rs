@@ -423,7 +423,12 @@ impl Protocol for RoundNode {
 
     fn next_wake(&self, _now: u64) -> Wake {
         if self.best.is_some() {
-            // Informed: the background decay strands coin-flip most steps.
+            // Informed: act every step. The decay strands draw a coin only
+            // in blocks whose cluster coin is on (about one block in
+            // log n), and that coin is a pure hash of cluster, salt and
+            // block, so an exact hint needs no model change; but scanning
+            // ahead for the next such block on every hint costs more than
+            // the calls it saves (ROADMAP item 2).
             return Wake::Now;
         }
         // Uninformed: all four strands are silent and random-free, so the

@@ -139,7 +139,11 @@ enum Segment {
 pub struct MisNode {
     config: MisConfig,
     schedule: DecaySchedule,
-    log_n: u32,
+    /// Steps in one Decay segment, `d`: MarkDecay is `[0, d)`, MisDecay
+    /// `[d, 2d)` and EED `[2d, R)` of every round.
+    decay_steps: u64,
+    /// Steps in one round, `R`.
+    round_steps: u64,
     status: MisStatus,
     p: f64,
     marked: bool,
@@ -147,10 +151,8 @@ pub struct MisNode {
     eed: EedCounter,
     eed_heard: bool,
     prev_was_eed: bool,
-    /// Round the node joined the MIS (for staggered announcements it keeps
-    /// announcing in every later round's MisDecay segment).
+    /// Per-round trajectory (only with `record_history`).
     history: Vec<MisRoundRecord>,
-    elapsed: u64,
 }
 
 impl MisNode {
@@ -160,7 +162,8 @@ impl MisNode {
         MisNode {
             config,
             schedule: DecaySchedule::new(log_n),
-            log_n,
+            decay_steps: config.decay_steps(log_n),
+            round_steps: config.round_steps(log_n),
             status: MisStatus::Active,
             p: config.p0,
             marked: false,
@@ -169,7 +172,6 @@ impl MisNode {
             eed_heard: false,
             prev_was_eed: false,
             history: Vec::new(),
-            elapsed: 0,
         }
     }
 
@@ -184,7 +186,7 @@ impl MisNode {
     }
 
     fn segment(&self, t_in_round: u64) -> Segment {
-        let d = self.config.decay_steps(self.log_n);
+        let d = self.decay_steps;
         if t_in_round < d {
             Segment::MarkDecay
         } else if t_in_round < 2 * d {
@@ -211,7 +213,7 @@ impl MisNode {
             }
         }
         self.heard_marked = false;
-        self.eed = EedCounter::new(self.config.eed, self.log_n);
+        self.eed.restart();
         self.eed_heard = false;
         self.prev_was_eed = false;
     }
@@ -240,10 +242,8 @@ impl Protocol for MisNode {
 
     fn act(&mut self, ctx: &mut NodeCtx<'_>) -> Action<MisMsg> {
         let t = ctx.time;
-        self.elapsed = t;
-        let round_steps = self.config.round_steps(self.log_n);
-        let t_in_round = t % round_steps;
-        let d = self.config.decay_steps(self.log_n);
+        let t_in_round = t % self.round_steps;
+        let d = self.decay_steps;
 
         // Settle the previous EED step before anything else.
         if self.prev_was_eed && !self.eed.finished() {
@@ -300,9 +300,7 @@ impl Protocol for MisNode {
     }
 
     fn on_hear(&mut self, ctx: &mut NodeCtx<'_>, msg: &MisMsg) {
-        let round_steps = self.config.round_steps(self.log_n);
-        let t_in_round = ctx.time % round_steps;
-        match (self.segment(t_in_round), msg) {
+        match (self.segment(ctx.time % self.round_steps), msg) {
             (Segment::MarkDecay, MisMsg::Marked) => self.heard_marked = true,
             (Segment::MisDecay, MisMsg::InMis) if self.status == MisStatus::Active => {
                 self.status = MisStatus::Dominated;
@@ -323,20 +321,42 @@ impl Protocol for MisNode {
         self.status != MisStatus::Active
     }
 
-    fn next_wake(&self, _now: u64) -> Wake {
+    /// Exact windows, with `R` the round length, `d` the Decay segment
+    /// length and `τ` the next step's position in its round:
+    ///
+    /// * **Dominated:** `Retire`. The node idles in every segment, never
+    ///   transmits, never draws (`start_round`'s mark coin short-circuits
+    ///   on a non-Active status), and `Dominated` is absorbing.
+    /// * **InMis:** `Now` inside MisDecay `[d, 2d)`, where it draws a Decay
+    ///   coin every step. Elsewhere it sleeps until the next MisDecay
+    ///   start: in MarkDecay and EED `act` returns `Idle` with no coin, and
+    ///   the round-start resets touch only fields (`marked`,
+    ///   `heard_marked`, the EED counter) that a member never reads again.
+    /// * **Active:** `Now` at `τ = 0` (settle the last EED count, update
+    ///   `p`, draw the mark coin), through MarkDecay and at `τ = d` while
+    ///   marked (a Decay coin every step, then the join decision), and
+    ///   through EED `[2d, R)` (a coin every step). Otherwise — unmarked in
+    ///   MarkDecay, or undecided in MisDecay — `act` returns `Listen` with
+    ///   no coin until EED starts at round start `+ 2d`. Hearing still
+    ///   re-engages the node, so an InMis announcement dominates it.
+    ///
+    /// With `record_history` on every node keeps acting (a dominated one
+    /// included): `finish_round` stamps each node's last record at every
+    /// round boundary, and E10 reads those records.
+    fn next_wake(&self, now: u64) -> Wake {
+        if self.config.record_history {
+            return Wake::Now;
+        }
+        let (r, d) = (self.round_steps, self.decay_steps);
+        let tau = (now + 1) % r;
+        let round_start = now + 1 - tau;
         match self.status {
-            // Dominated nodes idle in every segment, never transmit, never
-            // draw randomness (`start_round`'s mark coin short-circuits on
-            // non-Active status), and `Dominated` is absorbing — the
-            // remaining round bookkeeping is unobservable. Except when
-            // history recording is on: `finish_round` then still updates
-            // the dominated node's last trajectory record at the next
-            // round boundary, which *is* observable (E10 measures it), so
-            // those runs must keep acting.
-            MisStatus::Dominated if !self.config.record_history => Wake::Retire,
-            // Active nodes coin-flip constantly; MIS members keep
-            // announcing in every round's MisDecay segment.
-            _ => Wake::Now,
+            MisStatus::Dominated => Wake::Retire,
+            MisStatus::InMis if (d..2 * d).contains(&tau) => Wake::Now,
+            MisStatus::InMis if tau < d => Wake::sleep_until(round_start + d),
+            MisStatus::InMis => Wake::sleep_until(round_start + r + d),
+            MisStatus::Active if tau == 0 || tau >= 2 * d || (self.marked && tau <= d) => Wake::Now,
+            MisStatus::Active => Wake::listen_until(round_start + 2 * d),
         }
     }
 }

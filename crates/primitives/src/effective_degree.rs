@@ -75,8 +75,12 @@ impl EedConfig {
 /// [`finished`](EedCounter::finished).
 #[derive(Clone, Copy, Debug)]
 pub struct EedCounter {
-    config: EedConfig,
-    log_n: u32,
+    /// Per-block High threshold ([`EedConfig::threshold`]).
+    threshold: u64,
+    /// Steps per block ([`EedConfig::block_steps`]).
+    block_steps: u64,
+    /// Number of blocks ([`EedConfig::blocks`]).
+    blocks: u64,
     /// Current block index `i` (0 ..= log n).
     block: u64,
     /// Step within the current block.
@@ -90,7 +94,20 @@ pub struct EedCounter {
 impl EedCounter {
     /// Starts a fresh execution.
     pub fn new(config: EedConfig, log_n: u32) -> Self {
-        EedCounter { config, log_n: log_n.max(1), block: 0, step: 0, count: 0, high: false }
+        EedCounter {
+            threshold: config.threshold(log_n),
+            block_steps: config.block_steps(log_n),
+            blocks: config.blocks(log_n),
+            block: 0,
+            step: 0,
+            count: 0,
+            high: false,
+        }
+    }
+
+    /// Rewinds to the start of a fresh execution with the same constants.
+    pub fn restart(&mut self) {
+        *self = EedCounter { block: 0, step: 0, count: 0, high: false, ..*self };
     }
 
     /// Probability with which the owner should transmit this step:
@@ -108,12 +125,12 @@ impl EedCounter {
         assert!(!self.finished(), "EedCounter advanced past its last step");
         if heard {
             self.count += 1;
-            if self.count >= self.config.threshold(self.log_n) {
+            if self.count >= self.threshold {
                 self.high = true;
             }
         }
         self.step += 1;
-        if self.step >= self.config.block_steps(self.log_n) {
+        if self.step >= self.block_steps {
             self.step = 0;
             self.count = 0;
             self.block += 1;
@@ -122,7 +139,7 @@ impl EedCounter {
 
     /// Whether all blocks have elapsed.
     pub fn finished(&self) -> bool {
-        self.block >= self.config.blocks(self.log_n)
+        self.block >= self.blocks
     }
 
     /// The verdict; `None` until [`finished`](EedCounter::finished).
@@ -247,6 +264,13 @@ mod tests {
         }
         assert!(k.finished());
         assert_eq!(k.verdict(), Some(EedVerdict::Low));
+        // A restart rewinds the state and keeps the 3 × 2 shape.
+        k.restart();
+        assert_eq!((k.finished(), k.verdict(), k.transmit_prob(0.5)), (false, None, 0.5));
+        for _ in 0..6 {
+            k.note(false);
+        }
+        assert!(k.finished());
     }
 
     #[test]

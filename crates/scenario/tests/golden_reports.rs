@@ -16,9 +16,11 @@
 //!
 //! Regenerate deliberately with
 //! `RADIONET_REGEN_FIXTURES=1 cargo test -p radionet-scenario --test golden_reports`
-//! and review the diff.
+//! and review the diff. A regenerated sparse line is checked against its
+//! dense run by [`sparse_lines_match_dense_runs`], which includes the
+//! extended cells that have no dense twin in the fixture.
 
-use radionet_api::{Driver, Executor, JsonlSink, RunSpec};
+use radionet_api::{Driver, Executor, JsonlSink, RunReport, RunSpec};
 use radionet_scenario::runner::{spec_for_cell, SweepConfig};
 use radionet_scenario::Scenario;
 use radionet_sim::{Kernel, ReceptionMode};
@@ -81,4 +83,34 @@ fn catalogue_reports_match_the_golden_fixture() {
         }
     }
     assert_eq!(fixture.len(), cells.len(), "the fixture pins a different number of cells");
+}
+
+/// Every sparse line equals a fresh run of its spec on the dense reference
+/// kernel, apart from the kernel itself and the two kernel-dependent
+/// counters that [`SimStats::kernel_invariant`](radionet_sim::SimStats)
+/// zeroes (`scheduler_events`, `silent_steps_skipped`).
+#[test]
+fn sparse_lines_match_dense_runs() {
+    let driver = Driver::standard();
+    let mut checked = 0;
+    for line in FIXTURE.lines() {
+        let mut want: RunReport = serde_json::from_str(line).expect("fixture line parses");
+        assert_eq!(serde_json::to_string(&want).unwrap(), line, "fixture line round-trips");
+        if want.spec.kernel != Kernel::Sparse {
+            continue;
+        }
+        let mut spec = want.spec.clone();
+        spec.kernel = Kernel::Dense;
+        let mut got = driver.run(&spec).expect("dense twin runs");
+        got.spec.kernel = Kernel::Sparse;
+        got.stats = got.stats.kernel_invariant();
+        want.stats = want.stats.kernel_invariant();
+        assert_eq!(
+            serde_json::to_string(&got).unwrap(),
+            serde_json::to_string(&want).unwrap(),
+            "sparse fixture line differs from its dense run"
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, 31, "22 catalogue cells and 9 mobility and traffic cells run sparse");
 }
