@@ -53,6 +53,13 @@ impl From<std::io::Error> for RunError {
     }
 }
 
+/// The version of what runs return. Bump it with every change that moves
+/// the bytes of a [`RunReport`]: an algorithm, a counter, a seed stream or
+/// the encoding. Persisted results record it, and a store written under
+/// another version is not served (see the `radionet-service` cache); the
+/// golden results fixture pins it together with its own digest.
+pub const RESULTS_VERSION: u32 = 1;
+
 /// The unified result of one run: the spec echoed back, the instantiated
 /// network's parameters, the task's [`TaskOutcome`], and the engine's
 /// counters — everything a sweep row or a regression fingerprint needs.

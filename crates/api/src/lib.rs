@@ -74,7 +74,7 @@ pub mod task;
 pub mod tasks;
 pub mod topology;
 
-pub use driver::{Driver, RunError, RunReport};
+pub use driver::{Driver, RunError, RunReport, RESULTS_VERSION};
 pub use hash::SpecHash;
 pub use journal::{replay, spec_of, ReplayOutcome};
 pub use registry::TaskRegistry;

@@ -137,7 +137,7 @@ pub fn alpha_estimate(g: &Graph) -> f64 {
     alpha_bounds(g, budget).estimate()
 }
 
-/// Diameter helper (exact for small, iFUB for large connected graphs).
+/// Diameter helper (exact, see `traversal::diameter`).
 pub fn diameter(g: &Graph) -> u32 {
     traversal::diameter(g)
 }

@@ -93,14 +93,12 @@ pub fn clique_cover_upper_bound(g: &Graph) -> usize {
     let mut order: Vec<NodeId> = g.nodes().collect();
     order.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
     let mut cliques = 0usize;
-    let mut in_clique = vec![false; n];
     for &seed in &order {
         if covered[seed.index()] {
             continue;
         }
         // Grow a clique from `seed` among uncovered nodes.
         let mut clique = vec![seed];
-        in_clique[seed.index()] = true;
         // Candidates: uncovered neighbors of seed.
         for &u in g.neighbors(seed) {
             if covered[u.index()] {
@@ -109,12 +107,10 @@ pub fn clique_cover_upper_bound(g: &Graph) -> usize {
             // `u` joins if adjacent to every current member.
             if clique.iter().all(|&c| g.has_edge(u, c)) {
                 clique.push(u);
-                in_clique[u.index()] = true;
             }
         }
         for &c in &clique {
             covered[c.index()] = true;
-            in_clique[c.index()] = false;
         }
         cliques += 1;
     }
@@ -165,190 +161,295 @@ impl ExactAlpha {
 
 /// Exact maximum independent set by branch and bound.
 ///
-/// Branches on a maximum-degree vertex of the remaining subgraph (exclude it,
-/// or include it and delete its closed neighborhood), pruning with the greedy
-/// clique-cover bound. `budget` caps the number of search nodes expanded;
-/// when exhausted the best set found so far is returned as
+/// Branches on a maximum-degree vertex of the remaining subgraph (the lowest
+/// index among ties): include it and delete its closed neighborhood, then
+/// exclude it. A search node is pruned when the remaining vertices, or the
+/// greedy clique cover of them, cannot beat the incumbent, which starts as
+/// [`greedy_mis_min_degree`]. `budget` caps the number of search nodes
+/// expanded; when exhausted the best set found so far is returned as
 /// [`ExactAlpha::BudgetExhausted`].
 ///
-/// Intended for the harness (`n` up to a few hundred sparse / ~100 dense).
+/// The remaining vertices are one bitset; each branch logs the vertices it
+/// removes and restores them on backtrack. Adjacency is tested in O(1)
+/// against bitset rows, `n²/64` words (hence [`EXACT_SEARCH_MAX_N`] in
+/// [`alpha_bounds`]). How a search node finds its branching vertex and its
+/// cover depends only on the graph's size: graphs of at most two words per
+/// row, and dense ones, scan bitset words (a popcount per vertex, a
+/// word-parallel cover); the others keep every vertex's remaining degree up
+/// to date and grow each clique of the cover along the sorted adjacency row
+/// of its lowest vertex. Both give the same cover, so the search, and the
+/// set returned, are the same.
 pub fn maximum_independent_set(g: &Graph, budget: u64) -> ExactAlpha {
-    // Work on an explicit "alive" subset with adjacency via bitsets for speed.
     let n = g.n();
     if n == 0 {
         return ExactAlpha::Exact(Vec::new());
     }
     let words = n.div_ceil(64);
-    // Bitset adjacency.
     let mut adj = vec![0u64; n * words];
     for v in g.nodes() {
         for &u in g.neighbors(v) {
-            adj[v.index() * words + u.index() / 64] |= 1u64 << (u.index() % 64);
+            set_bit(&mut adj[v.index() * words..], u.index());
         }
     }
-
-    struct Search<'a> {
-        words: usize,
-        adj: &'a [u64],
-        best: Vec<u32>,
-        budget: u64,
-        exhausted: bool,
-        /// Scratch bitsets of [`Search::bound`]: the vertices no clique
-        /// covers yet, and the candidates that extend the current clique.
-        remaining: Vec<u64>,
-        cand: Vec<u64>,
-    }
-
-    impl Search<'_> {
-        fn popcount(set: &[u64]) -> usize {
-            set.iter().map(|w| w.count_ones() as usize).sum()
-        }
-
-        /// Greedy clique-cover bound restricted to `alive`.
-        ///
-        /// Both scans only ever clear bits, so each resumes at the word
-        /// where it last found one: `remaining` is zero below `from`, and
-        /// `cand` (a subset of `remaining`) is neither read nor written
-        /// below it.
-        fn bound(&mut self, alive: &[u64]) -> usize {
-            let (words, adj) = (self.words, self.adj);
-            let (remaining, cand) = (&mut self.remaining, &mut self.cand);
-            remaining.copy_from_slice(alive);
-            let mut cliques = 0usize;
-            let mut from = 0;
-            while let Some(v) = first_set_bit(remaining, &mut from) {
-                // Grow a clique from `v` greedily within `remaining`.
-                clear_bit(remaining, v);
-                for w in from..words {
-                    cand[w] = remaining[w] & adj[v * words + w];
-                }
-                let mut cand_from = from;
-                while let Some(u) = first_set_bit(cand, &mut cand_from) {
-                    // u is adjacent to all members by construction of cand.
-                    clear_bit(remaining, u);
-                    for w in cand_from..words {
-                        cand[w] &= adj[u * words + w];
-                    }
-                    clear_bit(cand, u);
-                }
-                cliques += 1;
-            }
-            cliques
-        }
-
-        fn run(&mut self, alive: &mut Vec<u64>, current: &mut Vec<u32>) {
-            if self.budget == 0 {
-                self.exhausted = true;
-                return;
-            }
-            self.budget -= 1;
-            let alive_count = Self::popcount(alive);
-            if alive_count == 0 {
-                if current.len() > self.best.len() {
-                    self.best = current.clone();
-                }
-                return;
-            }
-            if current.len() + alive_count <= self.best.len() {
-                return;
-            }
-            if current.len() + self.bound(alive) <= self.best.len() {
-                return;
-            }
-            // Pick an alive vertex of maximum alive-degree.
-            let mut pick = usize::MAX;
-            let mut pick_deg = usize::MAX;
-            let mut max_deg = 0usize;
-            for v in iter_bits(alive) {
-                let deg = (0..self.words)
-                    .map(|w| (self.adj[v * self.words + w] & alive[w]).count_ones() as usize)
-                    .sum();
-                if pick == usize::MAX || deg > max_deg {
-                    max_deg = deg;
-                    pick = v;
-                    pick_deg = deg;
-                }
-            }
-            let v = pick;
-            if pick_deg == 0 {
-                // All alive vertices are isolated: take them all.
-                let mut take = current.clone();
-                take.extend(iter_bits(alive).map(|i| i as u32));
-                if take.len() > self.best.len() {
-                    self.best = take;
-                }
-                return;
-            }
-            // Branch 1: include v (delete N[v]).
-            let saved = alive.clone();
-            clear_bit(alive, v);
-            for (w, a) in alive.iter_mut().enumerate() {
-                *a &= !self.adj[v * self.words + w];
-            }
-            current.push(v as u32);
-            self.run(alive, current);
-            current.pop();
-            *alive = saved.clone();
-            // Branch 2: exclude v.
-            clear_bit(alive, v);
-            self.run(alive, current);
-            *alive = saved;
-        }
-    }
-
-    /// The lowest set bit in words `*from..`, leaving `*from` at its word.
-    fn first_set_bit(set: &[u64], from: &mut usize) -> Option<usize> {
-        while let Some(&bits) = set.get(*from) {
-            if bits != 0 {
-                return Some(*from * 64 + bits.trailing_zeros() as usize);
-            }
-            *from += 1;
-        }
-        None
-    }
-
-    fn clear_bit(set: &mut [u64], i: usize) {
-        set[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    fn iter_bits(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
-        set.iter().enumerate().flat_map(|(w, &bits)| {
-            let mut b = bits;
-            std::iter::from_fn(move || {
-                if b == 0 {
-                    None
-                } else {
-                    let i = b.trailing_zeros() as usize;
-                    b &= b - 1;
-                    Some(w * 64 + i)
-                }
-            })
-        })
-    }
-
+    let (offsets, targets) = g.csr();
+    let rows = scans_rows(n, g.m());
     let mut alive = vec![0u64; words];
     for v in 0..n {
-        alive[v / 64] |= 1u64 << (v % 64);
+        set_bit(&mut alive, v);
     }
     // Seed the incumbent with a decent greedy solution so pruning bites early.
     let seed = greedy_mis_min_degree(g);
     let mut search = Search {
+        offsets,
+        targets,
         words,
         adj: &adj,
+        rows,
+        alive,
+        alive_count: n,
+        degree: if rows { g.nodes().map(|v| g.degree(v) as u32).collect() } else { Vec::new() },
+        removed: Vec::new(),
+        remaining: vec![0; words],
+        cand: vec![0; words],
+        clique: Vec::new(),
         best: seed.iter().map(|v| v.index() as u32).collect(),
         budget,
         exhausted: false,
-        remaining: vec![0; words],
-        cand: vec![0; words],
     };
-    let mut current = Vec::new();
-    search.run(&mut alive, &mut current);
+    search.run(&mut Vec::new());
     let set: Vec<NodeId> = search.best.iter().map(|&i| NodeId::new(i as usize)).collect();
     if search.exhausted {
         ExactAlpha::BudgetExhausted(set)
     } else {
         ExactAlpha::Exact(set)
     }
+}
+
+/// Whether [`maximum_independent_set`] walks adjacency rows rather than
+/// scanning bitset words: when a row spans more than two words and the
+/// average degree is below four per word. A word scan costs a few word
+/// operations per vertex and word; a row walk costs about a vertex's degree
+/// per vertex, and the square of a clique's size to grow it, so dense
+/// graphs keep the word scan at any size.
+fn scans_rows(n: usize, m: usize) -> bool {
+    let words = n.div_ceil(64);
+    words > 2 && 2 * m < 4 * n * words
+}
+
+/// The state of [`maximum_independent_set`]'s search.
+struct Search<'a> {
+    offsets: &'a [u32],
+    targets: &'a [NodeId],
+    words: usize,
+    /// Bitset adjacency: row `v` is `adj[v * words..][..words]`.
+    adj: &'a [u64],
+    /// Whether pick and cover walk adjacency rows (with `degree` kept up
+    /// to date) rather than scan bitset words.
+    rows: bool,
+    /// The remaining vertices and their number.
+    alive: Vec<u64>,
+    alive_count: usize,
+    /// Every vertex's number of remaining neighbors (row search only).
+    degree: Vec<u32>,
+    /// The vertices removed from `alive`, in removal order.
+    removed: Vec<u32>,
+    /// Scratch of [`Search::cover_exceeds`]: the vertices no clique covers
+    /// yet, the word-parallel candidates that extend the current clique,
+    /// and the row search's members beyond the clique's lowest vertex.
+    remaining: Vec<u64>,
+    cand: Vec<u64>,
+    clique: Vec<u32>,
+    best: Vec<u32>,
+    budget: u64,
+    exhausted: bool,
+}
+
+impl Search<'_> {
+    fn run(&mut self, current: &mut Vec<u32>) {
+        if self.budget == 0 {
+            self.exhausted = true;
+            return;
+        }
+        self.budget -= 1;
+        if self.alive_count == 0 {
+            if current.len() > self.best.len() {
+                self.best = current.clone();
+            }
+            return;
+        }
+        // Prune when taking every remaining vertex, or one per clique of
+        // the cover, still would not beat the incumbent.
+        let slack = self.best.len().saturating_sub(current.len());
+        if self.alive_count <= slack || !self.cover_exceeds(slack) {
+            return;
+        }
+        let (v, degree) = self.pick();
+        if degree == 0 {
+            // All remaining vertices are isolated: take them all.
+            if current.len() + self.alive_count > self.best.len() {
+                self.best = current.clone();
+                self.best.extend(iter_bits(&self.alive).map(|i| i as u32));
+            }
+            return;
+        }
+        let mark = self.removed.len();
+        // Branch 1: include v (delete N[v]).
+        self.remove(v);
+        for &u in row(self.offsets, self.targets, v) {
+            if has_bit(&self.alive, u.index()) {
+                self.remove(u.index());
+            }
+        }
+        current.push(v as u32);
+        self.run(current);
+        current.pop();
+        self.restore(mark);
+        // Branch 2: exclude v.
+        self.remove(v);
+        self.run(current);
+        self.restore(mark);
+    }
+
+    /// A remaining vertex of maximum remaining degree (the lowest index
+    /// among ties), with that degree.
+    fn pick(&self) -> (usize, usize) {
+        let mut pick = usize::MAX;
+        let mut max_deg = 0;
+        for v in iter_bits(&self.alive) {
+            let deg = if self.rows {
+                self.degree[v] as usize
+            } else {
+                let adj = &self.adj[v * self.words..][..self.words];
+                adj.iter().zip(&self.alive).map(|(a, b)| (a & b).count_ones() as usize).sum()
+            };
+            if pick == usize::MAX || deg > max_deg {
+                max_deg = deg;
+                pick = v;
+            }
+        }
+        (pick, max_deg)
+    }
+
+    /// Whether the greedy clique cover of the remaining vertices has more
+    /// than `limit` cliques (counting stops there).
+    ///
+    /// Each clique starts at the lowest uncovered vertex and admits, in
+    /// index order, every uncovered neighbor adjacent to all its members so
+    /// far. The word-parallel scan only ever clears bits, so each of its
+    /// bit searches resumes at the word where it last found one:
+    /// `remaining` is zero below `from`, and `cand` (a subset of
+    /// `remaining`) is neither read nor written below it.
+    fn cover_exceeds(&mut self, limit: usize) -> bool {
+        let (words, adj) = (self.words, self.adj);
+        let (remaining, cand) = (&mut self.remaining, &mut self.cand);
+        remaining.copy_from_slice(&self.alive);
+        let mut cliques = 0;
+        let mut from = 0;
+        while let Some(v) = first_set_bit(remaining, &mut from) {
+            if cliques == limit {
+                return true;
+            }
+            cliques += 1;
+            clear_bit(remaining, v);
+            if self.rows {
+                // Every vertex below `v` is covered, so the sorted row
+                // offers the candidates in index order.
+                self.clique.clear();
+                for &u in row(self.offsets, self.targets, v) {
+                    let u = u.index();
+                    if has_bit(remaining, u)
+                        && self.clique.iter().all(|&c| has_bit(&adj[c as usize * words..], u))
+                    {
+                        clear_bit(remaining, u);
+                        self.clique.push(u as u32);
+                    }
+                }
+                continue;
+            }
+            for w in from..words {
+                cand[w] = remaining[w] & adj[v * words + w];
+            }
+            let mut cand_from = from;
+            while let Some(u) = first_set_bit(cand, &mut cand_from) {
+                // u is adjacent to all members by construction of cand, and
+                // its own row lacks u, so the intersection drops it.
+                clear_bit(remaining, u);
+                for w in cand_from..words {
+                    cand[w] &= adj[u * words + w];
+                }
+            }
+        }
+        false
+    }
+
+    /// Removes `v` from the remaining vertices, logging it.
+    fn remove(&mut self, v: usize) {
+        clear_bit(&mut self.alive, v);
+        self.alive_count -= 1;
+        self.removed.push(v as u32);
+        if self.rows {
+            for &u in row(self.offsets, self.targets, v) {
+                self.degree[u.index()] -= 1;
+            }
+        }
+    }
+
+    /// Puts back every vertex removed since the log had length `mark`.
+    fn restore(&mut self, mark: usize) {
+        while self.removed.len() > mark {
+            let v = self.removed.pop().expect("log longer than mark") as usize;
+            set_bit(&mut self.alive, v);
+            self.alive_count += 1;
+            if self.rows {
+                for &u in row(self.offsets, self.targets, v) {
+                    self.degree[u.index()] += 1;
+                }
+            }
+        }
+    }
+}
+
+/// The sorted neighbors of vertex `v` in CSR arrays.
+fn row<'a>(offsets: &[u32], targets: &'a [NodeId], v: usize) -> &'a [NodeId] {
+    &targets[offsets[v] as usize..offsets[v + 1] as usize]
+}
+
+/// The lowest set bit in words `*from..`, leaving `*from` at its word.
+fn first_set_bit(set: &[u64], from: &mut usize) -> Option<usize> {
+    while let Some(&bits) = set.get(*from) {
+        if bits != 0 {
+            return Some(*from * 64 + bits.trailing_zeros() as usize);
+        }
+        *from += 1;
+    }
+    None
+}
+
+fn has_bit(set: &[u64], i: usize) -> bool {
+    set[i / 64] >> (i % 64) & 1 != 0
+}
+
+fn set_bit(set: &mut [u64], i: usize) {
+    set[i / 64] |= 1u64 << (i % 64);
+}
+
+fn clear_bit(set: &mut [u64], i: usize) {
+    set[i / 64] &= !(1u64 << (i % 64));
+}
+
+fn iter_bits(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(w, &bits)| {
+        let mut b = bits;
+        std::iter::from_fn(move || {
+            if b == 0 {
+                None
+            } else {
+                let i = b.trailing_zeros() as usize;
+                b &= b - 1;
+                Some(w * 64 + i)
+            }
+        })
+    })
 }
 
 /// A bracket on the independence number `α(G)`.
@@ -492,13 +593,16 @@ mod tests {
 
     #[test]
     fn budgeted_brackets_are_pinned() {
-        // Recorded before the clique-cover bound reused its scratch
-        // bitsets: an exhausted budget returns whatever the search reached,
-        // so these brackets move if the search order does.
+        use crate::families::Family;
+        // Recorded with the word-parallel search that copied its bitsets
+        // per search node: an exhausted budget returns whatever the search
+        // reached, so these brackets move if the search order does. The
+        // budgets are `NetInfo::exact`'s, 500k up to 64 nodes, 50k up to
+        // 128 and 2,000 beyond, except the 120-node unit disk.
         let grid = generators::grid2d(40, 40);
         let want = AlphaBounds { lower: 763, upper: 800, exact: false };
         assert_eq!(alpha_bounds(&grid, 2_000), want);
-        let udg = crate::families::Family::UnitDisk.instantiate(120, 1);
+        let udg = Family::UnitDisk.instantiate(120, 1);
         let want = AlphaBounds { lower: 20, upper: 29, exact: false };
         assert_eq!(alpha_bounds(&udg, 5_000), want);
         // Both lower bounds beat the greedy incumbent the search starts from.
@@ -506,6 +610,16 @@ mod tests {
             (greedy_mis_min_degree(&grid).len(), greedy_mis_min_degree(&udg).len()),
             (762, 19)
         );
+        // The benchmark's graphs, searched by adjacency rows.
+        let want = AlphaBounds { lower: 4902, upper: 5000, exact: false };
+        assert_eq!(alpha_bounds(&generators::grid2d(100, 100), 2_000), want);
+        let want = AlphaBounds { lower: 140, upper: 212, exact: false };
+        assert_eq!(alpha_bounds(&Family::UnitDisk.instantiate(1024, 1), 2_000), want);
+        // The small budget classes, searched by bitset words.
+        let want = AlphaBounds { lower: 26, upper: 26, exact: true };
+        assert_eq!(alpha_bounds(&Family::RandomRegular.instantiate(64, 1), 500_000), want);
+        let want = AlphaBounds { lower: 38, upper: 65, exact: false };
+        assert_eq!(alpha_bounds(&Family::Gnp.instantiate(128, 1), 50_000), want);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * [`Graph`] — a compact, immutable, undirected graph in CSR layout, built
 //!   through [`GraphBuilder`];
-//! * [`traversal`] — BFS distances, connectivity, exact and estimated
-//!   diameter (iFUB);
+//! * [`traversal`] — BFS distances, connectivity, exact diameter (by
+//!   eccentricity bounds) and the double-sweep estimate;
 //! * [`independent_set`] — greedy maximal independent sets, an exact
 //!   branch-and-bound maximum-independent-set solver, and cheap upper bounds,
 //!   combined into [`independent_set::AlphaBounds`] (the paper's `α`);

@@ -1,11 +1,13 @@
 //! Breadth-first traversal, connectivity and diameter computation.
 //!
-//! The paper's running times are parametrized by the diameter `D`; the
-//! experiment harness needs exact diameters for moderate graphs
-//! ([`diameter_exact`]) and a fast exact-on-most-inputs algorithm (iFUB,
-//! [`diameter_ifub`]) for larger ones.
+//! The paper's running times are parametrized by the diameter `D`.
+//! [`diameter`] computes it exactly, usually with a handful of BFS, by
+//! bounding every node's eccentricity; [`diameter_exact`] is the all-pairs
+//! reference it is tested against, and [`diameter_double_sweep`] a
+//! three-BFS estimate within a factor 2.
 
 use crate::{Graph, NodeId};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 /// Distance marker for unreachable nodes in [`bfs_distances`].
@@ -122,74 +124,310 @@ pub fn eccentricity(g: &Graph, v: NodeId) -> u32 {
 /// Exact diameter by all-pairs BFS. `O(n (n + m))`.
 ///
 /// Disconnected graphs report the largest eccentricity within any component.
-/// Use for `n` up to a few thousand; prefer [`diameter_ifub`] beyond that.
+/// The reference for [`diameter`], which returns the same value.
 pub fn diameter_exact(g: &Graph) -> u32 {
     g.nodes().map(|v| eccentricity(g, v)).max().unwrap_or(0)
 }
 
-/// Exact diameter via the iFUB algorithm (Crescenzi et al.), which is
-/// `O(n (n + m))` in the worst case but typically runs a handful of BFS.
+/// Exact diameter: the largest eccentricity within any connected component.
 ///
-/// # Panics
+/// Each component is searched with per-node eccentricity bounds (Takes and
+/// Kosters, 2011): a BFS from `w` of eccentricity `e` shows that a node at
+/// distance `d` from `w` has eccentricity between `max(d, e − d)` and
+/// `e + d`. Let `lower` be the largest eccentricity seen. Only nodes whose
+/// upper bound exceeds `lower` can end a longer shortest path, and two such
+/// nodes farther apart than `lower` have, from every BFS source, distances
+/// summing to more than `lower`. The search keeps two sources: the root,
+/// the source of smallest eccentricity, and its partner, the source
+/// farthest from the root. A candidate is the node of such a pair, for both
+/// sources, that lies farther from the root, so `2·d(root, v) > lower`
+/// (iFUB's fringe rule, Crescenzi et al.). When no candidate is left,
+/// `D = lower`. On a grid, an even cycle, a hypercube or a path, every node
+/// lies on a shortest path between the first two sources, so two BFS
+/// suffice there.
 ///
-/// Panics if the graph is disconnected (iFUB's bounds argument needs a single
-/// component); check [`is_connected`] first.
-pub fn diameter_ifub(g: &Graph) -> u32 {
-    assert!(is_connected(g), "diameter_ifub requires a connected graph");
-    if g.n() <= 1 {
-        return 0;
-    }
-    // Double sweep from a max-degree node to find a far vertex pair, then run
-    // iFUB from the midpoint of the found path.
-    let start = g.nodes().max_by_key(|&v| g.degree(v)).expect("nonempty graph");
-    let d1 = bfs_distances(g, start);
-    let a = argmax_finite(&d1);
-    let da = bfs_distances(g, a);
-    let b = argmax_finite(&da);
-    let lower0 = da[b.index()];
-    // Midpoint of the a..b path: walk a BFS tree from a towards b.
-    let tree = bfs_tree(g, &[a]);
-    let mut mid = b;
-    for _ in 0..(lower0 / 2) {
-        if let Some(p) = tree.parent[mid.index()] {
-            mid = p;
-        }
-    }
-    let dmid = bfs_distances(g, mid);
-    let height = dmid.iter().copied().max().expect("connected");
-    // Order nodes by decreasing distance from mid (fringe-first).
-    let mut by_level: Vec<Vec<NodeId>> = vec![Vec::new(); height as usize + 1];
-    for v in g.nodes() {
-        by_level[dmid[v.index()] as usize].push(v);
-    }
-    let mut lower = lower0;
-    let mut upper = 2 * height;
-    let mut level = height as i64;
-    while lower < upper && level >= 0 {
-        // All nodes strictly below `level` can contribute at most 2*level - 2
-        // ... standard iFUB: if lower >= 2*(level-1) we are done.
-        for &v in &by_level[level as usize] {
-            let ecc = eccentricity(g, v);
-            if ecc > lower {
-                lower = ecc;
+/// BFS sources alternate between the candidate of largest upper bound and
+/// a probe: the node of smallest lower bound that could have a smaller
+/// eccentricity than the root, and so become a root with fewer candidates.
+/// Probes stop after two in a row find no smaller eccentricity, and wait
+/// while a single candidate is left; in their place comes the candidate of
+/// smallest lower bound. A node adjacent to the rest of its component has
+/// eccentricity 1, so a component with one has diameter 1 or 2 without
+/// any further BFS.
+///
+/// Worst case `O(n (n + m))`; a grid, a tree or a geometric graph takes a
+/// handful of BFS.
+pub fn diameter(g: &Graph) -> u32 {
+    let mut bfs = Bfs::new(g);
+    let mut bounds = EccBounds::new(g.n());
+    let mut seen = vec![false; g.n()];
+    let mut d = 0;
+    for x in 0..g.n() as u32 {
+        if !seen[x as usize] {
+            let ex = bfs.run(x);
+            let comp = bfs.order().to_vec();
+            for &v in &comp {
+                seen[v as usize] = true;
             }
-        }
-        level -= 1;
-        upper = 2 * (level.max(0) as u32);
-        if lower >= upper {
-            break;
+            d = component_diameter(&mut bfs, &mut bounds, &comp, (x, ex), d);
         }
     }
-    lower
+    d
 }
 
-/// Diameter with automatic strategy: exact all-pairs for small graphs,
-/// iFUB for larger connected ones.
-pub fn diameter(g: &Graph) -> u32 {
-    if g.n() <= 1024 || !is_connected(g) {
-        diameter_exact(g)
-    } else {
-        diameter_ifub(g)
+/// After this many probes in a row found no smaller eccentricity than the
+/// root's, [`diameter`] stops probing.
+const FAILED_PROBES: u32 = 2;
+
+/// The larger of `best` and the diameter of the component `comp`, whose
+/// node `x` was the latest BFS source, of eccentricity `ex`.
+fn component_diameter(
+    bfs: &mut Bfs<'_>,
+    b: &mut EccBounds,
+    comp: &[u32],
+    (x, ex): (u32, u32),
+    best: u32,
+) -> u32 {
+    let nc = comp.len();
+    if (nc - 1) as u32 <= best {
+        return best;
+    }
+    let universal = comp.iter().filter(|&&v| bfs.degree(v) == nc - 1).count();
+    if universal > 0 {
+        return best.max(if universal == nc { 1 } else { 2 });
+    }
+    b.start(comp, best);
+    b.absorb(x, ex, &bfs.dist, comp, true);
+    let mut failed = 0;
+    let mut widest = true;
+    loop {
+        let candidates = b.candidates();
+        if candidates.is_empty() {
+            return b.lower;
+        }
+        let probe = if widest || failed == FAILED_PROBES || candidates.len() == 1 {
+            None
+        } else {
+            let probe = b.probe(comp);
+            if probe.is_none() {
+                // No node can beat the root any more.
+                failed = FAILED_PROBES;
+            }
+            probe
+        };
+        let pick = match probe {
+            Some(p) => p,
+            None if widest => b.widest(&candidates),
+            None => b.narrowest(&candidates),
+        };
+        widest = !widest;
+        let root_ecc = b.root_ecc;
+        let e = bfs.run(pick);
+        // Probes read lower bounds all over the component.
+        b.absorb(pick, e, &bfs.dist, comp, failed < FAILED_PROBES);
+        if probe.is_some() {
+            failed = if b.root_ecc < root_ecc { 0 } else { failed + 1 };
+        }
+    }
+}
+
+/// Breadth-first search over CSR arrays, reusing its buffers.
+struct Bfs<'g> {
+    offsets: &'g [u32],
+    targets: &'g [NodeId],
+    /// Distances from the latest source; [`UNREACHABLE`] outside its
+    /// component.
+    dist: Vec<u32>,
+    /// The latest visiting order, the source's whole component, in its
+    /// first `visited` entries; one spare entry past the last node.
+    queue: Vec<u32>,
+    visited: usize,
+}
+
+impl<'g> Bfs<'g> {
+    fn new(g: &'g Graph) -> Self {
+        let (offsets, targets) = g.csr();
+        let n = g.n();
+        Bfs { offsets, targets, dist: vec![UNREACHABLE; n], queue: vec![0; n + 1], visited: 0 }
+    }
+
+    fn degree(&self, v: u32) -> usize {
+        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
+    }
+
+    fn order(&self) -> &[u32] {
+        &self.queue[..self.visited]
+    }
+
+    /// BFS from `src`; returns its eccentricity.
+    ///
+    /// Branch-free: every neighbor is written past the queue's tail, which
+    /// advances only over a new node, and a node's distance only ever takes
+    /// the smaller value.
+    fn run(&mut self, src: u32) -> u32 {
+        let (offsets, targets) = (self.offsets, self.targets);
+        let (dist, queue) = (&mut self.dist[..], &mut self.queue[..]);
+        for &v in &queue[..self.visited] {
+            dist[v as usize] = UNREACHABLE;
+        }
+        dist[src as usize] = 0;
+        queue[0] = src;
+        let (mut head, mut tail) = (0, 1);
+        while head < tail {
+            let u = queue[head] as usize;
+            head += 1;
+            let du = dist[u] + 1;
+            for &w in &targets[offsets[u] as usize..offsets[u + 1] as usize] {
+                let w = w.index();
+                queue[tail] = w as u32;
+                tail += usize::from(dist[w] == UNREACHABLE);
+                dist[w] = dist[w].min(du);
+            }
+        }
+        self.visited = tail;
+        dist[queue[tail - 1] as usize]
+    }
+}
+
+/// What [`diameter`] knows about one component, indexed by node.
+struct EccBounds {
+    /// `lo ≤ ecc ≤ hi` for every node of the component.
+    lo: Vec<u32>,
+    hi: Vec<u32>,
+    /// Whether the node has been a BFS source.
+    done: Vec<bool>,
+    /// The nodes whose upper bound may still exceed `lower`.
+    unresolved: Vec<u32>,
+    /// The root: the BFS source of smallest eccentricity, its distances
+    /// and its eccentricity.
+    root: u32,
+    root_dist: Vec<u32>,
+    root_ecc: u32,
+    /// The partner: the BFS source farthest from the root whose distances
+    /// are kept (the root itself at first), and those distances.
+    partner: u32,
+    partner_dist: Vec<u32>,
+    /// The largest eccentricity seen, or the diameter of an earlier
+    /// component if larger.
+    lower: u32,
+}
+
+impl EccBounds {
+    fn new(n: usize) -> Self {
+        EccBounds {
+            lo: vec![0; n],
+            hi: vec![0; n],
+            done: vec![false; n],
+            unresolved: Vec::new(),
+            root: 0,
+            root_dist: vec![0; n],
+            root_ecc: u32::MAX,
+            partner: 0,
+            partner_dist: vec![0; n],
+            lower: 0,
+        }
+    }
+
+    /// Forgets the previous component; `lower` starts at `best`.
+    fn start(&mut self, comp: &[u32], best: u32) {
+        for &v in comp {
+            let v = v as usize;
+            (self.lo[v], self.hi[v], self.done[v]) = (0, u32::MAX, false);
+        }
+        self.unresolved.clear();
+        self.unresolved.extend_from_slice(comp);
+        (self.root_ecc, self.lower) = (u32::MAX, best);
+    }
+
+    /// Folds a BFS from `src`, of eccentricity `e` and distances `dist`,
+    /// into `lower`, the root, the partner and the bounds: of every node of
+    /// `comp` if `all`, else of the unresolved ones.
+    fn absorb(&mut self, src: u32, e: u32, dist: &[u32], comp: &[u32], all: bool) {
+        self.lower = self.lower.max(e);
+        self.done[src as usize] = true;
+        if self.root_ecc == u32::MAX {
+            (self.root, self.partner) = (src, src);
+            copy_dist(&mut self.partner_dist, dist, comp);
+        } else if e < self.root_ecc {
+            // The old root or the old partner, whichever is farther from
+            // the new root, stays as the partner.
+            if dist[self.root as usize] >= dist[self.partner as usize] {
+                std::mem::swap(&mut self.root_dist, &mut self.partner_dist);
+                self.partner = self.root;
+            }
+            self.root = src;
+        } else if self.root_dist[src as usize] > self.root_dist[self.partner as usize] {
+            self.partner = src;
+            copy_dist(&mut self.partner_dist, dist, comp);
+        }
+        if self.root == src {
+            self.root_ecc = e;
+            copy_dist(&mut self.root_dist, dist, comp);
+        }
+        let (lo, hi) = (&mut self.lo, &mut self.hi);
+        for &v in if all { comp } else { &self.unresolved } {
+            let (v, d) = (v as usize, dist[v as usize]);
+            lo[v] = lo[v].max(d).max(e - d);
+            hi[v] = hi[v].min(e + d);
+        }
+        let lower = self.lower;
+        self.unresolved.retain(|&v| hi[v as usize] > lower);
+    }
+
+    /// The unresolved nodes `x` with an unresolved `y` no farther from the
+    /// root such that the root's distances to `x` and `y`, and the
+    /// partner's, each sum to more than `lower`. Of two nodes farther apart
+    /// than `lower`, the one farther from the root is such an `x`.
+    fn candidates(&self) -> Vec<u32> {
+        let (l, top) = (self.lower as usize, self.root_ecc as usize);
+        let (root_dist, partner_dist) = (&self.root_dist, &self.partner_dist);
+        // The largest partner distance among unresolved nodes at each
+        // distance `a` from the root, then among those at distances
+        // `l + 1 − a ..= a`, an interval that grows with `a`. Here
+        // `a ≤ top ≤ l`.
+        let mut reach_at = vec![-1; top + 1];
+        for &v in &self.unresolved {
+            let a = root_dist[v as usize] as usize;
+            reach_at[a] = reach_at[a].max(i64::from(partner_dist[v as usize]));
+        }
+        let mut reach = vec![-1; top + 1];
+        for a in (l / 2 + 1)..=top {
+            reach[a] = reach[a - 1].max(reach_at[a]).max(reach_at[l + 1 - a]);
+        }
+        let lower = i64::from(self.lower);
+        let candidate = |&v: &u32| {
+            let v = v as usize;
+            reach[root_dist[v] as usize] + i64::from(partner_dist[v]) > lower
+        };
+        self.unresolved.iter().copied().filter(candidate).collect()
+    }
+
+    /// The first of `candidates` of largest upper bound.
+    fn widest(&self, candidates: &[u32]) -> u32 {
+        let pick = candidates.iter().copied().min_by_key(|&v| Reverse(self.hi[v as usize]));
+        pick.expect("candidates are not empty")
+    }
+
+    /// The first of `candidates` of smallest lower bound.
+    fn narrowest(&self, candidates: &[u32]) -> u32 {
+        let pick = candidates.iter().copied().min_by_key(|&v| self.lo[v as usize]);
+        pick.expect("candidates are not empty")
+    }
+
+    /// The first node of smallest lower bound, then smallest upper bound,
+    /// that has not been a BFS source and whose lower bound is below the
+    /// root's eccentricity.
+    fn probe(&self, comp: &[u32]) -> Option<u32> {
+        let open = comp.iter().copied().filter(|&v| !self.done[v as usize]);
+        let below_root = open.filter(|&v| self.lo[v as usize] < self.root_ecc);
+        below_root.min_by_key(|&v| (self.lo[v as usize], self.hi[v as usize]))
+    }
+}
+
+/// Copies `from` into `to` at the nodes `comp`.
+fn copy_dist(to: &mut [u32], from: &[u32], comp: &[u32]) {
+    for &v in comp {
+        to[v as usize] = from[v as usize];
     }
 }
 
@@ -298,8 +536,49 @@ mod tests {
             generators::star(10),
             generators::hypercube(4),
         ] {
-            assert_eq!(diameter_exact(&g), diameter_ifub(&g), "family {g:?}");
+            assert_eq!(diameter(&g), diameter_exact(&g), "family {g:?}");
         }
+    }
+
+    #[test]
+    fn diameter_matches_exact_on_worst_cases() {
+        // The shapes that cost iFUB or a naive eccentricity-bound search
+        // many BFS: vertex-transitive graphs, a universal hub, a tree whose
+        // center is no double-sweep end, two cliques on a path, and a grid
+        // whose BFS-tree midpoint between opposite corners is a third one.
+        for g in [
+            generators::complete(30),
+            generators::star(40),
+            generators::cycle(41),
+            generators::cycle(60),
+            generators::hypercube(6),
+            generators::path(50),
+            generators::binary_tree(7),
+            generators::barbell(6, 9),
+            generators::grid2d(12, 12),
+            generators::grid2d(7, 15),
+        ] {
+            assert_eq!(diameter(&g), diameter_exact(&g), "{g:?}");
+        }
+    }
+
+    #[test]
+    fn benchmark_diameters_are_pinned() {
+        use crate::families::Family;
+        // `NetInfo::exact`'s D on the benchmark's graphs.
+        assert_eq!(diameter(&generators::grid2d(40, 40)), 78);
+        assert_eq!(diameter(&Family::UnitDisk.instantiate(1024, 1)), 24);
+        assert_eq!(diameter(&Family::UnitDisk.instantiate(16_400, 1)), 97);
+        assert_eq!(diameter(&generators::grid2d(100, 100)), 198);
+    }
+
+    #[test]
+    fn diameter_of_disconnected_graphs() {
+        // The largest component diameter, isolated nodes included.
+        let g = Graph::from_edges(9, [(0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 5)]).unwrap();
+        assert_eq!(diameter(&g), 3);
+        assert_eq!(diameter(&Graph::from_edges(4, []).unwrap()), 0);
+        assert_eq!(diameter(&Graph::from_edges(0, []).unwrap()), 0);
     }
 
     #[test]
@@ -376,7 +655,6 @@ mod tests {
     fn single_node_diameter_zero() {
         let g = Graph::from_edges(1, []).unwrap();
         assert_eq!(diameter(&g), 0);
-        assert_eq!(diameter_ifub(&g), 0);
         assert!(is_connected(&g));
     }
 }

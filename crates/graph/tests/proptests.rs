@@ -4,13 +4,13 @@ use proptest::prelude::*;
 use radionet_graph::generators::{self, geometric};
 use radionet_graph::geometry::{Euclidean2, Euclidean3, Metric, Point2};
 use radionet_graph::independent_set::{
-    alpha_bounds, clique_cover_upper_bound, greedy_mis, is_independent_set,
-    is_maximal_independent_set, matching_upper_bound, maximum_independent_set,
+    alpha_bounds, clique_cover_upper_bound, greedy_mis, greedy_mis_min_degree, is_independent_set,
+    is_maximal_independent_set, matching_upper_bound, maximum_independent_set, ExactAlpha,
 };
 use radionet_graph::traversal::{
-    bfs_distances, connected_components, diameter_exact, diameter_ifub, is_connected, UNREACHABLE,
+    bfs_distances, connected_components, diameter, diameter_exact, UNREACHABLE,
 };
-use radionet_graph::{Graph, GraphBuilder};
+use radionet_graph::{Graph, GraphBuilder, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,6 +27,186 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
             b.build()
         })
     })
+}
+
+/// Strategy: a sparse random graph of 65 to 599 nodes (2 to 10 bitset
+/// words), with up to three edges per node.
+fn arb_multiword_graph() -> impl Strategy<Value = Graph> {
+    (65usize..600).prop_flat_map(|n| {
+        proptest::collection::vec((0..n, 0..n), 0..3 * n).prop_map(move |pairs| {
+            let mut b = GraphBuilder::new(n);
+            for (u, v) in pairs {
+                if u != v {
+                    b.add_edge(u, v);
+                }
+            }
+            b.build()
+        })
+    })
+}
+
+/// The budgets the α search is checked at: small ones exhaust mid-search,
+/// where a changed search order would show; the large ones are
+/// `NetInfo::exact`'s.
+const BUDGETS: [u64; 6] = [1, 2, 5, 50, 2_000, 500_000];
+
+/// The word-parallel branch and bound [`maximum_independent_set`] replaced,
+/// kept as its reference: the same search (branching vertex, branch order,
+/// budget accounting, incumbent), with the remaining vertices as a bitset
+/// copied per search node, a popcount per vertex for the maximum-degree
+/// pick and a word-parallel greedy clique cover.
+fn reference_maximum_independent_set(g: &Graph, budget: u64) -> ExactAlpha {
+    let n = g.n();
+    if n == 0 {
+        return ExactAlpha::Exact(Vec::new());
+    }
+    let words = n.div_ceil(64);
+    let mut adj = vec![0u64; n * words];
+    for v in g.nodes() {
+        for &u in g.neighbors(v) {
+            adj[v.index() * words + u.index() / 64] |= 1u64 << (u.index() % 64);
+        }
+    }
+
+    struct Search<'a> {
+        words: usize,
+        adj: &'a [u64],
+        best: Vec<u32>,
+        budget: u64,
+        exhausted: bool,
+        remaining: Vec<u64>,
+        cand: Vec<u64>,
+    }
+
+    impl Search<'_> {
+        fn bound(&mut self, alive: &[u64]) -> usize {
+            let (words, adj) = (self.words, self.adj);
+            let (remaining, cand) = (&mut self.remaining, &mut self.cand);
+            remaining.copy_from_slice(alive);
+            let mut cliques = 0usize;
+            let mut from = 0;
+            while let Some(v) = first_set_bit(remaining, &mut from) {
+                clear_bit(remaining, v);
+                for w in from..words {
+                    cand[w] = remaining[w] & adj[v * words + w];
+                }
+                let mut cand_from = from;
+                while let Some(u) = first_set_bit(cand, &mut cand_from) {
+                    clear_bit(remaining, u);
+                    for w in cand_from..words {
+                        cand[w] &= adj[u * words + w];
+                    }
+                    clear_bit(cand, u);
+                }
+                cliques += 1;
+            }
+            cliques
+        }
+
+        fn run(&mut self, alive: &mut Vec<u64>, current: &mut Vec<u32>) {
+            if self.budget == 0 {
+                self.exhausted = true;
+                return;
+            }
+            self.budget -= 1;
+            let alive_count: usize = alive.iter().map(|w| w.count_ones() as usize).sum();
+            if alive_count == 0 {
+                if current.len() > self.best.len() {
+                    self.best = current.clone();
+                }
+                return;
+            }
+            if current.len() + alive_count <= self.best.len() {
+                return;
+            }
+            if current.len() + self.bound(alive) <= self.best.len() {
+                return;
+            }
+            let mut pick = usize::MAX;
+            let mut max_deg = 0usize;
+            for v in iter_bits(alive) {
+                let deg = (0..self.words)
+                    .map(|w| (self.adj[v * self.words + w] & alive[w]).count_ones() as usize)
+                    .sum();
+                if pick == usize::MAX || deg > max_deg {
+                    max_deg = deg;
+                    pick = v;
+                }
+            }
+            let v = pick;
+            if max_deg == 0 {
+                let mut take = current.clone();
+                take.extend(iter_bits(alive).map(|i| i as u32));
+                if take.len() > self.best.len() {
+                    self.best = take;
+                }
+                return;
+            }
+            let saved = alive.clone();
+            clear_bit(alive, v);
+            for (w, a) in alive.iter_mut().enumerate() {
+                *a &= !self.adj[v * self.words + w];
+            }
+            current.push(v as u32);
+            self.run(alive, current);
+            current.pop();
+            *alive = saved.clone();
+            clear_bit(alive, v);
+            self.run(alive, current);
+            *alive = saved;
+        }
+    }
+
+    fn first_set_bit(set: &[u64], from: &mut usize) -> Option<usize> {
+        while let Some(&bits) = set.get(*from) {
+            if bits != 0 {
+                return Some(*from * 64 + bits.trailing_zeros() as usize);
+            }
+            *from += 1;
+        }
+        None
+    }
+
+    fn clear_bit(set: &mut [u64], i: usize) {
+        set[i / 64] &= !(1u64 << (i % 64));
+    }
+
+    fn iter_bits(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+        set.iter().enumerate().flat_map(|(w, &bits)| {
+            let mut b = bits;
+            std::iter::from_fn(move || {
+                if b == 0 {
+                    None
+                } else {
+                    let i = b.trailing_zeros() as usize;
+                    b &= b - 1;
+                    Some(w * 64 + i)
+                }
+            })
+        })
+    }
+
+    let mut alive = vec![0u64; words];
+    for v in 0..n {
+        alive[v / 64] |= 1u64 << (v % 64);
+    }
+    let seed = greedy_mis_min_degree(g);
+    let mut search = Search {
+        words,
+        adj: &adj,
+        best: seed.iter().map(|v| v.index() as u32).collect(),
+        budget,
+        exhausted: false,
+        remaining: vec![0; words],
+        cand: vec![0; words],
+    };
+    search.run(&mut alive, &mut Vec::new());
+    let set: Vec<NodeId> = search.best.iter().map(|&i| NodeId::new(i as usize)).collect();
+    if search.exhausted {
+        ExactAlpha::BudgetExhausted(set)
+    } else {
+        ExactAlpha::Exact(set)
+    }
 }
 
 proptest! {
@@ -93,9 +273,16 @@ proptest! {
     }
 
     #[test]
+    fn alpha_search_matches_reference(g in arb_graph(), budget in 0..BUDGETS.len()) {
+        // Same variant, same set, same order.
+        let budget = BUDGETS[budget];
+        prop_assert_eq!(maximum_independent_set(&g, budget), reference_maximum_independent_set(&g, budget));
+    }
+
+    #[test]
     fn ifub_matches_exact_diameter(g in arb_graph()) {
-        prop_assume!(is_connected(&g) && g.n() >= 2);
-        prop_assert_eq!(diameter_ifub(&g), diameter_exact(&g));
+        // Disconnected graphs and isolated nodes included.
+        prop_assert_eq!(diameter(&g), diameter_exact(&g));
     }
 
     #[test]
@@ -151,6 +338,25 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn alpha_search_matches_reference_on_multiword_graphs(
+        g in arb_multiword_graph(),
+        budget in 0..BUDGETS.len() - 1,
+    ) {
+        // Both the word scan (up to 256 nodes) and the row search.
+        let budget = BUDGETS[budget];
+        prop_assert_eq!(maximum_independent_set(&g, budget), reference_maximum_independent_set(&g, budget));
+    }
+
+    #[test]
+    fn diameter_matches_exact_on_multiword_graphs(g in arb_multiword_graph()) {
+        prop_assert_eq!(diameter(&g), diameter_exact(&g));
     }
 }
 

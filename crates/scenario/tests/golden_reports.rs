@@ -18,9 +18,12 @@
 //! `RADIONET_REGEN_FIXTURES=1 cargo test -p radionet-scenario --test golden_reports`
 //! and review the diff. A regenerated sparse line is checked against its
 //! dense run by [`sparse_lines_match_dense_runs`], which includes the
-//! extended cells that have no dense twin in the fixture.
+//! extended cells that have no dense twin in the fixture. A regenerated
+//! fixture also fails [`results_version_is_pinned_to_the_fixture`] until
+//! `RESULTS_VERSION` is bumped, so persisted result stores of the old
+//! reports stop being served.
 
-use radionet_api::{Driver, Executor, JsonlSink, RunReport, RunSpec};
+use radionet_api::{Driver, Executor, JsonlSink, RunReport, RunSpec, RESULTS_VERSION};
 use radionet_scenario::runner::{spec_for_cell, SweepConfig};
 use radionet_scenario::Scenario;
 use radionet_sim::{Kernel, ReceptionMode};
@@ -113,4 +116,24 @@ fn sparse_lines_match_dense_runs() {
         checked += 1;
     }
     assert_eq!(checked, 31, "22 catalogue cells and 9 mobility and traffic cells run sparse");
+}
+
+/// FNV-1a 64 of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The fixture's bytes are the reports of [`RESULTS_VERSION`]: new bytes
+/// need a new version.
+#[test]
+fn results_version_is_pinned_to_the_fixture() {
+    let digest = fnv1a64(FIXTURE.as_bytes());
+    assert_eq!(
+        (RESULTS_VERSION, digest),
+        (1, 0x16ea_1baa_cb8a_03a0),
+        "catalogue_reports.jsonl changed (digest {digest:#018x}): bump \
+         radionet_api::RESULTS_VERSION and pin it here with the new digest"
+    );
 }

@@ -17,9 +17,12 @@
 //! 1. an **in-memory LRU** with a byte budget (stored line lengths), the
 //!    oldest entries evicted first;
 //! 2. an optional **persistent store** — a JSONL file of
-//!    `{"hash": …, "report": …}` rows loaded at open (last write wins) and
-//!    appended on every fresh run, so a restarted daemon serves yesterday's
-//!    traffic warm;
+//!    `{"hash": …, "version": …, "report": …}` rows loaded at open (last
+//!    write wins) and appended on every fresh run, so a restarted daemon
+//!    serves yesterday's traffic warm. A row records the
+//!    [`RESULTS_VERSION`] of the build that wrote it; rows of another
+//!    version, or of none, are skipped at open and counted as
+//!    `persist_stale`, so a build whose reports differ never serves them;
 //! 3. the [`Driver`] itself on a miss.
 //!
 //! **The audit guard.** Caching correctness rests on run purity, so the
@@ -31,8 +34,8 @@
 //! serves the fresh report — a corrupted store degrades to correct-but-slow
 //! instead of wrong.
 
-use radionet_api::{seeds, Driver, RunError, RunReport, RunSpec, SpecHash};
-use serde::{Deserialize, Serialize};
+use radionet_api::{seeds, Driver, RunError, RunReport, RunSpec, SpecHash, RESULTS_VERSION};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
@@ -75,6 +78,9 @@ pub struct CacheStats {
     pub audit_failures: u64,
     /// Entries loaded from the persistent store that later served a hit.
     pub persist_hits: u64,
+    /// Rows of the persistent store skipped at open because another
+    /// [`RESULTS_VERSION`], or none, wrote them.
+    pub persist_stale: u64,
     /// Live in-memory entries.
     pub entries: u64,
     /// Live in-memory bytes (sum of stored line lengths).
@@ -100,7 +106,8 @@ struct Entry {
     from_disk: bool,
 }
 
-/// One row of the persistent JSONL store.
+/// One row of the persistent JSONL store; its `version` is checked before
+/// the row is decoded.
 #[derive(Serialize, Deserialize)]
 struct PersistRow {
     hash: SpecHash,
@@ -139,16 +146,21 @@ impl ResultCache {
     ///
     /// Fails when the persistent file exists but cannot be read, or cannot
     /// be opened for append. Unparseable rows are skipped (a torn final
-    /// append after a crash must not brick the store).
+    /// append after a crash must not brick the store), and so are rows of
+    /// another [`RESULTS_VERSION`], counted as `persist_stale`.
     pub fn open(config: CacheConfig) -> io::Result<ResultCache> {
         let mut disk = HashMap::new();
+        let mut stats = CacheStats::default();
         let mut persist = None;
         if let Some(path) = &config.persist {
             if path.exists() {
                 let file = std::fs::File::open(path)?;
+                let current = Value::U64(u64::from(RESULTS_VERSION));
                 for line in io::BufReader::new(file).lines() {
-                    let line = line?;
-                    if let Ok(row) = serde_json::from_str::<PersistRow>(&line) {
+                    let Ok(row) = serde_json::from_str::<Value>(&line?) else { continue };
+                    if row.get("version") != Some(&current) {
+                        stats.persist_stale += 1;
+                    } else if let Ok(row) = PersistRow::from_value(&row) {
                         let report_line = serde_json::to_string(&row.report)
                             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
                         disk.insert(row.hash, report_line);
@@ -163,7 +175,7 @@ impl ResultCache {
                 by_age: BTreeMap::new(),
                 bytes: 0,
                 clock: 0,
-                stats: CacheStats::default(),
+                stats,
                 disk,
                 persist,
             }),
@@ -249,7 +261,10 @@ impl ResultCache {
         if let Some(file) = &mut inner.persist {
             // The stored line is already compact JSON; splicing it into the
             // row keeps the append byte-identical to what a reload serves.
-            let row = format!("{{\"hash\":\"{}\",\"report\":{}}}\n", hash.to_hex(), line);
+            let row = format!(
+                "{{\"hash\":\"{}\",\"version\":{RESULTS_VERSION},\"report\":{line}}}\n",
+                hash.to_hex()
+            );
             file.write_all(row.as_bytes()).and_then(|()| file.flush()).map_err(RunError::Sink)?;
         }
         inner.put(hash, line, false);
@@ -437,6 +452,38 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.persist_hits, s.misses), (1, 0));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn rows_of_another_results_version_are_not_served() {
+        let dir = std::env::temp_dir().join(format!("radionet-stale-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.jsonl");
+        let driver = Driver::standard();
+        let line = encode(&driver.run(&spec(4)).unwrap()).unwrap();
+        let hash = spec(4).spec_hash().to_hex();
+        // A row of another version and a row from before versions were
+        // recorded, both with today's report bytes.
+        let stale = format!(
+            "{{\"hash\":\"{hash}\",\"version\":{},\"report\":{line}}}\n\
+             {{\"hash\":\"{hash}\",\"report\":{line}}}\n",
+            RESULTS_VERSION + 1
+        );
+        std::fs::write(&path, stale).unwrap();
+        let config =
+            CacheConfig { max_bytes: 1 << 20, audit_fraction: 1.0, persist: Some(path.clone()) };
+        let cache = ResultCache::open(config.clone()).unwrap();
+        assert_eq!(cache.stats().persist_stale, 2);
+        let served = cache.serve(&driver, &spec(4)).unwrap();
+        assert!(!served.hit && !served.audited, "a stale row is a miss");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.persist_hits, s.audits, s.audit_failures), (1, 0, 0, 0));
+        // The fresh run was appended under the current version and serves
+        // the next process.
+        let reopened = ResultCache::open(config).unwrap();
+        assert!(reopened.serve(&driver, &spec(4)).unwrap().hit);
+        assert_eq!((reopened.stats().persist_stale, reopened.stats().persist_hits), (2, 1));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

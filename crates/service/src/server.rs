@@ -115,6 +115,7 @@ impl Shared {
         snap.push_counter("cache_audits", cache.audits);
         snap.push_counter("cache_audit_failures", cache.audit_failures);
         snap.push_counter("cache_persist_hits", cache.persist_hits);
+        snap.push_counter("cache_persist_stale", cache.persist_stale);
         snap.push_counter("connections", self.connections.load(Ordering::Relaxed));
         snap.push_counter("rejected", self.rejected.load(Ordering::Relaxed));
         let (live, terminal) = self.queue.counts();

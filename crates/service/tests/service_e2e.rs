@@ -3,7 +3,7 @@
 //! relies on — repeated submission is a byte-identical cache hit, sweeps
 //! report per-cell hits, and shutdown drains cleanly.
 
-use radionet_api::{Driver, RunSpec};
+use radionet_api::{Driver, RunSpec, RESULTS_VERSION};
 use radionet_graph::families::Family;
 use radionet_service::{CacheConfig, Service, ServiceClient, ServiceConfig, ServiceHandle};
 use std::time::{Duration, Instant};
@@ -78,9 +78,9 @@ fn sweep_via_the_client_matches_direct_runs_and_reports_hits() {
     handle.join();
 }
 
-/// A poisoned persisted entry served through `sweep` is audited like a
-/// `submit` hit: re-run, caught, replaced, and answered with the fresh
-/// report.
+/// A poisoned persisted entry of the current results version, served
+/// through `sweep`, is audited like a `submit` hit: re-run, caught,
+/// replaced, and answered with the fresh report.
 #[test]
 fn sweep_hits_pass_the_audit_guard() {
     let spec = tiny(21);
@@ -92,7 +92,10 @@ fn sweep_hits_pass_the_audit_guard() {
     let row = serde_json::to_string(&tampered).unwrap();
     std::fs::write(
         &path,
-        format!("{{\"hash\":\"{}\",\"report\":{row}}}\n", spec.spec_hash().to_hex()),
+        format!(
+            "{{\"hash\":\"{}\",\"version\":{RESULTS_VERSION},\"report\":{row}}}\n",
+            spec.spec_hash().to_hex()
+        ),
     )
     .unwrap();
     let config = ServiceConfig {

@@ -107,23 +107,28 @@ pub struct NetInfo {
 }
 
 impl NetInfo {
-    /// Above this node count, [`NetInfo::exact`] switches from the exact /
-    /// iFUB diameter to the 3-BFS double-sweep bound: exact all-pairs BFS is
-    /// `O(n·m)` and even iFUB can degenerate to many sweeps, which would let
-    /// *setup* dominate million-node runs whose simulation is otherwise
-    /// near-linear. The double sweep is exact on the tree/path/grid families
-    /// and always within a factor 2, which the paper's "estimates within a
-    /// constant factor" model explicitly tolerates.
+    /// Above this node count, [`NetInfo::exact`] switches from the exact
+    /// diameter to the 3-BFS double-sweep bound. The exact search usually
+    /// takes a handful of BFS, but a BFS per fringe node in the worst case
+    /// (`O(n·m)`), which would let *setup* dominate million-node runs whose
+    /// simulation is otherwise near-linear. The double sweep is exact on
+    /// the tree/path/grid families and always within a factor 2, which the
+    /// paper's "estimates within a constant factor" model explicitly
+    /// tolerates.
     pub const EXACT_DIAMETER_MAX_N: usize = 32_768;
 
     /// Builds exact network information from a graph — the harness's default
     /// (the model allows estimates; exactness is the easiest valid choice).
     ///
-    /// Uses the exact diameter up to [`NetInfo::EXACT_DIAMETER_MAX_N`] nodes
-    /// (the 2-sweep BFS bound beyond that) and an α bracket whose
-    /// exact-search budget shrinks with `n` (large graphs fall back to the
-    /// greedy/clique-cover bracket, which the paper's "any polynomial
-    /// approximation will suffice" tolerates).
+    /// `D` is `traversal::diameter` (exact, by per-node eccentricity bounds)
+    /// up to [`NetInfo::EXACT_DIAMETER_MAX_N`] nodes, and the 3-BFS
+    /// double-sweep bound beyond. `α` is the estimate of
+    /// `independent_set::alpha_bounds`, whose branch and bound expands at
+    /// most 500,000 search nodes up to 64 nodes, 50,000 up to 128 and 2,000
+    /// beyond; past `independent_set::EXACT_SEARCH_MAX_N` (16,384 nodes) it
+    /// takes the greedy/clique-cover bracket, which the paper's "any
+    /// polynomial approximation will suffice" tolerates. Both are computed
+    /// afresh on every call, in well under a second at each threshold.
     pub fn exact(g: &Graph) -> Self {
         let d = if g.n() <= Self::EXACT_DIAMETER_MAX_N {
             radionet_graph::traversal::diameter(g)
