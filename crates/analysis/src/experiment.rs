@@ -46,7 +46,8 @@ impl Default for RunRecord {
 /// A full experiment: id, description, and all runs.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentRecord {
-    /// Experiment id from DESIGN.md (e.g. `"E3"`).
+    /// Experiment id from the index in `crates/bench/src/experiments/mod.rs`
+    /// (e.g. `"E3"`).
     pub id: String,
     /// The paper claim being reproduced.
     pub claim: String,

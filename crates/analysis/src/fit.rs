@@ -17,13 +17,6 @@ pub struct PowerLawFit {
     pub r_squared: f64,
 }
 
-impl PowerLawFit {
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.a * x.powf(self.b)
-    }
-}
-
 /// Fits `y = a·x^b` by ordinary least squares on logs.
 ///
 /// Pairs with non-positive coordinates are skipped (logs undefined).
@@ -67,7 +60,6 @@ mod tests {
         assert!((fit.b - 2.5).abs() < 1e-9, "b = {}", fit.b);
         assert!((fit.a - 3.0).abs() < 1e-6, "a = {}", fit.a);
         assert!(fit.r_squared > 0.999_999);
-        assert!((fit.predict(10.0) - 3.0 * 10f64.powf(2.5)).abs() < 1e-6);
     }
 
     #[test]

@@ -7,14 +7,7 @@
 //! Keeping the derivation in a single module is the determinism guard:
 //! every caller derives the same sub-seeds from the same cell seed.
 
-/// Splitmix64-style finalizer: the workspace's standard bit mixer.
-pub fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+pub use radionet_sim::mix;
 
 /// The per-cell seed of a sweep: mixes the sweep's base seed with the cell
 /// index (its scenario name, requested size, and repetition number).

@@ -103,7 +103,7 @@ fn mobility_accepts_sinr_reception_end_to_end() {
 
 #[test]
 fn mobility_sinr_kernels_are_byte_identical() {
-    // Moving positions + physical reception, sparse vs dense vs event: the
+    // Moving positions + physical reception, sparse vs dense: the
     // spatially-indexed SINR kernel must reproduce the dense reference
     // bit-for-bit under the default Exact far-field policy.
     let driver = Driver::standard();
@@ -112,15 +112,11 @@ fn mobility_sinr_kernels_are_byte_identical() {
             .with_reception(ReceptionMode::Sinr(SinrConfig::geometric()));
         let sparse = driver.run(&spec.clone().with_kernel(Kernel::Sparse)).unwrap();
         let dense = driver.run(&spec.clone().with_kernel(Kernel::Dense)).unwrap();
-        let event = driver.run(&spec.clone().with_kernel(Kernel::Event)).unwrap();
         assert_eq!(sparse.outcome, dense.outcome, "{preset}");
-        assert_eq!(sparse.outcome, event.outcome, "{preset} (event)");
         assert_eq!(sparse.stats.deliveries, dense.stats.deliveries, "{preset}");
         assert_eq!(sparse.stats.collisions, dense.stats.collisions, "{preset}");
         assert_eq!(sparse.rng_fingerprint, dense.rng_fingerprint, "{preset}");
-        assert_eq!(sparse.rng_fingerprint, event.rng_fingerprint, "{preset} (event)");
         assert_eq!(sparse.mobility, dense.mobility, "{preset}");
-        assert_eq!(sparse.mobility, event.mobility, "{preset} (event)");
     }
 }
 
@@ -150,8 +146,8 @@ fn mobility_reports_are_deterministic() {
 
 #[test]
 fn mobility_kernels_are_byte_identical() {
-    // The acceptance criterion: the sparse active-set and clock-jumping
-    // event kernels run unmodified on MobileTopology with results
+    // The acceptance criterion: the sparse active-set kernel, clock jumps
+    // included, runs unmodified on MobileTopology with results
     // identical to the dense reference — outcome, kernel-invariant engine
     // counters, RNG streams, and trace.
     let driver = Driver::standard();
@@ -160,24 +156,15 @@ fn mobility_kernels_are_byte_identical() {
             let mut spec = mobile_spec(preset, Family::UnitDisk, 21);
             spec.task = task.to_string();
             let sparse = driver.run(&spec.clone().with_kernel(Kernel::Sparse)).unwrap();
-            let event = driver.run(&spec.clone().with_kernel(Kernel::Event)).unwrap();
             let dense = driver.run(&spec.with_kernel(Kernel::Dense)).unwrap();
             assert_eq!(sparse.outcome, dense.outcome, "{preset}/{task}");
-            assert_eq!(sparse.outcome, event.outcome, "{preset}/{task} (event)");
             assert_eq!(
                 sparse.stats.kernel_invariant(),
                 dense.stats.kernel_invariant(),
                 "{preset}/{task}"
             );
-            assert_eq!(
-                sparse.stats.kernel_invariant(),
-                event.stats.kernel_invariant(),
-                "{preset}/{task} (event)"
-            );
             assert_eq!(sparse.rng_fingerprint, dense.rng_fingerprint, "{preset}/{task}");
-            assert_eq!(sparse.rng_fingerprint, event.rng_fingerprint, "{preset}/{task} (event)");
             assert_eq!(sparse.mobility, dense.mobility, "{preset}/{task}");
-            assert_eq!(sparse.mobility, event.mobility, "{preset}/{task} (event)");
         }
     }
 }

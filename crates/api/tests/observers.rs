@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 #[test]
 fn telemetry_does_not_change_a_journaled_run() {
-    for kernel in [Kernel::Sparse, Kernel::Event] {
+    for kernel in [Kernel::Sparse, Kernel::Dense] {
         let spec = RunSpec::new("broadcast", Family::Grid, 36).with_seed(3).with_kernel(kernel);
         let (report, mut journal) = Driver::standard().run_journaled(&spec).unwrap();
         let tel = Registry::default();

@@ -1,4 +1,4 @@
-//! Experiment implementations, one per DESIGN.md §4 entry.
+//! Experiment implementations, one per row of this index.
 //!
 //! | id | claim | function |
 //! |----|-------|----------|
@@ -19,7 +19,7 @@
 //! | E16 | unified façade coverage | [`e16_facade`] |
 //! | E17 | mobility: incremental index + time-resolved α/D | [`e17_mobility`] |
 //! | E18 | geometry-native SINR: sparse vs dense reception | [`e18_sinr`] |
-//! | E19 | event kernel: clock jumps over silent spans | [`e19_event`] |
+//! | E19 | sparse kernel: clock jumps over silent spans | [`e19_event`] |
 //! | E20 | radionetd serving: cache + sharded sweeps | [`e20_service`] |
 //! | E21 | telemetry overhead guard | [`e21_telemetry`] |
 //! | E22 | streaming traffic pipeline | [`e22_traffic`] |
@@ -113,7 +113,7 @@ pub const ALL: &[ExperimentDef] = &[
     },
     ExperimentDef {
         id: "E19",
-        claim: "event kernel: silent spans cost one clock jump, not one step each",
+        claim: "sparse kernel: silent spans cost one clock jump, not one step each",
         run: e19_event,
     },
     ExperimentDef {

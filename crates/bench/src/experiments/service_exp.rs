@@ -132,7 +132,7 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
          response byte-identical to its fresh run",
         requests.len(),
     ));
-    // Like E15/E19, timing is a soft bar: correctness is the asserts above.
+    // Like E15, timing is a soft bar: correctness is the asserts above.
     if speedup < 10.0 {
         record.note(format!(
             "WARNING: measured served/cold speedup {speedup:.1}x is below the 10x bar — \

@@ -113,7 +113,7 @@ pub fn e21_telemetry(scale: Scale) -> ExperimentRecord {
     let specs = [
         RunSpec::new("broadcast", Family::Grid, n).with_seed(7),
         RunSpec::new("mis", Family::UnitDisk, n).with_seed(3).with_kernel(Kernel::Dense),
-        RunSpec::new("leader-election", Family::Grid, n).with_seed(1).with_kernel(Kernel::Event),
+        RunSpec::new("leader-election", Family::Grid, n).with_seed(1),
         RunSpec::new("broadcast", Family::UnitDisk, n)
             .with_seed(5)
             .with_dynamics(Dynamics::preset("churn").expect("churn is a standard preset")),
@@ -144,7 +144,7 @@ pub fn e21_telemetry(scale: Scale) -> ExperimentRecord {
         );
     }
     record.note(format!(
-        "driver equivalence: {} specs (broadcast/mis/leader-election; sparse/dense/event \
+        "driver equivalence: {} specs (broadcast/mis/leader-election; sparse/dense \
          kernels; static + churn dynamics) bit-identical with telemetry attached, \
          fingerprints included; registry carries all driver-stage histograms",
         specs.len()

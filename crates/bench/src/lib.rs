@@ -1,5 +1,5 @@
 //! The benchmark harness: one experiment per quantitative claim of the
-//! paper (see DESIGN.md §4 for the index). Each experiment is a library
+//! paper (indexed in [`experiments`]). Each experiment is a library
 //! function returning an [`radionet_analysis::ExperimentRecord`] and
 //! printing its Markdown table; the `exp` binary runs one of them
 //! (`exp E15`) or all of them (`exp all`), writing JSON records to

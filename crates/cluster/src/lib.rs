@@ -9,8 +9,9 @@
 //! * [`partition_radio`] — the radio-network implementation (à la
 //!   Haeupler–Wajc): discretized wave expansion with Decay per phase;
 //! * [`schedule`] — per-cluster conflict-free transmission schedules used by
-//!   Intra-Cluster Propagation (DESIGN.md substitution S1), verified
-//!   conflict-free at construction;
+//!   Intra-Cluster Propagation (built engine-side and charged through
+//!   [`CostModel`](radionet_sim::CostModel)), verified conflict-free at
+//!   construction;
 //! * [`quantities`] — the Section 3 quantities `T_β`, `B_β`, `S_β`, the
 //!   prefix counts `s_j`, the paper's `b`, and the Lemma 4 / Lemma 5
 //!   predicates (experiments E5–E7).

@@ -24,7 +24,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Configuration of the radio partition (DESIGN.md substitution S2 knobs).
+/// Configuration of the radio partition (knobs calibrated by experiment E12).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RadioPartitionConfig {
     /// `δ_cap = delta_cap_factor · ln(n) / β`.
@@ -274,8 +274,8 @@ impl RadioClustering {
     /// Normalizes into a [`Clustering`]: groups nodes by center id, places
     /// each cluster's center at its distance-0 node, and recomputes `dist`
     /// and `parent` by BFS **inside each cluster's induced subgraph** (the
-    /// engine-side normalization that schedule construction needs anyway —
-    /// DESIGN.md substitution S1).
+    /// engine-side normalization that schedule construction needs anyway,
+    /// charged through [`CostModel`](radionet_sim::CostModel)).
     ///
     /// Unclaimed nodes stay unclustered. Returns `None` if some cluster id
     /// has no distance-0 node (possible only if the center's Decay failed

@@ -168,7 +168,7 @@ pub fn b_param(d: u32, alpha: f64) -> u64 {
 
 /// The scale range the paper randomizes over: integers `j` with
 /// `lo_frac·log D ≤ j ≤ hi_frac·log D` (paper: `0.01` and `0.1`; the harness
-/// widens the fractions at simulation scale — DESIGN.md S2).
+/// widens the fractions at simulation scale, as calibrated by experiment E12).
 pub fn j_range(d: u32, lo_frac: f64, hi_frac: f64) -> std::ops::RangeInclusive<i64> {
     let log_d = (d.max(2) as f64).log2();
     let lo = (lo_frac * log_d).ceil() as i64;

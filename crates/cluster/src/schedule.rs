@@ -1,4 +1,5 @@
-//! Per-cluster conflict-free transmission schedules (DESIGN.md S1).
+//! Per-cluster conflict-free transmission schedules, built engine-side and
+//! charged through [`CostModel`](radionet_sim::CostModel).
 //!
 //! The paper's Intra-Cluster Propagation runs on fast schedules from
 //! Ghaffari–Haeupler–Khabbazian / Haeupler–Wajc, black-boxed by the paper.

@@ -6,8 +6,8 @@
 //!
 //! 1. `MIS ← ComputeMIS` (Algorithm 7);
 //! 2. coarse clustering: `Partition(β, MIS)` with `β = D^{-1/2}`;
-//! 3. schedules within coarse clusters (constructed engine-side, charged —
-//!    DESIGN.md S1);
+//! 3. schedules within coarse clusters (constructed engine-side, charged
+//!    through [`CostModel`]);
 //! 4. fine clusterings: `Partition(2^{-j}, MIS)` for each scale `j` in the
 //!    randomized range, several per scale;
 //! 5. schedules within all fine clusterings (charged as in 3);
@@ -531,13 +531,7 @@ impl Protocol for SeedNode {
 
 /// Deterministic 64-bit hash (splitmix-style) for sequence expansion.
 pub fn hash_u64(key: u64, r: u64) -> u64 {
-    let mut x = key ^ r.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
+    radionet_sim::mix(key ^ r.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 #[cfg(test)]

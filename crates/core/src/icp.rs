@@ -207,12 +207,7 @@ impl BgDecaySeq {
 /// Deterministic hash of `(key, block)` into `[0, 1)` — the "coordinated in
 /// each cluster" coin (every member computes the same value).
 pub fn hash01(key: u64, block: u64) -> f64 {
-    let mut x = key ^ block.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
+    let x = radionet_sim::mix(key ^ block.wrapping_mul(0xbf58_476d_1ce4_e5b9));
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 

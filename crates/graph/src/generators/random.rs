@@ -103,27 +103,6 @@ pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
     b.build()
 }
 
-/// A random caterpillar: a spine path of `spine` nodes, each growing a
-/// random number of legs in `0..=max_legs`. Trees with long diameter and
-/// tunable α.
-pub fn random_caterpillar<R: Rng + ?Sized>(spine: usize, max_legs: usize, rng: &mut R) -> Graph {
-    assert!(spine >= 1, "caterpillar needs a spine");
-    let legs: Vec<usize> = (0..spine).map(|_| rng.gen_range(0..=max_legs)).collect();
-    let n = spine + legs.iter().sum::<usize>();
-    let mut b = GraphBuilder::new(n);
-    for i in 1..spine {
-        b.add_edge(i - 1, i);
-    }
-    let mut next = spine;
-    for (i, &l) in legs.iter().enumerate() {
-        for _ in 0..l {
-            b.add_edge(i, next);
-            next += 1;
-        }
-    }
-    b.build()
-}
-
 /// Picks a uniformly random node of `g`.
 ///
 /// # Panics
@@ -230,14 +209,6 @@ mod tests {
             assert_eq!(g.m(), n.saturating_sub(1));
             assert!(is_connected(&g));
         }
-    }
-
-    #[test]
-    fn caterpillar_shape() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let g = random_caterpillar(10, 3, &mut rng);
-        assert!(is_connected(&g));
-        assert_eq!(g.m(), g.n() - 1);
     }
 
     #[test]

@@ -47,46 +47,6 @@ pub fn bfs_distances_multi(g: &Graph, sources: &[NodeId]) -> Vec<u32> {
     dist
 }
 
-/// A BFS tree rooted at `sources`: for each node, its parent and depth.
-#[derive(Clone, Debug)]
-pub struct BfsTree {
-    /// Parent of each node; `None` for roots and unreachable nodes.
-    pub parent: Vec<Option<NodeId>>,
-    /// Depth (hop distance) of each node; [`UNREACHABLE`] if unreachable.
-    pub depth: Vec<u32>,
-}
-
-impl BfsTree {
-    /// Maximum finite depth in the tree; 0 if no node is reachable.
-    pub fn height(&self) -> u32 {
-        self.depth.iter().copied().filter(|&d| d != UNREACHABLE).max().unwrap_or(0)
-    }
-}
-
-/// Builds a BFS tree from (multi-)sources.
-pub fn bfs_tree(g: &Graph, sources: &[NodeId]) -> BfsTree {
-    let mut parent = vec![None; g.n()];
-    let mut depth = vec![UNREACHABLE; g.n()];
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        if depth[s.index()] == UNREACHABLE {
-            depth[s.index()] = 0;
-            queue.push_back(s);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let du = depth[u.index()];
-        for &w in g.neighbors(u) {
-            if depth[w.index()] == UNREACHABLE {
-                depth[w.index()] = du + 1;
-                parent[w.index()] = Some(u);
-                queue.push_back(w);
-            }
-        }
-    }
-    BfsTree { parent, depth }
-}
-
 /// Connected components: `(labels, count)` with labels in `0..count`.
 pub fn connected_components(g: &Graph) -> (Vec<usize>, usize) {
     let mut label = vec![usize::MAX; g.n()];
@@ -622,19 +582,6 @@ mod tests {
         assert_eq!(diameter_exact(&generators::star(10)), 2);
         assert_eq!(diameter_exact(&generators::grid2d(4, 6)), 8);
         assert_eq!(diameter_exact(&generators::hypercube(5)), 5);
-    }
-
-    #[test]
-    fn bfs_tree_parents_consistent() {
-        let g = generators::grid2d(4, 4);
-        let t = bfs_tree(&g, &[g.node(0)]);
-        for v in g.nodes() {
-            if let Some(p) = t.parent[v.index()] {
-                assert_eq!(t.depth[v.index()], t.depth[p.index()] + 1);
-                assert!(g.has_edge(v, p));
-            }
-        }
-        assert_eq!(t.height(), 6);
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl Recorder {
     }
 
     /// Whether a waypoint is due at the completed-step boundary `step`
-    /// (the engine asks after every simulated step, in every kernel).
+    /// (the engine asks after every simulated step, in both kernels).
     pub fn checkpoint_due(&self, step: u64) -> bool {
         self.checkpoint_every != 0 && step >= self.next_waypoint
     }
@@ -104,10 +104,9 @@ impl Recorder {
 
     /// The earliest future boundary at which
     /// [`checkpoint_due`](Recorder::checkpoint_due) would first answer
-    /// true, or `None` when waypoints are off. The event-driven kernel
-    /// lands on every waypoint step instead of jumping over it, so a
-    /// recording made under clock jumps keeps the exact cadence of a
-    /// stepped one.
+    /// true, or `None` when waypoints are off. The sparse kernel lands on
+    /// every waypoint step instead of jumping over it, so a recording made
+    /// under clock jumps keeps the exact cadence of a stepped one.
     pub fn next_checkpoint(&self) -> Option<u64> {
         (self.checkpoint_every != 0).then_some(self.next_waypoint)
     }
@@ -185,9 +184,8 @@ pub struct JournalSummary {
 pub struct Journal {
     /// Free-form producer tag (tool and version).
     pub producer: String,
-    /// The kernel that produced the stream (`"sparse"` / `"dense"` /
-    /// `"event"`), used to decide whether two journals are
-    /// order-comparable per class.
+    /// The kernel that produced the stream (`"sparse"` / `"dense"`), used
+    /// to decide whether two journals are order-comparable per class.
     pub kernel: String,
     /// The class filter the recording ran under.
     pub mask: ClassMask,

@@ -9,9 +9,9 @@
 //!   random waypoint (with pauses), random walk / Lévy flight, correlated
 //!   group drift, and the static identity. Every node's trajectory is a
 //!   pure function of `(model, seed)` through per-node RNG streams.
-//! * [`grid`] — [`SpatialGrid`], a uniform-grid spatial index with cell
-//!   width ≥ the interaction radius, so the candidate neighbors of a point
-//!   are exactly the 3^dim surrounding cells (re-exported from
+//! * [`SpatialGrid`] — a uniform-grid spatial index with cell width ≥ the
+//!   interaction radius, so the candidate neighbors of a point are exactly
+//!   the 3^dim surrounding cells (re-exported from
 //!   [`radionet_graph::spatial`], where it is shared with the simulator's
 //!   sparse SINR reception kernel).
 //! * [`topology`] — [`MobileTopology`], a
@@ -55,36 +55,10 @@ pub mod model;
 pub mod topology;
 
 pub use model::{GroupDriftParams, MobilityModel, Motion, WalkParams, WaypointParams};
-/// The uniform-grid spatial index, re-exported from `radionet_graph`
-/// (moved there so the simulator's sparse SINR kernel can share it
-/// without a dependency cycle; the legacy `radionet_mobility::grid` path
-/// keeps working).
-pub use radionet_graph::spatial as grid;
+/// The uniform-grid spatial index, re-exported from
+/// [`radionet_graph::spatial`] (where the simulator's sparse SINR kernel
+/// shares it).
 pub use radionet_graph::spatial::SpatialGrid;
 pub use topology::{
     IndexStrategy, MobileTopology, MobilitySample, MobilityStats, MobilityTrace, TRACE_CAP,
 };
-
-/// Splitmix64-style finalizer: the workspace's standard bit mixer (kept in
-/// sync with `radionet_api::seeds::mix`; duplicated here because the API
-/// crate sits *above* this one in the dependency graph).
-pub fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::mix;
-
-    #[test]
-    fn mix_matches_the_workspace_mixer() {
-        // Pinned against radionet_api::seeds::mix (same constants).
-        assert_eq!(mix(0), 0);
-        assert_ne!(mix(1), 1);
-        assert_eq!(mix(3 ^ 0x6a), mix(0x69));
-    }
-}

@@ -10,7 +10,7 @@
 //! radius per tick** (the scale on which motion changes the topology), so
 //! one parameter set behaves comparably across densities and domain sizes.
 
-use crate::mix;
+use radionet_sim::mix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};

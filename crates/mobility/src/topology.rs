@@ -23,16 +23,15 @@
 //! instance is a pure function of `(points, rule, seed)` — the same pair at
 //! the same distance always gets the same answer, under every strategy.
 
-use crate::grid::{within, SpatialGrid};
-use crate::mix;
 use crate::model::{MobilityModel, Motion};
 use radionet_graph::families::{Geometry, GeometryRule};
 use radionet_graph::independent_set::{
     clique_cover_upper_bound, greedy_mis_min_degree, matching_upper_bound,
 };
+use radionet_graph::spatial::{within, SpatialGrid};
 use radionet_graph::traversal;
 use radionet_graph::{Graph, GraphBuilder, NodeId};
-use radionet_sim::TopologyView;
+use radionet_sim::{mix, TopologyView};
 use serde::{Deserialize, Serialize};
 
 /// How the derived edge set is maintained as nodes move.

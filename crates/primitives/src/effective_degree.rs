@@ -9,8 +9,7 @@
 //! Lemma 11 guarantees (whp): `d_t(v) ≥ 1 ⇒ High` and `d_t(v) ≤ 0.01 ⇒
 //! Low`; in between, either answer is allowed. The paper's constants
 //! (`C log n / 33`) are asymptotic; [`EedConfig`] keeps the same functional
-//! form with calibrated defaults (DESIGN.md substitution S2, experiment
-//! E12): the per-step hearing probability in the best block is in practice
+//! form with defaults calibrated by experiment E12: the per-step hearing probability in the best block is in practice
 //! `≈ d·e^{-d} = Ω(1)` for `d ≥ 1` versus `≤ 2·0.01` for `d ≤ 0.01`, so a
 //! threshold fraction between those separates reliably.
 

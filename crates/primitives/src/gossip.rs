@@ -13,7 +13,7 @@
 //! transmissions, so a node's work is proportional to the traffic passing
 //! through it, not to the phase length.
 //!
-//! The protocol honors the sparse/event kernel [`Wake`] contract the same
+//! The protocol honors the sparse kernel's [`Wake`] contract the same
 //! way [`FloodProtocol`](crate::flood::FloodProtocol) does: all behavior
 //! derives from `ctx.time` and
 //! the learned-at times in the known set, never from call counts, so a

@@ -306,7 +306,7 @@ mod tests {
         assert_eq!(record.runs.len(), results.len());
         assert_eq!(record.runs[0].params["scenario"], "t-static");
         assert!(record.runs[0].metrics.contains_key("clock_total"));
-        // Event-kernel telemetry makes sweeps auditable: every row states
+        // Scheduler telemetry makes sweeps auditable: every row states
         // how much scheduling work it really did.
         assert!(record.runs[0].metrics.contains_key("scheduler_events"));
         assert!(record.runs[0].metrics.contains_key("silent_steps_skipped"));

@@ -132,7 +132,7 @@ fn results_version_is_pinned_to_the_fixture() {
     let digest = fnv1a64(FIXTURE.as_bytes());
     assert_eq!(
         (RESULTS_VERSION, digest),
-        (1, 0x16ea_1baa_cb8a_03a0),
+        (2, 0x4d96_7a47_e1d8_7868),
         "catalogue_reports.jsonl changed (digest {digest:#018x}): bump \
          radionet_api::RESULTS_VERSION and pin it here with the new digest"
     );

@@ -1,6 +1,6 @@
 //! Scenario-level kernel equivalence: every (protocol × scenario) cell of
 //! the catalogue must produce the identical [`CellResult`] under the
-//! sparse, dense, and event kernels — full `Compete` broadcast, leader
+//! sparse and dense kernels — full `Compete` broadcast, leader
 //! election, and radio MIS, under churn, partitions, jamming, staggered
 //! wake-up, and mobility.
 //!
@@ -34,20 +34,18 @@ fn run_invariant(spec: &CellSpec, kernel: Kernel) -> CellResult {
     r
 }
 
-/// The whole catalogue, one small size, all three kernels, cell by cell.
+/// The whole catalogue, one small size, both kernels, cell by cell.
 #[test]
 fn catalogue_cells_agree_across_kernels() {
     for spec in cells(vec![36], 1, 0xbeef) {
         let sparse = run_invariant(&spec, Kernel::Sparse);
         let dense = run_invariant(&spec, Kernel::Dense);
-        let event = run_invariant(&spec, Kernel::Event);
         assert_eq!(sparse, dense, "kernel divergence in cell {:?}", spec.scenario.name);
-        assert_eq!(sparse, event, "event-kernel divergence in cell {:?}", spec.scenario.name);
     }
 }
 
 /// The mobility scenarios (topology derived from a moving point set): the
-/// sparse active-set and clock-jumping event kernels must reproduce the
+/// sparse active-set kernel, clock jumps included, must reproduce the
 /// dense reference bit-for-bit on `MobileTopology` too.
 #[test]
 fn mobility_cells_agree_across_kernels() {
@@ -60,13 +58,7 @@ fn mobility_cells_agree_across_kernels() {
     for spec in config.cells() {
         let sparse = run_invariant(&spec, Kernel::Sparse);
         let dense = run_invariant(&spec, Kernel::Dense);
-        let event = run_invariant(&spec, Kernel::Event);
         assert_eq!(sparse, dense, "kernel divergence in mobility cell {:?}", spec.scenario.name);
-        assert_eq!(
-            sparse, event,
-            "event-kernel divergence in mobility cell {:?}",
-            spec.scenario.name
-        );
     }
 }
 
@@ -81,16 +73,14 @@ fn catalogue_cells_agree_under_collision_detection() {
     for spec in specs {
         let sparse = run_invariant(&spec, Kernel::Sparse);
         let dense = run_invariant(&spec, Kernel::Dense);
-        let event = run_invariant(&spec, Kernel::Event);
         assert_eq!(sparse, dense, "CD kernel divergence in cell {:?}", spec.scenario.name);
-        assert_eq!(sparse, event, "CD event-kernel divergence in cell {:?}", spec.scenario.name);
     }
 }
 
 /// Streaming-traffic specs through the full façade: every traffic kind,
 /// under churn and under jamming, must produce the identical outcome,
-/// kernel-invariant stats, scheduler pops, and RNG fingerprint across the
-/// three kernels — the end-to-end counterpart of `radionet-sim`'s
+/// kernel-invariant stats, and RNG fingerprint across the two kernels —
+/// the end-to-end counterpart of `radionet-sim`'s
 /// injection-schedule proptest.
 #[test]
 fn traffic_cells_agree_across_kernels() {
@@ -109,16 +99,10 @@ fn traffic_cells_agree_across_kernels() {
             };
             let sparse = driver.run(&spec(Kernel::Sparse)).unwrap();
             let dense = driver.run(&spec(Kernel::Dense)).unwrap();
-            let event = driver.run(&spec(Kernel::Event)).unwrap();
             let key = |r: &radionet_api::RunReport| {
                 (r.outcome, r.traffic, r.stats.kernel_invariant(), r.rng_fingerprint)
             };
             assert_eq!(key(&sparse), key(&dense), "{task} under {dynamics}: dense disagrees");
-            assert_eq!(key(&sparse), key(&event), "{task} under {dynamics}: event disagrees");
-            assert_eq!(
-                sparse.stats.scheduler_events, event.stats.scheduler_events,
-                "{task} under {dynamics}: event kernel must pop exactly sparse's wake entries"
-            );
             assert!(
                 sparse.traffic.is_some_and(|t| t.injected > 0),
                 "{task} under {dynamics}: the workload injected nothing — vacuous cell"
@@ -144,8 +128,6 @@ proptest! {
         let spec = config.cells().into_iter().last().unwrap();
         let sparse = run_invariant(&spec, Kernel::Sparse);
         let dense = run_invariant(&spec, Kernel::Dense);
-        let event = run_invariant(&spec, Kernel::Event);
         prop_assert_eq!(&sparse, &dense);
-        prop_assert_eq!(&sparse, &event);
     }
 }

@@ -50,13 +50,12 @@ where
     value.parse().map_err(|e| format!("{flag} {value:?}: {e}"))
 }
 
-/// Parses a `--kernel` value: `sparse`, `dense` or `event`.
+/// Parses a `--kernel` value: `sparse` or `dense`.
 pub fn parse_kernel(name: &str) -> Result<Kernel, String> {
     match name {
         "sparse" => Ok(Kernel::Sparse),
         "dense" => Ok(Kernel::Dense),
-        "event" => Ok(Kernel::Event),
-        other => Err(format!("unknown kernel {other:?}; sparse, dense or event")),
+        other => Err(format!("unknown kernel {other:?}; sparse or dense")),
     }
 }
 
@@ -367,13 +366,13 @@ mod tests {
             "--steps",
             "50",
             "--kernel",
-            "event",
+            "dense",
         ])
         .unwrap();
         assert_eq!(spec.family, Family::UnitDisk);
         assert_eq!(spec.reception, ReceptionMode::Sinr(SinrConfig::geometric()));
         assert_eq!(spec.dynamics, Dynamics::preset("mobility:waypoint").unwrap());
-        assert_eq!((spec.steps, spec.kernel), (Some(50), Kernel::Event));
+        assert_eq!((spec.steps, spec.kernel), (Some(50), Kernel::Dense));
         assert_eq!((spec.task.as_str(), spec.n), ("broadcast", 36), "the defaults survive");
         // A spec document replaces the whole spec, so mixing is refused
         // (before stdin is read).
@@ -381,5 +380,17 @@ mod tests {
         assert!(err.contains("--spec replaces the whole spec"), "{err}");
         let err = spec_of(&["--family", "nope"]).unwrap_err();
         assert!(err.contains("one of: path, cycle, grid"), "{err}");
+        // The retired `event` kernel is refused by name, as a flag and in a
+        // spec document, with the kernels that remain.
+        let err = spec_of(&["--kernel", "event"]).unwrap_err();
+        assert!(err.contains("unknown kernel") && err.contains("sparse or dense"), "{err}");
+        let doc = serde_json::to_string(&RunSpec::new("broadcast", Family::Grid, 36)).unwrap();
+        let doc = doc.replace(r#""kernel":"Sparse""#, r#""kernel":"Event""#);
+        assert!(doc.contains(r#""kernel":"Event""#), "{doc}");
+        let path = std::env::temp_dir().join(format!("radionet-event-{}.json", std::process::id()));
+        std::fs::write(&path, doc).unwrap();
+        let err = spec_of(&["--spec", path.to_str().unwrap()]).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(["`Event`", "Sparse", "Dense"].iter().all(|w| err.contains(w)), "{err}");
     }
 }

@@ -2,7 +2,7 @@
 //! rayon blocks (what `--shards N` selects in process) and `radionetd
 //! --worker` subprocesses must emit a stream byte-identical to the
 //! sequential sweep over the extended catalogue, under the sparse and the
-//! event kernel — and when a cell fails, every executor must emit the same
+//! dense kernel — and when a cell fails, every executor must emit the same
 //! sequential prefix and name the cause.
 
 use radionet_api::{Driver, Executor, JsonArraySink, JsonlSink, MemorySink, RunReport, RunSpec};
@@ -48,13 +48,13 @@ fn sharded_sweeps_are_byte_identical_over_the_extended_catalogue() {
 }
 
 #[test]
-fn event_kernel_blocks_match_the_sequential_sweep() {
-    // The event kernel jumps the clock per cell; its reports (and their
-    // `silent_steps_skipped` counters) must not depend on the block size.
-    let specs: Vec<RunSpec> = extended_config().specs(Kernel::Event).collect();
+fn dense_kernel_blocks_match_the_sequential_sweep() {
+    // The dense reference kernel's reports must not depend on the block
+    // size either.
+    let specs: Vec<RunSpec> = extended_config().specs(Kernel::Dense).collect();
     let sequential = sweep_bytes(&specs, 1, &Executor::Threads);
     let sharded = sweep_bytes(&specs, 3, &Executor::Threads);
-    assert_eq!(sequential, sharded, "event-kernel blocks diverged");
+    assert_eq!(sequential, sharded, "dense-kernel blocks diverged");
 }
 
 #[test]

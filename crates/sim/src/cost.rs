@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Cost model for oracle-computed subroutines (DESIGN.md substitution S1).
+/// Cost model for oracle-computed subroutines.
 ///
 /// The paper's `Compete` black-boxes the distributed computation of
 /// intra-cluster schedules (\[17, 18\]), which takes `polylog(n)` time-steps

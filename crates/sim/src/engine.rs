@@ -1,8 +1,8 @@
-//! The phase-based simulation engine: a sparse active-set step kernel, an
-//! event-driven clock-jumping kernel on top of it, and a dense reference
+//! The phase-based simulation engine: a sparse active-set step kernel that
+//! jumps the clock over provably silent spans, and a dense reference
 //! kernel behind a runtime flag.
 //!
-//! # The three kernels
+//! # The two kernels
 //!
 //! The **dense** kernel is the paper's model executed literally: every step
 //! it calls [`Protocol::act`] on every active node, then resolves reception.
@@ -36,32 +36,32 @@
 //!   view ([`TopologyView::positions`]) with the spatial index rebuilt on
 //!   [`TopologyView::positions_version`] bumps;
 //! * topology dynamics arrive as a **batch change feed**
-//!   ([`TopologyView::drain_status_changes`]) instead of per-node polls.
-//!
-//! The **event** kernel runs the exact same step body as the sparse kernel
-//! but stops paying for silent steps altogether: after each executed step
-//! it computes the earliest future step at which anything observable can
-//! happen — the next ring engagement, the earliest wake or done timer in
-//! the heaps, the topology view's next scripted/mobility event
-//! ([`TopologyView::next_event`]), the journal's next waypoint boundary
-//! ([`Recorder::next_checkpoint`](radionet_journal::Recorder::next_checkpoint)),
-//! or a pending collision-detection jam
-//! signal — and jumps the phase clock directly there, charging the skipped
-//! span (counted in [`SimStats::silent_steps_skipped`]). A skipped step is
-//! one in which, provably, no node acts or hears, no RNG advances, no
-//! event is emitted and no waypoint is due, so every jumped run is
-//! byte-identical to its stepped counterpart.
+//!   ([`TopologyView::drain_status_changes`]) instead of per-node polls;
+//! * **silent spans cost one clock jump**, not one step each: after each
+//!   executed step the kernel computes the earliest future step at which
+//!   anything observable can happen — the next ring engagement, the
+//!   earliest wake or done timer in the heaps, the topology view's next
+//!   scripted/mobility event ([`TopologyView::next_event`]), the journal's
+//!   next waypoint boundary
+//!   ([`Recorder::next_checkpoint`](radionet_journal::Recorder::next_checkpoint)),
+//!   or a pending collision-detection jam signal — and jumps the phase
+//!   clock directly there, charging the skipped span (counted in
+//!   [`SimStats::silent_steps_skipped`]). A skipped step is one in which,
+//!   provably, no node acts or hears, no RNG advances, no event is emitted
+//!   and no waypoint is due, so every jumped run is byte-identical to
+//!   stepping through the same span.
 //!
 //! Every [`TopologyView`] provides the change feed and the next-event
 //! bound, so [`Sim::run_phase`] always executes the kernel selected with
 //! [`Sim::set_kernel`].
 //!
-//! All kernels are deterministic functions of `(graph, topology, info,
-//! seed)` and produce identical [`PhaseReport`]s, [`SimStats`] and per-node
-//! RNG streams as long as protocols honor the [`Wake`] contract; the
-//! `kernel_equiv` proptests assert exactly that across the protocol and
-//! scenario catalogues (the one deliberate exception:
-//! [`FarFieldPolicy::Cutoff`] is honored by the sparse kernels only — the
+//! Both kernels are deterministic functions of `(graph, topology, info,
+//! seed)` and produce identical [`PhaseReport`]s, per-node RNG streams and
+//! [`SimStats`] apart from the scheduler counters
+//! ([`SimStats::kernel_invariant`]) as long as protocols honor the [`Wake`]
+//! contract; the `kernel_equiv` proptests assert exactly that across the
+//! protocol and scenario catalogues (the one deliberate exception:
+//! [`FarFieldPolicy::Cutoff`] is honored by the sparse kernel only — the
 //! dense reference always computes exact interference).
 
 use crate::injection::{injections_ordered, Injection};
@@ -129,19 +129,16 @@ pub enum Kernel {
     /// per-step cost proportional to radio activity — under SINR
     /// reception, via a spatial index over the node positions — with
     /// topology dynamics read off the view's change feed
-    /// ([`TopologyView::drain_status_changes`]).
+    /// ([`TopologyView::drain_status_changes`]) and clock jumps over
+    /// provably silent spans, counted in [`SimStats::silent_steps_skipped`].
+    /// A jump never passes the view's next event
+    /// ([`TopologyView::next_event`]).
     #[default]
     Sparse,
     /// The dense reference kernel: polls every node every step, ignoring
     /// [`Wake`] hints. Always correct, never fast; kept as the
     /// differential-testing oracle.
     Dense,
-    /// The event-driven kernel: the sparse step body plus clock jumps over
-    /// provably silent spans (see the module docs). Byte-identical to
-    /// [`Kernel::Sparse`] on every report, event stream and RNG draw;
-    /// skipped spans show up in [`SimStats::silent_steps_skipped`]. A jump
-    /// never passes the view's next event ([`TopologyView::next_event`]).
-    Event,
 }
 
 impl Kernel {
@@ -150,7 +147,6 @@ impl Kernel {
         match self {
             Kernel::Sparse => "sparse",
             Kernel::Dense => "dense",
-            Kernel::Event => "event",
         }
     }
 }
@@ -244,11 +240,10 @@ struct SparseSched {
     /// Number of unfinished nodes; the phase completes when it hits 0.
     pending: usize,
     /// Wake-heap entries popped this phase (stale ones included) — the
-    /// phase's contribution to [`SimStats::scheduler_events`]. Identical
-    /// between the sparse and event kernels: both pop exactly the entries
-    /// that come due before the phase ends (the event kernel lands on
-    /// every heap-peek time, and entries past the budget are dropped at
-    /// push time).
+    /// phase's contribution to [`SimStats::scheduler_events`]: exactly the
+    /// entries that come due before the phase ends, jumped or stepped
+    /// (a jump lands on every heap-peek time, and entries past the budget
+    /// are dropped at push time).
     pops: u64,
 }
 
@@ -640,8 +635,8 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
 
     /// A digest of all per-node RNG states — two runs consumed identical
     /// randomness per node iff their fingerprints match. The kernel
-    /// equivalence proptests compare this across [`Kernel::Sparse`],
-    /// [`Kernel::Event`] and [`Kernel::Dense`] runs.
+    /// equivalence proptests compare this across [`Kernel::Sparse`] and
+    /// [`Kernel::Dense`] runs.
     pub fn rng_fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for rng in &self.rngs {
@@ -653,7 +648,8 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
 
     /// Adds `steps` *charged* (oracle) time-steps: the clock advances but
     /// nothing is simulated. Used to account for black-boxed subroutines
-    /// (see DESIGN.md substitution S1); tracked separately in [`SimStats`].
+    /// (priced by [`CostModel`](crate::CostModel)); tracked separately in
+    /// [`SimStats`].
     pub fn charge(&mut self, steps: u64) {
         self.clock += steps;
         self.stats.charged_steps += steps;
@@ -708,7 +704,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
     }
 
     /// Takes a journal waypoint at the completed-step boundary `step` when
-    /// the observer's recorder has one due (every kernel asks after each
+    /// the observer's recorder has one due (both kernels ask after each
     /// simulated step).
     #[inline(always)]
     fn waypoint(&mut self, step: u64) {
@@ -749,11 +745,11 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
     /// [`run_phase`](Sim::run_phase) with a streaming-traffic arrival
     /// schedule: each [`Injection`] is handed to its node — via
     /// [`Protocol::on_inject`] — at the start of its phase-local step,
-    /// before any node acts, under **every** kernel. The dense kernel walks
+    /// before any node acts, under **both** kernels. The dense kernel walks
     /// each step anyway; the sparse kernel additionally re-engages the
-    /// injected node's `act` for that step (if the node is active); the
-    /// event kernel treats the next pending arrival as a wake source, so a
-    /// clock jump never overshoots an injection. Injections are applied to
+    /// injected node's `act` for that step (if the node is active) and
+    /// treats the next pending arrival as a wake source, so a clock jump
+    /// never overshoots an injection. Injections are applied to
     /// protocol state regardless of activity status, keeping the kernels
     /// byte-identical under churn.
     ///
@@ -779,8 +775,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
             EventKind::PhaseStart(PhaseInfo { phase })
         });
         let report = match self.kernel {
-            Kernel::Sparse => self.run_phase_sparse(states, max_steps, false, injections),
-            Kernel::Event => self.run_phase_sparse(states, max_steps, true, injections),
+            Kernel::Sparse => self.run_phase_sparse(states, max_steps, injections),
             Kernel::Dense => self.run_phase_dense(states, max_steps, injections),
         };
         emit(&mut self.obs, EventClass::Phase, self.clock + report.steps, || {
@@ -1051,22 +1046,18 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
         report
     }
 
-    /// The sparse active-set kernel, and — with `event` — the event-driven
-    /// kernel on top of it (see the module docs). Both run the identical
-    /// step body; `event` only changes how the phase-local clock advances
-    /// between executed steps: stepping (`local_t + 1`) versus jumping to
-    /// the earliest step at which anything observable can happen. A
-    /// skipped step is provably empty — the next ring is empty, no wake or
-    /// done timer is due, the topology view promises no change, no
-    /// waypoint boundary falls inside the span, and (under collision
-    /// detection) no jam-exposed listener is waiting for its per-step jam
-    /// signal — so charging it without executing is byte-identical to
-    /// stepping through it.
+    /// The sparse active-set kernel (see the module docs). Between
+    /// executed steps the phase-local clock jumps to the earliest step at
+    /// which anything observable can happen. A skipped step is provably
+    /// empty — the next ring is empty, no wake or done timer is due, the
+    /// topology view promises no change, no waypoint boundary falls inside
+    /// the span, and (under collision detection) no jam-exposed listener is
+    /// waiting for its per-step jam signal — so charging it without
+    /// executing is byte-identical to stepping through it.
     fn run_phase_sparse<P: Protocol>(
         &mut self,
         states: &mut [P],
         max_steps: u64,
-        event: bool,
         injections: &[Injection<P::Msg>],
     ) -> PhaseReport {
         let n = states.len();
@@ -1534,10 +1525,10 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
             std::mem::swap(&mut self.sched.ring, &mut self.sched.next_ring);
             self.sched.next_ring.clear();
 
-            // (6) Advance the phase-local clock. Stepping kernel: one step.
-            // Event kernel: jump to the earliest step at which anything
-            // observable can happen, charging the provably silent span.
-            let next = if !event || !self.sched.ring.is_empty() {
+            // (6) Advance the phase-local clock: jump to the earliest step
+            // at which anything observable can happen, charging the
+            // provably silent span.
+            let next = if !self.sched.ring.is_empty() {
                 // Something is engaged for the very next step (the swapped
                 // ring is next step's work list) — no jump possible.
                 local_t + 1
@@ -1554,7 +1545,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                 // Earliest wake/done timer. Stale lazy-deletion entries
                 // are safe: landing on one executes a provably empty step
                 // (the pop discards it, the ring stays empty), exactly
-                // what the stepping kernel does at that time.
+                // what stepping through the span would do at that time.
                 if let Some(&Reverse((at, _, _))) = self.sched.act_heap.peek() {
                     next = next.min(at);
                 }
@@ -1585,8 +1576,9 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
             };
             skipped += next - (local_t + 1);
             // Charge the skipped span to the phase clock; if the budget
-            // runs out inside it, the phase ends exactly where the
-            // stepping kernel's would (`next` is clamped to `max_steps`).
+            // runs out inside it, the phase ends exactly where stepping
+            // through the span would end it (`next` is clamped to
+            // `max_steps`).
             report.steps = next;
             local_t = next;
         }
@@ -1772,7 +1764,7 @@ mod tests {
     #[test]
     fn jammed_listener_hears_nothing_in_protocol_model() {
         // Star, hub 0 transmits; leaf 1 sits next to a (modeled) jammer.
-        for kernel in [Kernel::Sparse, Kernel::Dense, Kernel::Event] {
+        for kernel in [Kernel::Sparse, Kernel::Dense] {
             let g = generators::star(4);
             let info = NetInfo::exact(&g);
             let jam = JamView::new(vec![false, true, false, false]);
@@ -1819,7 +1811,7 @@ mod tests {
         // Hub 0 beacons forever; leaf 2 is asleep until step 5. The phase
         // must keep running past the point where all *currently active*
         // nodes are done, so the sleeper's wake-up is actually simulated.
-        for kernel in [Kernel::Sparse, Kernel::Dense, Kernel::Event] {
+        for kernel in [Kernel::Sparse, Kernel::Dense] {
             let g = generators::star(4);
             let info = NetInfo::exact(&g);
             let topo = Sleeper::new(2, Some(5));
@@ -1838,7 +1830,7 @@ mod tests {
     fn phase_completes_past_a_retired_node() {
         // Same setup but the sleeper never returns: it is retired, and the
         // phase completes as soon as everyone else is done.
-        for kernel in [Kernel::Sparse, Kernel::Dense, Kernel::Event] {
+        for kernel in [Kernel::Sparse, Kernel::Dense] {
             let g = generators::star(4);
             let info = NetInfo::exact(&g);
             let topo = Sleeper::new(2, None);
@@ -2008,7 +2000,6 @@ mod tests {
             (rep, sim.rng_fingerprint(), states.into_iter().map(|c| c.sent).collect::<Vec<_>>())
         };
         assert_eq!(run(Kernel::Sparse), run(Kernel::Dense));
-        assert_eq!(run(Kernel::Sparse), run(Kernel::Event));
     }
 
     #[test]
@@ -2051,9 +2042,9 @@ mod tests {
 
     #[test]
     fn passive_listener_completes_at_its_promised_step() {
-        // Under `Kernel::Event` this phase is all skip: nothing ever acts,
+        // Under `Kernel::Sparse` this phase is all skip: nothing ever acts,
         // so the clock jumps straight to the promised done step.
-        for kernel in [Kernel::Sparse, Kernel::Dense, Kernel::Event] {
+        for kernel in [Kernel::Sparse, Kernel::Dense] {
             let g = generators::star(3);
             let mut sim = Sim::new(&g, NetInfo::exact(&g), 1);
             sim.set_kernel(kernel);
@@ -2072,7 +2063,7 @@ mod tests {
     fn passive_listener_still_hears() {
         // Hub transmits every step; leaves are passive listeners whose act
         // is skipped by the sparse kernel — deliveries must be unaffected.
-        for kernel in [Kernel::Sparse, Kernel::Dense, Kernel::Event] {
+        for kernel in [Kernel::Sparse, Kernel::Dense] {
             let g = generators::star(4);
             let mut sim = Sim::new(&g, NetInfo::exact(&g), 1);
             sim.set_kernel(kernel);
@@ -2146,7 +2137,7 @@ mod tests {
     fn cd_jam_signal_reaches_silent_listeners_in_both_kernels() {
         // No transmitter at all; node 0 is jam-exposed. With CD it must be
         // told each step (jamming is indistinguishable from a collision).
-        for kernel in [Kernel::Sparse, Kernel::Dense, Kernel::Event] {
+        for kernel in [Kernel::Sparse, Kernel::Dense] {
             let g = generators::star(3);
             let info = NetInfo::exact(&g);
             let jam = JamView::new(vec![true, false, false]);
@@ -2262,7 +2253,6 @@ mod tests {
         };
         let (sparse, dense) = (run(Kernel::Sparse), run(Kernel::Dense));
         assert_eq!(sparse, dense);
-        assert_eq!(sparse, run(Kernel::Event));
         assert!(sparse.0.deliveries > 0, "degenerate test: nothing was ever delivered");
     }
 
@@ -2287,7 +2277,6 @@ mod tests {
             };
             let (sparse, dense) = (run(Kernel::Sparse), run(Kernel::Dense));
             assert_eq!(sparse, dense, "offset {offset}");
-            assert_eq!(sparse, run(Kernel::Event), "offset {offset}");
             assert!(sparse.0.deliveries > 0, "offset {offset}: nothing delivered");
         }
     }
@@ -2354,7 +2343,6 @@ mod tests {
         };
         let sparse = run(Kernel::Sparse);
         let dense = run(Kernel::Dense);
-        let event = run(Kernel::Event);
         // The schedulers differ by design (hints exist only sparsely)…
         assert!(sparse.summary().sched > 0);
         assert_eq!(dense.summary().sched, 0);
@@ -2365,11 +2353,6 @@ mod tests {
         let report = bisect(&sparse, &dense, ClassMask::ALL);
         assert!(!report.is_divergent(), "{report}");
         assert!(report.left_events > 0);
-        // The event kernel must reproduce the sparse journal byte-for-byte
-        // — waypoints landed on the same steps, same full event stream.
-        assert_eq!(sparse.waypoints, event.waypoints);
-        let report = bisect(&sparse, &event, ClassMask::ALL);
-        assert!(!report.is_divergent(), "{report}");
     }
 
     #[test]
@@ -2401,7 +2384,6 @@ mod tests {
         let sparse = run(Kernel::Sparse);
         let dense = run(Kernel::Dense);
         assert_eq!(sparse, dense);
-        assert_eq!(sparse, run(Kernel::Event));
         assert_eq!(sparse.len(), 1, "exactly the sleeper's wake-up: {sparse:?}");
         assert_eq!(sparse[0].step, 5);
         assert_eq!(sparse[0].kind.node(), Some(2));
@@ -2411,7 +2393,7 @@ mod tests {
     fn sinr_capture_effect_both_kernels() {
         // The capture-effect scenario of `sinr_capture_effect`, pinned on
         // every kernel explicitly.
-        for kernel in [Kernel::Sparse, Kernel::Dense, Kernel::Event] {
+        for kernel in [Kernel::Sparse, Kernel::Dense] {
             let g = Graph::from_edges(3, [(0, 1), (0, 2), (1, 2)]).unwrap();
             let positions = vec![(0.0, 0.0), (0.1, 0.0), (0.9, 0.0)];
             let mode =

@@ -4,13 +4,13 @@
 //! [`Injection`]s; [`Sim::run_phase_with_injections`](crate::Sim::run_phase_with_injections)
 //! delivers each one to its node — via [`Protocol::on_inject`](crate::Protocol::on_inject) —
 //! at the start of its scheduled step, before any node acts. Delivery is
-//! identical under every kernel: the dense kernel walks each step anyway,
-//! the sparse kernel re-engages the injected node's `act` for that step,
-//! and the event kernel treats the next pending arrival as a wake source
-//! so a clock jump can never overshoot it. Injections are applied to the
+//! identical under both kernels: the dense kernel walks each step anyway,
+//! the sparse kernel re-engages the injected node's `act` for that step
+//! and treats the next pending arrival as a wake source so a clock jump
+//! can never overshoot it. Injections are applied to the
 //! protocol state regardless of the node's activity status (a churned-down
 //! node still queues the message; it only *acts* on it once reactivated),
-//! which keeps the three kernels byte-identical under churn.
+//! which keeps the two kernels byte-identical under churn.
 
 /// One scheduled arrival: `msg` enters `node`'s protocol state at the start
 /// of phase-local step `at`.

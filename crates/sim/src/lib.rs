@@ -23,13 +23,12 @@
 //! Protocols implement [`Protocol`] and are executed in *phases* by
 //! [`Sim::run_phase`]; per-node RNGs persist across phases so a whole
 //! multi-phase algorithm is a deterministic function of `(graph, seed)`.
-//! Three interchangeable step kernels execute a phase (see [`Kernel`]): the
+//! Two interchangeable step kernels execute a phase (see [`Kernel`]): the
 //! sparse active-set kernel (default), whose per-step cost tracks actual
-//! radio activity via the [`Wake`] hints protocols return; the event
-//! kernel, which runs the sparse step body but jumps the clock over
-//! provably silent spans; and the dense reference kernel, which polls
-//! every node every step. All three produce byte-identical results for
-//! contract-honoring protocols.
+//! radio activity via the [`Wake`] hints protocols return and which jumps
+//! the clock over provably silent spans; and the dense reference kernel,
+//! which polls every node every step. Both produce byte-identical results
+//! for contract-honoring protocols.
 //!
 //! What a run records besides its results — an event journal, wall-clock
 //! metrics, or both — is the [`Observer`] parameter of [`Sim`]; the
@@ -90,3 +89,27 @@ pub use reception::{
 };
 pub use stats::SimStats;
 pub use topology::{StaticTopology, TopologyView};
+
+/// Splitmix64 finalizer: the workspace's standard bit mixer, shared by the
+/// seed derivation (`radionet_api::seeds`), traffic plans, mobility
+/// streams and the coordinated coins of the paper's algorithms.
+#[inline]
+pub fn mix(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::mix;
+
+    #[test]
+    fn mix_is_pinned() {
+        assert_eq!(mix(0), 0);
+        assert_eq!(mix(1), 0x5692_161d_100b_05e5);
+        assert_eq!(mix(3 ^ 0x6a), 0x168b_5740_ba29_91ff);
+    }
+}

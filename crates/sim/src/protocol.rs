@@ -228,14 +228,12 @@ pub struct NodeCtx<'a> {
 ///   re-engages a passive listener: `act` resumes the following step and a
 ///   fresh hint is taken, so "listen until something happens" is expressed
 ///   as [`Wake::listen`].
-/// * Under [`Kernel::Event`](crate::Kernel), declared-passive windows are
+/// * Under [`Kernel::Sparse`](crate::Kernel), declared-passive windows are
 ///   not merely skipped per node — when *every* node is passive the clock
 ///   jumps over the whole silent span without executing its steps at all.
-///   A correct hint under the sparse kernel is automatically correct here,
-///   but the stakes are stated more sharply: the promise must hold at
-///   **every** step of the window, because the engine may next evaluate the
-///   node's surroundings at an arbitrary jumped-to time inside it, not at
-///   `now + 1`.
+///   So the promise must hold at **every** step of the window, because the
+///   engine may next evaluate the node's surroundings at an arbitrary
+///   jumped-to time inside it, not at `now + 1`.
 pub trait Protocol {
     /// Message type carried over the air.
     type Msg: Clone;
@@ -257,9 +255,9 @@ pub trait Protocol {
     /// Out-of-band arrival of a locally originated message (a traffic
     /// injection, see [`Injection`](crate::Injection)): the application
     /// layer hands `msg` to this node's outbound queue at the start of the
-    /// step, *before* any node acts. Every kernel delivers injections at
-    /// exactly their scheduled step — the sparse and event kernels treat a
-    /// pending arrival as a wake source and re-engage the node — so an
+    /// step, *before* any node acts. Both kernels deliver injections at
+    /// exactly their scheduled step — the sparse kernel treats a pending
+    /// arrival as a wake source and re-engages the node — so an
     /// injection supersedes any passive window the node promised, and the
     /// fresh hint taken after the same step's `act` covers what follows.
     /// The default ignores the message (protocols that never carry traffic
@@ -273,7 +271,7 @@ pub trait Protocol {
         false
     }
 
-    /// Scheduling hint for the sparse and event kernels, queried right
+    /// Scheduling hint for the sparse kernel, queried right
     /// after this node's `act`, `on_hear` or `on_collision` at phase-local
     /// step `now`. The returned promise covers steps after `now` and is
     /// superseded by the next engagement. See [`Wake`] for the exact
@@ -281,13 +279,13 @@ pub trait Protocol {
     ///
     /// The promise is **counterfactual and span-wide**: it states what
     /// `act` would have returned at *each* step of the declared window,
-    /// not only at `now + 1`. The sparse kernel exploits it step by step;
-    /// the event kernel ([`Kernel::Event`](crate::Kernel)) goes further
-    /// and jumps the clock to the earliest wake deadline when every node
-    /// is passive, so the hint must remain valid at whichever in-window
+    /// not only at `now + 1`. The sparse kernel
+    /// ([`Kernel::Sparse`](crate::Kernel)) skips a passive node's `act`
+    /// and, when every node is passive, jumps the clock to the earliest
+    /// wake deadline, so the hint must remain valid at whichever in-window
     /// time the engine lands on. Deriving behavior from
-    /// [`NodeCtx::time`] (never from a per-call counter) keeps both
-    /// kernels bit-identical to the dense reference.
+    /// [`NodeCtx::time`] (never from a per-call counter) keeps the sparse
+    /// kernel bit-identical to the dense reference.
     fn next_wake(&self, now: u64) -> Wake {
         let _ = now;
         Wake::Now

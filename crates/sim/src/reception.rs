@@ -58,11 +58,11 @@
 //! A listener's outcome is the single comparison
 //! `best / (N + (I − best)) ≥ β`, where `I` is the interference sum in
 //! transmitter order, each term `P·powf(max(d, floor), −α)`. The sparse
-//! and event kernels decide it without the `powf` sum whenever the answer
+//! kernel decides it without the `powf` sum whenever the answer
 //! provably cannot differ:
 //!
-//! * Once per step they gather the transmitters' coordinates into reused
-//!   buffers. Per listener they sum an approximate interference `Ĩ` in any
+//! * Once per step it gathers the transmitters' coordinates into reused
+//!   buffers. Per listener it sums an approximate interference `Ĩ` in any
 //!   order, over the same transmitters the exact sum covers (all of them,
 //!   or the cutoff candidates). Each term uses the same effective distance
 //!   `x = max(d, floor)` as the exact term. It is `P / x^k`, by

@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 /// Statistics accumulated by a [`Sim`](crate::Sim) across all phases.
 ///
 /// `simulated_steps` count real collision-resolved steps; `charged_steps`
-/// are oracle costs added with [`Sim::charge`](crate::Sim::charge) (DESIGN.md
-/// substitution S1). Experiments report the two separately.
+/// are oracle costs added with [`Sim::charge`](crate::Sim::charge) and priced
+/// by [`CostModel`](crate::CostModel). Experiments report the two separately.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimStats {
     /// Real simulated time-steps.
@@ -38,14 +38,14 @@ pub struct SimStats {
     /// static views.
     pub mobility_rows_recomputed: u64,
     /// Wake-heap entries popped by the sparse scheduler (act and listen
-    /// deadlines, stale lazy-deletion entries included). Identical between
-    /// the sparse and event kernels by construction — both pop exactly the
-    /// entries that come due inside the phase — and zero for the dense
-    /// kernel, which has no scheduler.
+    /// deadlines, stale lazy-deletion entries included): exactly the
+    /// entries that come due inside the phase, whether the clock jumps
+    /// over a span or not. Zero for the dense kernel, which has no
+    /// scheduler.
     pub scheduler_events: u64,
-    /// Steps the event kernel ([`Kernel::Event`](crate::Kernel::Event))
+    /// Steps the sparse kernel ([`Kernel::Sparse`](crate::Kernel::Sparse))
     /// charged to the clock without executing, because nothing could
-    /// observably happen in them. Always zero for the stepping kernels.
+    /// observably happen in them. Always zero for the dense kernel.
     /// `simulated_steps` still counts these (the phase clock is
     /// kernel-invariant); this counter says how many of them were free.
     pub silent_steps_skipped: u64,
@@ -59,8 +59,8 @@ impl SimStats {
 
     /// A copy with every kernel-*dependent* counter zeroed
     /// (`scheduler_events`, `silent_steps_skipped`).
-    /// What remains must be byte-identical across the dense, sparse and
-    /// event kernels, so cross-kernel equivalence tests compare
+    /// What remains must be byte-identical across the dense and sparse
+    /// kernels, so cross-kernel equivalence tests compare
     /// `a.kernel_invariant() == b.kernel_invariant()` instead of listing
     /// fields.
     pub fn kernel_invariant(&self) -> SimStats {

@@ -36,16 +36,16 @@ use radionet_graph::{Graph, NodeId};
 /// (views may remove edges, never invent them), and edge removal must be
 /// symmetric.
 ///
-/// Every kernel runs over every view, so three methods have no default and
+/// Both kernels run over every view, so three methods have no default and
 /// each view states its answer:
 ///
 /// * [`drain_status_changes`](TopologyView::drain_status_changes) reports
 ///   every node whose `is_active` / `is_retired` answer may have changed
-///   since the previous drain (the sparse and event kernels never poll);
+///   since the previous drain (the sparse kernel never polls);
 /// * [`jammed_nodes`](TopologyView::jammed_nodes) lists exactly the nodes
 ///   for which `is_jammed` is true;
 /// * [`next_event`](TopologyView::next_event) bounds the next observable
-///   change from below, so the event kernel never jumps past one.
+///   change from below, so the sparse kernel never jumps past one.
 ///
 /// A view whose status never changes states an empty feed and `None`
 /// explicitly, as [`StaticTopology`] does.
@@ -118,8 +118,8 @@ pub trait TopologyView {
     /// The earliest global clock `t > clock` at which this view's
     /// observable state (active/jammed/retired status, edge set, positions,
     /// or any [`advance_to`](TopologyView::advance_to)-driven counter) may
-    /// next change, or `None` if it never will. The event-driven kernel
-    /// ([`Kernel::Event`](crate::Kernel)) jumps the clock over silent spans
+    /// next change, or `None` if it never will. The sparse kernel
+    /// ([`Kernel::Sparse`](crate::Kernel)) jumps the clock over silent spans
     /// up to this bound, and `Checkpoint::restore_into` fast-forwards a
     /// restored topology event-to-event with it.
     ///

@@ -1,11 +1,10 @@
-//! Differential tests: the sparse active-set kernel and the clock-jumping
-//! event kernel must be byte-identical to the dense reference kernel —
-//! same [`PhaseReport`]s, same kernel-invariant [`SimStats`], same
+//! Differential tests: the sparse active-set kernel, which jumps the clock
+//! over silent spans, must be byte-identical to the dense reference
+//! kernel — same [`PhaseReport`]s, same kernel-invariant [`SimStats`], same
 //! per-node RNG streams, same final protocol state — across protocol
 //! patterns, reception modes, and dynamic topologies. Every case runs the
-//! three-way face-off (sparse ≡ dense ≡ event); [`ScriptView`]'s
-//! `next_event` lands on every window edge, so the event kernel genuinely
-//! jumps between them.
+//! face-off sparse ≡ dense; [`ScriptView`]'s `next_event` lands on every
+//! window edge, so the sparse kernel genuinely jumps between them.
 //!
 //! The protocols here are small archetypes of every [`Wake`] pattern the
 //! workspace uses: always-on randomized talkers (`Now`), passive listeners
@@ -249,7 +248,7 @@ impl Protocol for SlotBeacon {
 /// injection or over the air — stays hot for `hot_window` steps; while
 /// anything is hot the node flips one coin per step and relays the
 /// round-robin pick of its hot set. Exercises the injection path (arrival
-/// wake-ups, arrivals on churned-down nodes, event-kernel jump clamping)
+/// wake-ups, arrivals on churned-down nodes, sparse-kernel jump clamping)
 /// that none of the other archetypes touch.
 struct TrafficNode {
     hot_window: u64,
@@ -340,7 +339,7 @@ fn all_kernels<P, F, S>(
     g: &Graph,
     seed: u64,
     steps: u64,
-) -> [(PhaseReport, SimStats, u64, Vec<S>); 3]
+) -> [(PhaseReport, SimStats, u64, Vec<S>); 2]
 where
     P: Protocol,
     F: Fn(usize) -> P,
@@ -350,10 +349,10 @@ where
     all_kernels_with(mk, view, g, seed, steps, ReceptionMode::Protocol)
 }
 
-/// Runs the same phase under all three kernels (sparse, dense, event) and
-/// returns the observables with kernel-dependent stats counters zeroed, so
-/// callers compare whole tuples. Sparse/event scheduler parity (identical
-/// heap pops) is asserted here once, before the counters are erased.
+/// Runs the same phase under both kernels (sparse, dense) and returns the
+/// observables with kernel-dependent stats counters zeroed, so callers
+/// compare whole tuples. That the dense kernel leaves both scheduler
+/// counters at zero is asserted here once, before the counters are erased.
 fn all_kernels_with<P, F, S>(
     mk: F,
     view: &ScriptView,
@@ -361,14 +360,14 @@ fn all_kernels_with<P, F, S>(
     seed: u64,
     steps: u64,
     reception: ReceptionMode,
-) -> [(PhaseReport, SimStats, u64, Vec<S>); 3]
+) -> [(PhaseReport, SimStats, u64, Vec<S>); 2]
 where
     P: Protocol,
     F: Fn(usize) -> P,
     S: PartialEq + std::fmt::Debug,
     P: Snapshot<S>,
 {
-    let mut runs = [Kernel::Sparse, Kernel::Dense, Kernel::Event].map(|kernel| {
+    let mut runs = [Kernel::Sparse, Kernel::Dense].map(|kernel| {
         let info = NetInfo { n: g.n().max(2), d: 4, alpha: (g.n() as f64).max(2.0) };
         let mut sim = Sim::with_topology(g, view.clone(), info, seed, reception.clone());
         sim.set_kernel(kernel);
@@ -376,10 +375,7 @@ where
         let rep = sim.run_phase(&mut states, steps);
         (rep, *sim.stats(), sim.rng_fingerprint(), states.iter().map(Snapshot::snapshot).collect())
     });
-    assert_eq!(
-        runs[0].1.scheduler_events, runs[2].1.scheduler_events,
-        "event kernel must pop exactly the wake entries sparse pops"
-    );
+    assert_dense_has_no_scheduler(&runs[1].1);
     for r in &mut runs {
         r.1 = r.1.kernel_invariant();
     }
@@ -390,8 +386,8 @@ where
 /// fingerprint, and every node's learned `(message, step)` history.
 type TrafficRun = (PhaseReport, SimStats, u64, Vec<Vec<(u64, u64)>>);
 
-/// Runs a traffic phase (gossip nodes + an injection schedule) under all
-/// three kernels; same comparison contract as [`all_kernels_with`].
+/// Runs a traffic phase (gossip nodes + an injection schedule) under both
+/// kernels; same comparison contract as [`all_kernels_with`].
 fn all_kernels_injected(
     view: &ScriptView,
     g: &Graph,
@@ -399,8 +395,8 @@ fn all_kernels_injected(
     steps: u64,
     hot_window: u64,
     injections: &[Injection<u64>],
-) -> [TrafficRun; 3] {
-    let mut runs = [Kernel::Sparse, Kernel::Dense, Kernel::Event].map(|kernel| {
+) -> [TrafficRun; 2] {
+    let mut runs = [Kernel::Sparse, Kernel::Dense].map(|kernel| {
         let info = NetInfo { n: g.n().max(2), d: 4, alpha: (g.n() as f64).max(2.0) };
         let mut sim = Sim::with_topology(g, view.clone(), info, seed, ReceptionMode::Protocol);
         sim.set_kernel(kernel);
@@ -410,14 +406,16 @@ fn all_kernels_injected(
         let rep = sim.run_phase_with_injections(&mut states, steps, injections);
         (rep, *sim.stats(), sim.rng_fingerprint(), states.iter().map(|s| s.known.clone()).collect())
     });
-    assert_eq!(
-        runs[0].1.scheduler_events, runs[2].1.scheduler_events,
-        "event kernel must pop exactly the wake entries sparse pops"
-    );
+    assert_dense_has_no_scheduler(&runs[1].1);
     for r in &mut runs {
         r.1 = r.1.kernel_invariant();
     }
     runs
+}
+
+/// The dense kernel has no wake heaps and never jumps the clock.
+fn assert_dense_has_no_scheduler(dense: &SimStats) {
+    assert_eq!((dense.scheduler_events, dense.silent_steps_skipped), (0, 0));
 }
 
 /// A position snapshot scattering `n` nodes over a square whose side keeps
@@ -531,12 +529,11 @@ proptest! {
         steps in 1u64..60,
     ) {
         let view = ScriptView::new(vec![None; g.n()], vec![None; g.n()]);
-        let [a, b, c] = all_kernels(
+        let [a, b] = all_kernels(
             |_| Talker { p_milli: p, sent: 0, heard: Vec::new() },
             &view, &g, seed, steps,
         );
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&b, &c);
     }
 
     #[test]
@@ -546,12 +543,11 @@ proptest! {
         steps in 1u64..60,
     ) {
         let (g, view) = case;
-        let [a, b, c] = all_kernels(
+        let [a, b] = all_kernels(
             |_| Talker { p_milli: 300, sent: 0, heard: Vec::new() },
             &view, &g, seed, steps,
         );
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&b, &c);
     }
 
     #[test]
@@ -562,7 +558,7 @@ proptest! {
         steps in 1u64..120,
     ) {
         let view = ScriptView::new(vec![None; g.n()], vec![None; g.n()]);
-        let [a, b, c] = all_kernels(
+        let [a, b] = all_kernels(
             |i| Flooder {
                 best: (i == 0).then_some(100),
                 active_steps: 0,
@@ -572,7 +568,6 @@ proptest! {
             &view, &g, seed, steps,
         );
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&b, &c);
     }
 
     #[test]
@@ -583,7 +578,7 @@ proptest! {
         steps in 1u64..90,
     ) {
         let (g, view) = case;
-        let [a, b, c] = all_kernels(
+        let [a, b] = all_kernels(
             |i| Flooder {
                 best: (i == 0).then_some(100),
                 active_steps: 0,
@@ -593,7 +588,6 @@ proptest! {
             &view, &g, seed, steps,
         );
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&b, &c);
     }
 
     #[test]
@@ -605,12 +599,11 @@ proptest! {
         steps in 1u64..70,
     ) {
         let view = ScriptView::new(vec![None; g.n()], vec![None; g.n()]);
-        let [a, b, c] = all_kernels(
+        let [a, b] = all_kernels(
             |_| SlotBeacon { period, horizon, last: 0, txs: 0 },
             &view, &g, seed, steps,
         );
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&b, &c);
     }
 
     /// Streaming traffic under churn and jamming: a random injection
@@ -634,9 +627,8 @@ proptest! {
             .collect();
         inj.sort_by_key(|i| (i.at, i.node, i.msg));
         prop_assert!(injections_ordered(&inj));
-        let [a, b, c] = all_kernels_injected(&view, &g, seed, steps, hot_window, &inj);
+        let [a, b] = all_kernels_injected(&view, &g, seed, steps, hot_window, &inj);
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&b, &c);
     }
 
     /// SINR reception on a static topology: the spatially-indexed sparse
@@ -664,13 +656,12 @@ proptest! {
             let y = ((h >> 10) % 1024) as f64 / 1024.0 * side;
             [x, y, 0.0]
         }).collect());
-        let [a, b, c] = all_kernels_with(
+        let [a, b] = all_kernels_with(
             |_| Talker { p_milli: p, sent: 0, heard: Vec::new() },
             &view, &g, seed, steps,
             sinr_mode(pts, alpha, range),
         );
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&b, &c);
     }
 
     /// SINR under scripted dynamics (crash/rejoin windows + jam windows):
@@ -692,13 +683,12 @@ proptest! {
             let h = positions_seed.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(i as u64 * 7);
             [(h % 2048) as f64 / 2048.0 * side, ((h >> 11) % 2048) as f64 / 2048.0 * side, 0.0]
         }).collect());
-        let [a, b, c] = all_kernels_with(
+        let [a, b] = all_kernels_with(
             |_| Talker { p_milli: 300, sent: 0, heard: Vec::new() },
             &view, &g, seed, steps,
             sinr_mode(pts, alpha, range),
         );
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&b, &c);
     }
 
     /// Flooders (re-engagement via on_hear) under SINR: the sparse
@@ -719,7 +709,7 @@ proptest! {
         pts.resize(n, [0.5, 0.5, 0.0]);
         let (pts, range) = sinr_layout(lattice, pts);
         let view = ScriptView::new(vec![None; n], vec![None; n]);
-        let [a, b, c] = all_kernels_with(
+        let [a, b] = all_kernels_with(
             |i| Flooder {
                 best: (i == 0).then_some(100),
                 active_steps: 0,
@@ -730,7 +720,6 @@ proptest! {
             sinr_mode(pts, alpha, range),
         );
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&b, &c);
     }
 
     /// Cutoff ≈ Exact: with the tolerance epsilon the truncated
@@ -760,20 +749,18 @@ proptest! {
                 ReceptionMode::Sinr(cfg),
             )
         };
-        let [exact_sparse, exact_dense, exact_event] = run(FarFieldPolicy::Exact);
+        let [exact_sparse, exact_dense] = run(FarFieldPolicy::Exact);
         prop_assert_eq!(&exact_sparse, &exact_dense);
-        prop_assert_eq!(&exact_sparse, &exact_event);
         // A sub-nano epsilon pushes the cutoff radius beyond every pair
         // distance here, so the sparse run must equal Exact exactly.
-        let [tight, _, tight_event] = run(FarFieldPolicy::Cutoff(1e-12));
+        let [tight, _] = run(FarFieldPolicy::Cutoff(1e-12));
         prop_assert_eq!(&tight, &exact_sparse);
-        prop_assert_eq!(&tight_event, &tight);
         // A loose epsilon: one-sided — truncating interference can only
         // raise the computed SINR, so each flip converts a collision into
         // a delivery. Talkers transmit independently of what they hear,
         // so the per-step decodable set is identical and the
         // delivery+collision total is conserved exactly.
-        let [loose, _, _] = run(FarFieldPolicy::Cutoff(0.25));
+        let [loose, _] = run(FarFieldPolicy::Cutoff(0.25));
         prop_assert_eq!(loose.0.transmissions, exact_sparse.0.transmissions);
         prop_assert!(loose.0.deliveries >= exact_sparse.0.deliveries);
         prop_assert!(loose.0.collisions <= exact_sparse.0.collisions);
@@ -818,7 +805,6 @@ fn cd_jam_and_churn_agree() {
         };
         let sparse = run(Kernel::Sparse);
         assert_eq!(sparse, run(Kernel::Dense), "seed {seed}");
-        assert_eq!(sparse, run(Kernel::Event), "seed {seed}");
     }
 }
 
@@ -841,7 +827,7 @@ fn boundary_links_decide_identically_on_every_kernel() {
             for (second, deliveries, collisions) in [(false, steps, 0), (true, steps, steps)] {
                 let cfg = sinr_config(pts.clone(), alpha, 5.0).with_far_field(far_field);
                 let talks = |i: usize| i == 0 || (second && i == 2);
-                let [a, b, c] = all_kernels_with(
+                let [a, b] = all_kernels_with(
                     |i| Talker { p_milli: if talks(i) { 1000 } else { 0 }, sent: 0, heard: vec![] },
                     &view,
                     &g,
@@ -852,17 +838,16 @@ fn boundary_links_decide_identically_on_every_kernel() {
                 let case = format!("alpha {alpha}, {far_field:?}, second talker {second}");
                 assert_eq!((a.0.deliveries, a.0.collisions), (deliveries, collisions), "{case}");
                 assert_eq!(a, b, "{case}");
-                assert_eq!(b, c, "{case}");
             }
         }
     }
 }
 
-/// The event kernel must genuinely jump (not just match): slot beacons that
+/// The sparse kernel must genuinely jump (not just match): slot beacons that
 /// sleep 25-step windows leave most of the clock silent, and the skip
-/// counter has to show it while every observable stays identical to sparse.
+/// counter has to show it while every observable stays identical to dense.
 #[test]
-fn event_kernel_actually_skips() {
+fn sparse_kernel_actually_skips() {
     let g = Graph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
     let info = NetInfo { n: 3, d: 2, alpha: 3.0 };
     let run = |kernel| {
@@ -874,16 +859,15 @@ fn event_kernel_actually_skips() {
         (rep, *sim.stats(), sim.rng_fingerprint())
     };
     let (rep_s, st_s, fp_s) = run(Kernel::Sparse);
-    let (rep_e, st_e, fp_e) = run(Kernel::Event);
-    assert_eq!(rep_s, rep_e);
-    assert_eq!(fp_s, fp_e);
-    assert_eq!(st_s.kernel_invariant(), st_e.kernel_invariant());
-    assert_eq!(st_s.scheduler_events, st_e.scheduler_events);
-    assert_eq!(st_s.silent_steps_skipped, 0, "sparse never skips");
+    let (rep_d, st_d, fp_d) = run(Kernel::Dense);
+    assert_eq!(rep_s, rep_d);
+    assert_eq!(fp_s, fp_d);
+    assert_eq!(st_s.kernel_invariant(), st_d.kernel_invariant());
+    assert_dense_has_no_scheduler(&st_d);
     assert!(
-        st_e.silent_steps_skipped > 100,
+        st_s.silent_steps_skipped > 100,
         "beacons sleeping 25-step slots must skip most of the clock, skipped only {}",
-        st_e.silent_steps_skipped
+        st_s.silent_steps_skipped
     );
 }
 
@@ -916,5 +900,4 @@ fn comparison_is_not_vacuous() {
         (sim.rng_fingerprint(), states[0].drew + states[1].drew)
     };
     assert_ne!(run(Kernel::Sparse), run(Kernel::Dense), "a lying hint must be detectable");
-    assert_ne!(run(Kernel::Event), run(Kernel::Dense), "under the event kernel too");
 }

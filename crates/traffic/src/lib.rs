@@ -35,5 +35,5 @@ mod plan;
 mod spec;
 
 pub use ledger::{DeliveryLedger, TrafficReport};
-pub use plan::{mix64, Dst, MulticastSet, PlannedMessage, TrafficPlan};
+pub use plan::{Dst, MulticastSet, PlannedMessage, TrafficPlan};
 pub use spec::{Arrival, BurstyArrival, PoissonArrival, TrafficKind, TrafficSpec};

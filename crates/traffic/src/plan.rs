@@ -1,7 +1,7 @@
 //! Materializing a [`TrafficSpec`] into a concrete message schedule.
 //!
 //! Plan generation is **RNG-free**: every arrival coin, destination draw
-//! and multicast salt is a pure [`mix64`] hash of the traffic seed and the
+//! and multicast salt is a pure [`mix`] hash of the traffic seed and the
 //! (sender, step) or message-id coordinates. That keeps the plan outside
 //! the simulator's per-node RNG streams — adding traffic to a run changes
 //! neither the graph nor any protocol's random draws — and makes the plan
@@ -10,23 +10,11 @@
 use crate::spec::{Arrival, TrafficKind, TrafficSpec};
 #[cfg(test)]
 use crate::spec::{BurstyArrival, PoissonArrival};
-use radionet_sim::Injection;
+use radionet_sim::{mix, Injection};
 use serde::{Deserialize, Serialize};
 
-/// Splitmix64-style finalizer — the same bit mixer the API crate's seed
-/// derivation uses (duplicated here because the traffic layer sits *below*
-/// the API in the dependency graph; `radionet-api` has a pinned-value test
-/// guarding the shared constants).
-pub fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// A salted pseudo-random multicast member set: node `i` is a member iff
-/// `mix64(salt ^ i) % 1000 < per_mille`.
+/// `mix(salt ^ i) % 1000 < per_mille`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MulticastSet {
     /// Per-message membership salt.
@@ -54,7 +42,7 @@ impl Dst {
         match *self {
             Dst::All => true,
             Dst::One(d) => node == d,
-            Dst::Many(set) => mix64(set.salt ^ u64::from(node)) % 1000 < u64::from(set.per_mille),
+            Dst::Many(set) => mix(set.salt ^ u64::from(node)) % 1000 < u64::from(set.per_mille),
         }
     }
 }
@@ -116,7 +104,7 @@ impl TrafficPlan {
                 continue; // silent part of the burst cycle
             }
             for s in 0..senders {
-                let coin = mix64(seed ^ ((u64::from(s) + 1) << 32 | t));
+                let coin = mix(seed ^ ((u64::from(s) + 1) << 32 | t));
                 if coin % 10_000 >= per_10k {
                     continue;
                 }
@@ -128,11 +116,11 @@ impl TrafficPlan {
                         // A mix-drawn destination, nudged off the source
                         // (with n = 1 the nudge wraps back — degenerate
                         // but well-defined).
-                        let d = (mix64(seed ^ (0xd5_7000 + id)) % u64::from(n)) as u32;
+                        let d = (mix(seed ^ (0xd5_7000 + id)) % u64::from(n)) as u32;
                         Dst::One(if d == src { (d + 1) % n } else { d })
                     }
                     TrafficKind::Multicast => Dst::Many(MulticastSet {
-                        salt: mix64(seed ^ (0x5a_1700 + id)),
+                        salt: mix(seed ^ (0x5a_1700 + id)),
                         per_mille: spec.multicast_per_mille,
                     }),
                 };

@@ -69,7 +69,9 @@ RUN OPTIONS:
                       from the family's embedding — or the live moving
                       point set under mobility dynamics; custom SINR
                       physics go through --spec)    [default: protocol]
-  --kernel K          sparse | dense | event       [default: sparse]
+  --kernel K          sparse | dense               [default: sparse]
+                      (sparse: active set plus clock jumps over provably
+                      silent spans; dense: the every-node reference)
   --dynamics NAME     static | churn | partition-repair | jamming |
                       staggered-wake | mobility:waypoint | mobility:walk |
                       mobility:levy | mobility:group (standard presets;
@@ -104,7 +106,7 @@ SWEEP OPTIONS:
   --seeds K           repetitions per cell         [default: 1]
   --base-seed S       master seed                  [default: 0]
   --scenario NAME     restrict to a named scenario (repeatable)
-  --kernel K          sparse | dense | event       [default: sparse]
+  --kernel K          sparse | dense               [default: sparse]
   --format F          jsonl | json                 [default: jsonl]
   --sequential        one cell at a time (default: blocks of --chunk cells on
                       rayon threads; the output stream is byte-identical
