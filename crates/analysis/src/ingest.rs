@@ -89,28 +89,6 @@ pub fn success_rate<'a>(
     Some(values.iter().filter(|v| **v == 1.0).count() as f64 / values.len() as f64)
 }
 
-/// The sum of `metric` over every row that carries it (counter
-/// aggregation — e.g. total `scheduler_events` or `cache_hit`s across a
-/// sweep), or `None` if no row carries it.
-///
-/// Counters are per-cell in sweep rows; summing them recovers the
-/// sweep-wide total a service's `stats` endpoint reports, which is how the
-/// two are cross-checked.
-pub fn metric_total<'a>(
-    rows: impl IntoIterator<Item = &'a RunRecord>,
-    metric: &str,
-) -> Option<f64> {
-    let mut seen = false;
-    let mut total = 0.0;
-    for row in rows {
-        if let Some(v) = row.metrics.get(metric) {
-            seen = true;
-            total += *v;
-        }
-    }
-    seen.then_some(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,37 +131,16 @@ mod tests {
     }
 
     #[test]
-    fn totals_sum_only_rows_carrying_the_metric() {
-        let rows = vec![
-            row("a", 1, 5.0, 1.0),
-            row("a", 1, 7.5, 0.0),
-            RunRecord::new().param("scenario", "a"),
-        ];
-        assert_eq!(metric_total(&rows, "clock_total"), Some(12.5));
-        assert_eq!(metric_total(&rows, "success"), Some(1.0));
-        assert_eq!(metric_total(&rows, "cache_hit"), None);
-    }
-
-    #[test]
     fn totals_distinguish_absent_from_zero_across_heterogeneous_rows() {
         // A partly cache-served sweep produces heterogeneous rows: served
-        // cells carry `cache_hit`, direct cells omit it entirely. The
-        // total must count exactly the rows carrying the metric — and a
-        // metric that is present but zero is `Some(0.0)`, never conflated
-        // with "no row carries it".
+        // cells carry `cache_hit`, direct cells omit it entirely. Both
+        // aggregations count exactly the rows carrying the metric, and a
+        // metric that is present but zero still counts.
         let rows = vec![
             row("a", 1, 5.0, 1.0).metric("cache_hit", 1.0),
             row("a", 1, 6.0, 1.0).metric("cache_hit", 0.0),
             row("a", 1, 7.0, 0.0), // direct run: no cache metric at all
         ];
-        assert_eq!(metric_total(&rows, "cache_hit"), Some(1.0));
-        assert_eq!(metric_total(&rows, "kernel_fallbacks"), None);
-        let zeroed = vec![row("z", 1, 0.0, 0.0)];
-        assert_eq!(metric_total(&zeroed, "clock_total"), Some(0.0));
-        let empty: Vec<RunRecord> = Vec::new();
-        assert_eq!(metric_total(&empty, "clock_total"), None);
-        // The sibling aggregations skip the same rows, so all three
-        // describe the same population of served cells.
         assert_eq!(success_rate(&rows, "cache_hit"), Some(0.5));
         assert_eq!(group_summaries(&rows, &["scenario"], "cache_hit")[0].1.count, 2);
     }

@@ -15,6 +15,6 @@ pub mod table;
 
 pub use experiment::{ExperimentRecord, RunRecord};
 pub use fit::{fit_power_law, PowerLawFit};
-pub use ingest::{group_summaries, metric_total, success_rate};
+pub use ingest::{group_summaries, success_rate};
 pub use stats::{percentile, Summary};
 pub use table::Table;

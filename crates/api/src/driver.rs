@@ -26,10 +26,6 @@ pub enum RunError {
     UnknownTask(String),
     /// A [`ResultSink`](crate::ResultSink) failed to record a report.
     Sink(std::io::Error),
-    /// A sweep's `--worker` subprocess failed. The text names the cause:
-    /// the failing cell's own error, or the executable and what went wrong
-    /// with it.
-    Worker(String),
 }
 
 impl std::fmt::Display for RunError {
@@ -40,7 +36,6 @@ impl std::fmt::Display for RunError {
                 write!(f, "unknown task {key:?} (try `radionet list-tasks`)")
             }
             RunError::Sink(e) => write!(f, "result sink failed: {e}"),
-            RunError::Worker(why) => f.write_str(why),
         }
     }
 }

@@ -1,5 +1,28 @@
 //! The mutable topology overlay: a [`TopologyView`] driven by a
 //! [`ScenarioEvent`] timeline.
+//!
+//! # Example: broadcast across a partition that heals
+//!
+//! ```
+//! use radionet_api::dynamics::DynamicTopology;
+//! use radionet_api::events::{EventKind, ScenarioEvent};
+//! use radionet_core::broadcast::run_broadcast;
+//! use radionet_core::compete::CompeteConfig;
+//! use radionet_graph::generators;
+//! use radionet_sim::{NetInfo, ReceptionMode, Sim};
+//!
+//! let g = generators::grid2d(6, 6);
+//! let info = NetInfo::exact(&g);
+//! // Split into 2 blocks immediately; repair at step 2000.
+//! let script = vec![
+//!     ScenarioEvent::new(0, EventKind::Partition(2)),
+//!     ScenarioEvent::new(2000, EventKind::Heal),
+//! ];
+//! let topo = DynamicTopology::new(&g, script);
+//! let mut sim = Sim::with_topology(&g, topo, info, 7, ReceptionMode::Protocol);
+//! let out = run_broadcast(&mut sim, g.node(0), 42, &CompeteConfig::default());
+//! assert!(out.completed(), "broadcast must recover after the repair");
+//! ```
 
 use crate::events::{EventKind, ScenarioEvent};
 use radionet_graph::{Graph, NodeId};

@@ -18,8 +18,10 @@
 //! * [`registry`] — the string-keyed [`TaskRegistry`]: a new algorithm
 //!   plugs in with one `impl` plus one registry line;
 //! * [`driver`] — [`Driver`] and its [`RunReport`];
-//! * [`sweep`] — [`Driver::run_sweep`], the one streaming sweep loop, on
-//!   the rayon pool or on `radionetd --worker` subprocesses ([`Executor`]);
+//! * [`sweep`] — [`Driver::run_sweep`], the one streaming sweep loop, in
+//!   blocks on the rayon pool;
+//! * [`catalogue`] — the named [`Scenario`] presets and the
+//!   [`SweepConfig`] that expands them into labelled specs;
 //! * [`sink`] — the [`ResultSink`] trait and its JSONL / JSON-array /
 //!   in-memory implementations (huge sweeps never buffer);
 //! * [`events`] / [`dynamics`] — the dynamic-topology vocabulary
@@ -60,6 +62,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod catalogue;
 pub mod driver;
 pub mod dynamics;
 pub mod events;
@@ -74,6 +77,7 @@ pub mod task;
 pub mod tasks;
 pub mod topology;
 
+pub use catalogue::{Scenario, SweepConfig};
 pub use driver::{Driver, RunError, RunReport, RESULTS_VERSION};
 pub use hash::SpecHash;
 pub use journal::{replay, spec_of, ReplayOutcome};
@@ -82,7 +86,6 @@ pub use sink::{JsonArraySink, JsonlSink, MemorySink, ResultSink};
 pub use spec::{
     ChurnSpec, Dynamics, JamSpec, JournalSpec, MobilitySpec, PartitionSpec, RunSpec, StaggerSpec,
 };
-pub use sweep::Executor;
 pub use task::{
     BroadcastSummary, ElectionSummary, MisSummary, PartitionSummary, Task, TaskCtx, TaskOutcome,
     WakeupSummary,

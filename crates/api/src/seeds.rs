@@ -1,5 +1,5 @@
 //! Deterministic seed derivation shared by the [`Driver`](crate::Driver)
-//! and the `radionet-scenario` sweep cells.
+//! and the catalogue's sweep cells ([`crate::catalogue`]).
 //!
 //! Everything an experiment cell randomizes — the graph instance, the event
 //! script, the simulator's per-node RNGs, and node-private lotteries — is
@@ -13,8 +13,9 @@ pub use radionet_sim::mix;
 /// index (its scenario name, requested size, and repetition number).
 ///
 /// This is the exact derivation scenario sweeps have always used,
-/// extracted here so `SweepConfig::cells` and spec-building code cannot
-/// drift apart; `pinned_values` below freezes the outputs.
+/// extracted here so [`SweepConfig::cells`](crate::catalogue::SweepConfig::cells)
+/// and spec-building code cannot drift apart; `pinned_values` below
+/// freezes the outputs.
 pub fn seed_for(base: u64, scenario_name: &str, n: usize, rep: u64) -> u64 {
     let mut h = base ^ mix(n as u64) ^ mix(rep.wrapping_add(77));
     for b in scenario_name.bytes() {

@@ -1,7 +1,7 @@
 //! Resume-at-k ≡ straight-through: a run checkpointed after `k` phases and
 //! resumed in a fresh simulator finishes bit-identically to one that never
-//! stopped — under **every** dynamics preset, all three step kernels, and
-//! SINR reception.
+//! stopped — under **every** dynamics preset, both step kernels, and SINR
+//! reception.
 //!
 //! This is the whole value of [`Checkpoint`]: the serialized document plus
 //! the original `(family, dynamics, seed)` recipe is a complete resume

@@ -15,7 +15,7 @@
 //!   [`Scenario::extended_catalogue`] under the sparse kernel.
 //!
 //! Regenerate deliberately with
-//! `RADIONET_REGEN_FIXTURES=1 cargo test -p radionet-scenario --test golden_reports`
+//! `RADIONET_REGEN_FIXTURES=1 cargo test -p radionet-api --test golden_reports`
 //! and review the diff. A regenerated sparse line is checked against its
 //! dense run by [`sparse_lines_match_dense_runs`], which includes the
 //! extended cells that have no dense twin in the fixture. A regenerated
@@ -23,9 +23,7 @@
 //! `RESULTS_VERSION` is bumped, so persisted result stores of the old
 //! reports stop being served.
 
-use radionet_api::{Driver, Executor, JsonlSink, RunReport, RunSpec, RESULTS_VERSION};
-use radionet_scenario::runner::{spec_for_cell, SweepConfig};
-use radionet_scenario::Scenario;
+use radionet_api::{Driver, JsonlSink, RunReport, RunSpec, Scenario, SweepConfig, RESULTS_VERSION};
 use radionet_sim::{Kernel, ReceptionMode};
 
 const FIXTURE: &str = include_str!("fixtures/catalogue_reports.jsonl");
@@ -37,24 +35,21 @@ fn golden_specs() -> Vec<(String, RunSpec)> {
     for (base_seed, reception) in
         [(0xface, ReceptionMode::Protocol), (0xcd_face, ReceptionMode::ProtocolCd)]
     {
-        for mut cell in SweepConfig::catalogue(vec![36], 1, base_seed).cells() {
-            cell.scenario.reception = reception.clone();
+        let config = SweepConfig::catalogue(vec![36], 1, base_seed);
+        for (name, _, spec) in config.cells(Kernel::Sparse) {
             for kernel in [Kernel::Sparse, Kernel::Dense] {
-                let label =
-                    format!("{} ({}, {})", cell.scenario.name, reception.name(), kernel.name());
-                out.push((label, spec_for_cell(&cell, kernel)));
+                let label = format!("{name} ({}, {})", reception.name(), kernel.name());
+                let spec = RunSpec { reception: reception.clone(), kernel, ..spec.clone() };
+                out.push((label, spec));
             }
         }
     }
     let mut extended = Scenario::mobility_catalogue();
     extended.extend(Scenario::traffic_catalogue());
     let config = SweepConfig { scenarios: extended, sizes: vec![36], seeds: 1, base_seed: 0xface };
-    for cell in config.cells() {
-        out.push((
-            format!("{} (sparse)", cell.scenario.name),
-            spec_for_cell(&cell, Kernel::Sparse),
-        ));
-    }
+    out.extend(
+        config.cells(Kernel::Sparse).map(|(name, _, spec)| (format!("{name} (sparse)"), spec)),
+    );
     out
 }
 
@@ -65,7 +60,7 @@ fn catalogue_reports_match_the_golden_fixture() {
     let mut stream = Vec::new();
     let specs = cells.iter().map(|(_, spec)| spec.clone());
     let sink = &mut JsonlSink::new(&mut stream);
-    Driver::standard().run_sweep(specs, 8, &Executor::Threads, sink).expect("golden cells run");
+    Driver::standard().run_sweep(specs, 8, sink).expect("golden cells run");
     let stream = String::from_utf8(stream).unwrap();
     if std::env::var_os("RADIONET_REGEN_FIXTURES").is_some() {
         std::fs::write(FIXTURE_PATH, &stream).unwrap();

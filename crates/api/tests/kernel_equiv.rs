@@ -1,5 +1,5 @@
 //! Scenario-level kernel equivalence: every (protocol × scenario) cell of
-//! the catalogue must produce the identical [`CellResult`] under the
+//! the catalogue must produce the identical [`RunReport`] under the
 //! sparse and dense kernels — full `Compete` broadcast, leader
 //! election, and radio MIS, under churn, partitions, jamming, staggered
 //! wake-up, and mobility.
@@ -8,39 +8,39 @@
 //! proptests: it exercises the real protocol stack (MIS → partition → ICP →
 //! propagation rounds, with all the `Wake` hints those implementations
 //! return) over `DynamicTopology`'s batch change feed and the mobility
-//! views' tick clocks. Results are compared after
-//! [`SimStats::kernel_invariant`] zeroes the kernel-dependent counters
-//! (scheduler pops, skipped silent steps) — everything else must match
+//! views' tick clocks. Reports are compared after the kernel name is
+//! normalized and [`SimStats::kernel_invariant`](radionet_sim::SimStats)
+//! zeroes the kernel-dependent counters (scheduler pops, skipped silent
+//! steps) — everything else, the RNG fingerprint included, must match
 //! byte-for-byte.
 
 use proptest::prelude::*;
-use radionet_api::Driver;
-use radionet_scenario::catalogue::Scenario;
-use radionet_scenario::runner::{
-    cell_result_from_report, spec_for_cell, CellResult, CellSpec, SweepConfig,
-};
+use radionet_api::{Driver, RunReport, RunSpec, Scenario, SweepConfig};
 use radionet_sim::{Kernel, ReceptionMode};
 
-fn cells(sizes: Vec<usize>, seeds: u64, base_seed: u64) -> Vec<CellSpec> {
-    SweepConfig::catalogue(sizes, seeds, base_seed).cells()
+fn cells(sizes: Vec<usize>, seeds: u64, base_seed: u64) -> Vec<(String, RunSpec)> {
+    let config = SweepConfig::catalogue(sizes, seeds, base_seed);
+    config.cells(Kernel::Sparse).map(|(name, _, spec)| (name.to_owned(), spec)).collect()
 }
 
-/// Runs the cell under one kernel and zeroes the kernel-dependent stats
-/// counters so whole results compare across kernels.
-fn run_invariant(spec: &CellSpec, kernel: Kernel) -> CellResult {
-    let report = Driver::standard().run(&spec_for_cell(spec, kernel)).expect("catalogue cell");
-    let mut r = cell_result_from_report(spec, &report);
-    r.stats = r.stats.kernel_invariant();
-    r
+/// Runs the cell under one kernel, then normalizes the kernel name and
+/// zeroes the kernel-dependent stats counters so whole reports compare
+/// across kernels.
+fn run_invariant(spec: &RunSpec, kernel: Kernel) -> RunReport {
+    let spec = RunSpec { kernel, ..spec.clone() };
+    let mut report = Driver::standard().run(&spec).expect("catalogue cell");
+    report.spec.kernel = Kernel::Sparse;
+    report.stats = report.stats.kernel_invariant();
+    report
 }
 
 /// The whole catalogue, one small size, both kernels, cell by cell.
 #[test]
 fn catalogue_cells_agree_across_kernels() {
-    for spec in cells(vec![36], 1, 0xbeef) {
+    for (name, spec) in cells(vec![36], 1, 0xbeef) {
         let sparse = run_invariant(&spec, Kernel::Sparse);
         let dense = run_invariant(&spec, Kernel::Dense);
-        assert_eq!(sparse, dense, "kernel divergence in cell {:?}", spec.scenario.name);
+        assert_eq!(sparse, dense, "kernel divergence in cell {name:?}");
     }
 }
 
@@ -55,10 +55,10 @@ fn mobility_cells_agree_across_kernels() {
         seeds: 1,
         base_seed: 0x30b,
     };
-    for spec in config.cells() {
+    for (name, _, spec) in config.cells(Kernel::Sparse) {
         let sparse = run_invariant(&spec, Kernel::Sparse);
         let dense = run_invariant(&spec, Kernel::Dense);
-        assert_eq!(sparse, dense, "kernel divergence in mobility cell {:?}", spec.scenario.name);
+        assert_eq!(sparse, dense, "kernel divergence in mobility cell {name:?}");
     }
 }
 
@@ -66,14 +66,11 @@ fn mobility_cells_agree_across_kernels() {
 /// presets are all protocol-model; clone them onto CD).
 #[test]
 fn catalogue_cells_agree_under_collision_detection() {
-    let mut specs = cells(vec![36], 1, 0x0cd);
-    for spec in &mut specs {
-        spec.scenario.reception = ReceptionMode::ProtocolCd;
-    }
-    for spec in specs {
+    for (name, spec) in cells(vec![36], 1, 0x0cd) {
+        let spec = RunSpec { reception: ReceptionMode::ProtocolCd, ..spec };
         let sparse = run_invariant(&spec, Kernel::Sparse);
         let dense = run_invariant(&spec, Kernel::Dense);
-        assert_eq!(sparse, dense, "CD kernel divergence in cell {:?}", spec.scenario.name);
+        assert_eq!(sparse, dense, "CD kernel divergence in cell {name:?}");
     }
 }
 
@@ -84,7 +81,7 @@ fn catalogue_cells_agree_under_collision_detection() {
 /// injection-schedule proptest.
 #[test]
 fn traffic_cells_agree_across_kernels() {
-    use radionet_api::{Driver, Dynamics, RunSpec, TrafficSpec};
+    use radionet_api::{Dynamics, TrafficSpec};
     use radionet_graph::families::Family;
 
     let driver = Driver::standard();
@@ -99,7 +96,7 @@ fn traffic_cells_agree_across_kernels() {
             };
             let sparse = driver.run(&spec(Kernel::Sparse)).unwrap();
             let dense = driver.run(&spec(Kernel::Dense)).unwrap();
-            let key = |r: &radionet_api::RunReport| {
+            let key = |r: &RunReport| {
                 (r.outcome, r.traffic, r.stats.kernel_invariant(), r.rng_fingerprint)
             };
             assert_eq!(key(&sparse), key(&dense), "{task} under {dynamics}: dense disagrees");
@@ -125,7 +122,7 @@ proptest! {
             seeds: rep + 1,
             base_seed,
         };
-        let spec = config.cells().into_iter().last().unwrap();
+        let (_, _, spec) = config.cells(Kernel::Sparse).last().unwrap();
         let sparse = run_invariant(&spec, Kernel::Sparse);
         let dense = run_invariant(&spec, Kernel::Dense);
         prop_assert_eq!(&sparse, &dense);

@@ -3,7 +3,7 @@
 //! README telemetry glossary. (That a custom task runs under every
 //! observer is the `Task` rustdoc example.)
 
-use radionet_api::{Driver, Dynamics, Executor, MemorySink, RunSpec};
+use radionet_api::{Driver, Dynamics, MemorySink, RunSpec};
 use radionet_graph::families::Family;
 use radionet_sim::{Kernel, ReceptionMode, Registry, SinrConfig};
 use std::collections::BTreeSet;
@@ -71,7 +71,7 @@ fn emitted_metric_names_match_the_readme_glossary() {
     let sweep: Vec<RunSpec> =
         (0..2).map(|seed| RunSpec::new("mis", Family::Grid, 16).with_seed(seed)).collect();
     let mut sink = MemorySink::default();
-    assert_eq!(driver.run_sweep(sweep, 1, &Executor::Threads, &mut sink).unwrap(), 2);
+    assert_eq!(driver.run_sweep(sweep, 1, &mut sink).unwrap(), 2);
 
     let snap = tel.snapshot();
     let emitted: BTreeSet<String> = snap

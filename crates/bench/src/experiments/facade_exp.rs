@@ -11,7 +11,7 @@ use super::{banner, print_notes};
 use crate::Scale;
 use radionet_analysis::table::f2;
 use radionet_analysis::{ExperimentRecord, RunRecord, Table};
-use radionet_api::{Driver, Executor, MemorySink, RunReport, RunSpec};
+use radionet_api::{Driver, MemorySink, RunReport, RunSpec};
 use radionet_graph::families::Family;
 use radionet_sim::ReceptionMode;
 
@@ -56,16 +56,14 @@ pub fn e16_facade(scale: Scale) -> ExperimentRecord {
 
     let mut parallel = MemorySink::default();
     let specs = corpus.iter().cloned();
-    driver.run_sweep(specs, 32, &Executor::Threads, &mut parallel).expect("corpus specs are valid");
+    driver.run_sweep(specs, 32, &mut parallel).expect("corpus specs are valid");
     let reports = parallel.reports;
 
     // Determinism cross-check on a slice (full corpus at Quick scale).
     let check = if scale == Scale::Quick { corpus.len() } else { corpus.len() / 4 };
     let mut sequential = MemorySink::default();
     let specs = corpus[..check].iter().cloned();
-    driver
-        .run_sweep(specs, 1, &Executor::Threads, &mut sequential)
-        .expect("corpus specs are valid");
+    driver.run_sweep(specs, 1, &mut sequential).expect("corpus specs are valid");
     assert_eq!(
         sequential.reports,
         reports[..check],

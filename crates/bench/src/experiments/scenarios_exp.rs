@@ -6,9 +6,8 @@ use super::{banner, print_notes};
 use crate::Scale;
 use radionet_analysis::ingest::group_summaries;
 use radionet_analysis::table::f2;
-use radionet_analysis::{ExperimentRecord, Table};
-use radionet_api::{Driver, Executor, MemorySink};
-use radionet_scenario::runner::{to_record, to_run_records, CellResult, SweepConfig};
+use radionet_analysis::{ExperimentRecord, RunRecord, Table};
+use radionet_api::{Driver, MemorySink, RunReport, SweepConfig};
 use radionet_sim::Kernel;
 
 /// Scenario sweep sizes (smaller than the static sweeps: every cell runs a
@@ -20,14 +19,46 @@ fn sizes(scale: Scale) -> Vec<usize> {
     }
 }
 
-/// The sweep's rows through [`Driver::run_sweep`] on the rayon pool,
+/// The sweep's reports through [`Driver::run_sweep`] on the rayon pool,
 /// `chunk` cells at a time (1 = sequential).
-fn sweep(config: &SweepConfig, chunk: usize) -> Vec<CellResult> {
+fn sweep(config: &SweepConfig, chunk: usize) -> Vec<RunReport> {
     let mut sink = MemorySink::default();
     Driver::standard()
-        .run_sweep(config.specs(Kernel::default()), chunk, &Executor::Threads, &mut sink)
+        .run_sweep(config.specs(Kernel::default()), chunk, &mut sink)
         .expect("catalogue cells are valid specs");
-    config.results(&sink.reports)
+    sink.reports
+}
+
+/// The record rows of `reports`, the reports of a sweep over `config` in
+/// cell order: each cell's label and spec, with its outcome and engine
+/// counters.
+fn rows(config: &SweepConfig, reports: &[RunReport]) -> Vec<RunRecord> {
+    config
+        .cells(Kernel::default())
+        .zip(reports)
+        .map(|((scenario, rep, _), r)| {
+            RunRecord::new()
+                .param("scenario", scenario)
+                .param("family", r.spec.family.name())
+                .param("workload", &r.spec.task)
+                .param("dynamics", r.spec.dynamics.name())
+                .param("n", r.n)
+                .param("rep", rep)
+                .metric("d", r.d as f64)
+                .metric("alpha", r.alpha)
+                .metric("events", r.events as f64)
+                .metric("success", if r.success { 1.0 } else { 0.0 })
+                .metric("achieved", r.achieved)
+                .metric("clock_total", r.clock_total as f64)
+                .metric("clock_done", r.clock_done.map(|c| c as f64).unwrap_or(-1.0))
+                .metric("simulated_steps", r.stats.simulated_steps as f64)
+                .metric("transmissions", r.stats.transmissions as f64)
+                .metric("deliveries", r.stats.deliveries as f64)
+                .metric("collisions", r.stats.collisions as f64)
+                .metric("scheduler_events", r.stats.scheduler_events as f64)
+                .metric("silent_steps_skipped", r.stats.silent_steps_skipped as f64)
+        })
+        .collect()
 }
 
 /// E14 — the scenario sweep. Runs the full catalogue as one rayon block,
@@ -37,7 +68,7 @@ pub fn e14_scenarios(scale: Scale) -> ExperimentRecord {
     let claim = "Dynamic networks: guarantee degradation under churn, partition/repair, jamming";
     banner("E14", claim);
     let config = SweepConfig::catalogue(sizes(scale), scale.seeds().min(3), 0xd1ce);
-    let cell_count = config.cells().len();
+    let cell_count = config.specs(Kernel::default()).count();
     eprintln!("running {cell_count} cells on {} threads", rayon::current_num_threads());
     let results = sweep(&config, cell_count);
 
@@ -52,8 +83,11 @@ pub fn e14_scenarios(scale: Scale) -> ExperimentRecord {
     let par = if scale == Scale::Quick { results.clone() } else { sweep(&check, cell_count) };
     assert_eq!(seq, par, "parallel sweep diverged from sequential");
 
-    let mut record = to_record("E14", claim, &results);
-    let rows = to_run_records(&results);
+    let rows = rows(&config, &results);
+    let mut record = ExperimentRecord::new("E14", claim);
+    for row in &rows {
+        record.push(row.clone());
+    }
 
     let mut table =
         Table::new(["scenario", "workload", "n", "ok", "achieved", "clock (mean)", "collisions"]);
@@ -109,4 +143,37 @@ pub fn e14_scenarios(scale: Scale) -> ExperimentRecord {
     ));
     print_notes(&record);
     record
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use radionet_api::{Dynamics, Scenario};
+    use radionet_graph::families::Family;
+
+    #[test]
+    fn records_carry_the_sweep() {
+        let static_grid = Scenario {
+            name: "t-static".into(),
+            family: Family::Grid,
+            task: "broadcast".into(),
+            reception: radionet_sim::ReceptionMode::Protocol,
+            dynamics: Dynamics::Static,
+        };
+        let config =
+            SweepConfig { scenarios: vec![static_grid], sizes: vec![36], seeds: 2, base_seed: 3 };
+        let reports = sweep(&config, 64);
+        let rows = rows(&config, &reports);
+        assert_eq!(rows.len(), reports.len());
+        assert_eq!(rows[1].params["scenario"], "t-static");
+        assert_eq!(rows[1].params["workload"], "broadcast");
+        assert_eq!(rows[1].params["rep"], "1");
+        assert!(rows[0].metrics.contains_key("clock_total"));
+        // Scheduler telemetry makes sweeps auditable: every row states
+        // how much scheduling work it really did.
+        assert!(rows[0].metrics.contains_key("scheduler_events"));
+        assert!(rows[0].metrics.contains_key("silent_steps_skipped"));
+        // No row carries a cache metric: sweep rows are direct runs.
+        assert!(!rows[0].metrics.contains_key("cache_hit"));
+    }
 }

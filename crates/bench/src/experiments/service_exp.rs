@@ -13,7 +13,7 @@
 //!    soft ≥ 10× acceptance bar on the repeated-spec workload.
 //! 2. **Sharded sweep pin**: the JSONL stream of a distinct-spec sweep in
 //!    2- and 4-cell blocks on the rayon pool (what `radionet sweep
-//!    --shards 2/4` runs in process) is hard-asserted byte-identical to the
+//!    --chunk 2/4` runs) is hard-asserted byte-identical to the
 //!    sequential `Driver::run_sweep` stream, and the walls are recorded
 //!    (informational — parallel wins depend on cores).
 
@@ -21,7 +21,7 @@ use super::{banner, print_notes};
 use crate::Scale;
 use radionet_analysis::table::f1;
 use radionet_analysis::{ExperimentRecord, RunRecord, Table};
-use radionet_api::{Driver, Executor, JsonlSink, RunSpec};
+use radionet_api::{Driver, JsonlSink, RunSpec};
 use radionet_graph::families::Family;
 use radionet_service::{CacheConfig, ResultCache};
 use std::time::Instant;
@@ -154,7 +154,7 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
     let mut sequential = Vec::new();
     let start = Instant::now();
     let sink = &mut JsonlSink::new(&mut sequential);
-    driver.run_sweep(sweep_specs.clone(), 1, &Executor::Threads, sink).expect("sequential");
+    driver.run_sweep(sweep_specs.clone(), 1, sink).expect("sequential");
     let seq_wall = start.elapsed().as_secs_f64().max(1e-9);
     table.row([
         "sharded-sweep".into(),
@@ -176,9 +176,7 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
         let mut merged = Vec::new();
         let start = Instant::now();
         let sink = &mut JsonlSink::new(&mut merged);
-        let emitted = driver
-            .run_sweep(sweep_specs.clone(), shards, &Executor::Threads, sink)
-            .expect("sharded sweep");
+        let emitted = driver.run_sweep(sweep_specs.clone(), shards, sink).expect("sharded sweep");
         let wall = start.elapsed().as_secs_f64().max(1e-9);
         assert_eq!(emitted, sweep_specs.len());
         // The hard acceptance: the merged stream is the sequential stream.

@@ -26,8 +26,7 @@ use crate::Scale;
 use radionet_analysis::table::f1;
 use radionet_analysis::{ExperimentRecord, RunRecord, Table};
 use radionet_api::{
-    Arrival, Driver, Executor, JsonlSink, PoissonArrival, RunReport, RunSpec, TrafficKind,
-    TrafficSpec,
+    Arrival, Driver, JsonlSink, PoissonArrival, RunReport, RunSpec, TrafficKind, TrafficSpec,
 };
 use radionet_graph::families::Family;
 use radionet_sim::Kernel;
@@ -240,7 +239,7 @@ pub fn e22_traffic(scale: Scale) -> ExperimentRecord {
     let stream = |chunk| {
         let mut out = Vec::new();
         let sink = &mut JsonlSink::new(&mut out);
-        driver.run_sweep(sweep.clone(), chunk, &Executor::Threads, sink).expect("traffic cells");
+        driver.run_sweep(sweep.clone(), chunk, sink).expect("traffic cells");
         out
     };
     assert_eq!(stream(1), stream(sweep.len()), "rayon execution changed a traffic report");

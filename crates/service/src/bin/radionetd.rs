@@ -3,11 +3,9 @@
 //! ```text
 //! radionetd [--addr A] [--workers N] [--queue-cap N] [--cache-bytes N]
 //!           [--audit-fraction F] [--persist FILE]
-//! radionetd --worker     # subprocess shard worker: spec JSONL on stdin,
-//!                        # report JSONL on stdout
 //! ```
 //!
-//! `radionet serve` is an alias for the first form; clients are
+//! `radionet serve` is an alias; clients are
 //! `radionet submit / status / fetch / call` (or anything that speaks the
 //! newline-delimited JSON protocol — see `radionet_service::protocol`).
 
@@ -15,15 +13,14 @@ use radionet_service::cli;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-radionetd — deterministic run service (content-addressed cache, job queue, shard workers)
+radionetd — deterministic run service (content-addressed cache, job queue)
 
 USAGE:
   radionetd [OPTIONS]     serve until a client sends {\"cmd\": \"shutdown\"}
-  radionetd --worker      shard worker: spec JSONL on stdin -> report JSONL on stdout
 
 OPTIONS:
   --addr A            bind address             [default: 127.0.0.1:7177; port 0 = free port]
-  --workers N         queue worker threads     [default: 2]
+  --workers N         queue worker threads; also caps a sweep's cells in flight [default: 2]
   --queue-cap N       backpressure high-water  [default: 256]
   --cache-bytes N     in-memory LRU budget     [default: 67108864]
   --audit-fraction F  fraction of cache hits re-run and byte-compared [default: 0.05]
@@ -33,7 +30,6 @@ OPTIONS:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("--worker") => cli::worker_cmd(),
         Some("--help" | "-h" | "help") => {
             print!("{USAGE}");
             Ok(())

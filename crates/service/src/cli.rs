@@ -6,8 +6,7 @@
 use crate::client::ServiceClient;
 use crate::protocol::Request;
 use crate::server::{Service, ServiceConfig};
-use radionet_api::sweep::worker_loop;
-use radionet_api::{Driver, Dynamics, RunSpec};
+use radionet_api::{Dynamics, RunSpec};
 use radionet_graph::families::Family;
 use radionet_sim::{Kernel, ReceptionMode, SinrConfig};
 use std::io::{BufRead, Write};
@@ -178,19 +177,6 @@ pub fn serve_cmd(rest: &[String]) -> Result<(), String> {
     handle.join();
     eprintln!("radionetd: drained and stopped");
     Ok(())
-}
-
-/// `--worker`: the subprocess shard worker — spec JSONL on stdin, report
-/// JSONL on stdout (see [`worker_loop`]).
-///
-/// # Errors
-///
-/// I/O and run failures, as printable text.
-pub fn worker_cmd() -> Result<(), String> {
-    let driver = Driver::standard();
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    worker_loop(&driver, stdin.lock(), stdout.lock()).map_err(|e| e.to_string())
 }
 
 /// `submit`: send one spec to a running service.

@@ -25,9 +25,7 @@
 //!   side.
 //! * [`cli`] — the shared command implementations behind the `radionetd`
 //!   binary and the `radionet serve / submit / status / fetch / call`
-//!   subcommands, so the whole system is driveable from the shell and CI;
-//!   `radionetd --worker` is the subprocess side of
-//!   [`Executor::Workers`](radionet_api::Executor) sweeps.
+//!   subcommands, so the whole system is driveable from the shell and CI.
 //!
 //! ```no_run
 //! use radionet_api::RunSpec;

@@ -20,6 +20,8 @@
 //! specs through [`ResultCache::serve`], the same audited path a `submit`
 //! job takes, in blocks of `shards` cells that run at once, and answers
 //! in request order — so a repeated sweep is almost entirely cache traffic.
+//! A block never exceeds the worker count, so one request runs at most
+//! `--workers` cells at once, however many it lists.
 //!
 //! Shutdown is cooperative: the `shutdown` command (or
 //! [`ServiceHandle::request_shutdown`]) stops intake, wakes blocked
@@ -44,7 +46,8 @@ pub struct ServiceConfig {
     /// Bind address. Port 0 picks a free port — read it back from
     /// [`ServiceHandle::addr`].
     pub addr: String,
-    /// Worker threads draining the job queue.
+    /// Worker threads draining the job queue; also the most cells one
+    /// `sweep` request runs at once.
     pub workers: usize,
     /// Queue high-water mark (submissions beyond it are rejected).
     pub queue_capacity: usize,
@@ -163,7 +166,7 @@ impl Service {
         let worker_handles: Vec<JoinHandle<()>> = (0..workers)
             .map(|_| {
                 let shared = shared.clone();
-                std::thread::spawn(move || worker_loop(&shared))
+                std::thread::spawn(move || queue_worker(&shared))
             })
             .collect();
         let accept = {
@@ -214,7 +217,7 @@ impl ServiceHandle {
 }
 
 /// One worker thread: drain the queue through the cache until shutdown.
-fn worker_loop(shared: &Shared) {
+fn queue_worker(shared: &Shared) {
     while let Some((id, spec)) = shared.queue.take() {
         let serve = Stopwatch::start(true);
         let outcome = match shared.cache.serve(&shared.driver, &spec) {
@@ -347,16 +350,24 @@ fn snapshot_response(snap: JobSnapshot, with_report: bool) -> Response {
     }
 }
 
-/// `sweep`: serve every cell through the cache in blocks of `shards`
-/// cells, each cell of a block on its own thread and timed like a job,
-/// and answer in request order. The first failing cell fails the request.
+/// The block size of a `sweep` request: its `shards` (default 1),
+/// clamped to `1..=workers` so one request never starts more threads
+/// than the service has workers.
+fn sweep_block(shards: Option<usize>, workers: usize) -> usize {
+    shards.unwrap_or(1).clamp(1, workers.max(1))
+}
+
+/// `sweep`: serve every cell through the cache in blocks of
+/// [`sweep_block`] cells, each cell of a block on its own thread and
+/// timed like a job, and answer in request order. The first failing cell
+/// fails the request.
 fn handle_sweep(shared: &Shared, request: Request) -> Response {
     let Some(specs) = request.specs else {
         return Response::err("sweep needs \"specs\"");
     };
     let mut reports = Vec::with_capacity(specs.len());
     let mut cache_hits = Vec::with_capacity(specs.len());
-    for block in specs.chunks(request.shards.unwrap_or(1).max(1)) {
+    for block in specs.chunks(sweep_block(request.shards, shared.workers as usize)) {
         let served: Vec<Result<Served, RunError>> = std::thread::scope(|s| {
             let serve = |spec| {
                 let watch = Stopwatch::start(true);
@@ -378,4 +389,17 @@ fn handle_sweep(shared: &Shared, request: Request) -> Response {
         }
     }
     Response { reports: Some(reports), cache_hits: Some(cache_hits), ..Response::ok() }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweep_blocks_stay_within_the_worker_count() {
+        assert_eq!(sweep_block(None, 4), 1);
+        assert_eq!(sweep_block(Some(0), 4), 1);
+        assert_eq!(sweep_block(Some(3), 4), 3);
+        assert_eq!(sweep_block(Some(usize::MAX), 4), 4);
+    }
 }

@@ -78,6 +78,23 @@ fn sweep_via_the_client_matches_direct_runs_and_reports_hits() {
     handle.join();
 }
 
+/// A `shards` far beyond the spec count runs in blocks of at most
+/// `--workers` cells and answers exactly what a one-cell-at-a-time sweep
+/// does, each on a cold service.
+#[test]
+fn an_unbounded_sweep_block_answers_like_a_sequential_sweep() {
+    let specs: Vec<RunSpec> = (0..5).map(tiny).collect();
+    let cold_sweep = |shards| {
+        let (handle, mut client) = start(ServiceConfig { workers: 2, ..ServiceConfig::default() });
+        let (reports, hits) = client.sweep(&specs, shards).unwrap();
+        assert_eq!(hits, vec![false; 5], "a cold sweep misses every cell");
+        client.shutdown().unwrap();
+        handle.join();
+        serde_json::to_string(&reports).unwrap()
+    };
+    assert_eq!(cold_sweep(usize::MAX), cold_sweep(1));
+}
+
 /// A poisoned persisted entry of the current results version, served
 /// through `sweep`, is audited like a `submit` hit: re-run, caught,
 /// replaced, and answered with the fresh report.

@@ -330,6 +330,27 @@ impl SparseSched {
         }
     }
 
+    /// Re-engages node `i` after it acted, heard, or sensed a collision at
+    /// phase-local step `now` (global step `gstep`): polls its done-ness,
+    /// takes a fresh hint, records it and applies it.
+    #[inline(always)]
+    fn re_engage<P: Protocol, O: Observer>(
+        &mut self,
+        obs: &mut O,
+        state: &P,
+        i: usize,
+        now: u64,
+        gstep: u64,
+        max_steps: u64,
+    ) {
+        if !self.done[i] && state.is_done() {
+            self.mark_done(i);
+        }
+        let hint = state.next_wake(now);
+        emit(obs, EventClass::Sched, gstep, || EventKind::Hint(hint_info(i as u32, hint)));
+        self.apply_hint(i, now, hint, max_steps);
+    }
+
     /// Moves every due, still-valid act timer into this step's ring.
     fn pop_due_acts(&mut self, t: u64) {
         while let Some(&Reverse((at, i, ep))) = self.act_heap.peek() {
@@ -375,7 +396,7 @@ impl SparseSched {
 /// whole base graph, synchronous wake-up, no interference beyond
 /// collisions). Dynamic views — churn, partitions, jammers — are consulted
 /// once per simulated step and may change what the engine sees; see
-/// `radionet-scenario`.
+/// `radionet_api::dynamics`.
 ///
 /// The third parameter is the [`Observer`]: the event journal the kernels
 /// stream through and the metrics registry they time their phases into
@@ -599,7 +620,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
         self.kernel
     }
 
-    /// Selects the step kernel, which every later phase executes. All three
+    /// Selects the step kernel, which every later phase executes. Both
     /// kernels produce identical results for contract-honoring protocols;
     /// [`Kernel::Dense`] exists as the reference oracle.
     pub fn set_kernel(&mut self, kernel: Kernel) {
@@ -1201,14 +1222,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                     Action::Listen => self.listening[i] = true,
                     Action::Idle => self.listening[i] = false,
                 }
-                if !self.sched.done[i] && states[i].is_done() {
-                    self.sched.mark_done(i);
-                }
-                let hint = states[i].next_wake(local_t);
-                emit(&mut self.obs, EventClass::Sched, gstep, || {
-                    EventKind::Hint(hint_info(iu, hint))
-                });
-                self.sched.apply_hint(i, local_t, hint, max_steps);
+                self.sched.re_engage(&mut self.obs, &states[i], i, local_t, gstep, max_steps);
             }
             self.sched.ring = ring;
             report.transmissions += self.tx_nodes.len() as u64;
@@ -1389,16 +1403,15 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                             emit(&mut self.obs, EventClass::Radio, gstep, || {
                                 EventKind::Deliver(DeliverInfo { node: w32, from })
                             });
-                            // Hearing re-engages the node: poll done-ness,
-                            // take a fresh hint.
-                            if !self.sched.done[wi] && states[wi].is_done() {
-                                self.sched.mark_done(wi);
-                            }
-                            let hint = states[wi].next_wake(local_t);
-                            emit(&mut self.obs, EventClass::Sched, gstep, || {
-                                EventKind::Hint(hint_info(w32, hint))
-                            });
-                            self.sched.apply_hint(wi, local_t, hint, max_steps);
+                            // Hearing re-engages the node.
+                            self.sched.re_engage(
+                                &mut self.obs,
+                                &states[wi],
+                                wi,
+                                local_t,
+                                gstep,
+                                max_steps,
+                            );
                         } else {
                             // Decodable in isolation, lost to
                             // interference (no CD under SINR: the
@@ -1463,15 +1476,8 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                         }
                     }
                     // Hearing (or a CD collision signal) re-engages the
-                    // node: poll done-ness, take a fresh hint.
-                    if !self.sched.done[wi] && states[wi].is_done() {
-                        self.sched.mark_done(wi);
-                    }
-                    let hint = states[wi].next_wake(local_t);
-                    emit(&mut self.obs, EventClass::Sched, gstep, || {
-                        EventKind::Hint(hint_info(wi32, hint))
-                    });
-                    self.sched.apply_hint(wi, local_t, hint, max_steps);
+                    // node.
+                    self.sched.re_engage(&mut self.obs, &states[wi], wi, local_t, gstep, max_steps);
                 }
                 self.sched.touched = touched;
                 // CD jam signal on otherwise silent listeners: the dense
@@ -1492,14 +1498,8 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                     }
                     for &wi32 in &re_engage {
                         let wi = wi32 as usize;
-                        if !self.sched.done[wi] && states[wi].is_done() {
-                            self.sched.mark_done(wi);
-                        }
-                        let hint = states[wi].next_wake(local_t);
-                        emit(&mut self.obs, EventClass::Sched, gstep, || {
-                            EventKind::Hint(hint_info(wi32, hint))
-                        });
-                        self.sched.apply_hint(wi, local_t, hint, max_steps);
+                        let state = &states[wi];
+                        self.sched.re_engage(&mut self.obs, state, wi, local_t, gstep, max_steps);
                     }
                 }
             }

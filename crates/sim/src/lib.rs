@@ -15,7 +15,7 @@
 //!
 //! The engine reads the topology through a pluggable [`TopologyView`]
 //! rather than the graph directly; the default [`StaticTopology`] is the
-//! paper's model above, while dynamic views (see `radionet-scenario`)
+//! paper's model above, while dynamic views (see `radionet_api::dynamics`)
 //! relax the static-graph and synchronous-wake-up assumptions — churn,
 //! partitions, jamming, staggered wake-up — to measure how the guarantees
 //! degrade.

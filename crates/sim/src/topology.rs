@@ -18,7 +18,7 @@
 //!   when it may next change ([`next_event`](TopologyView::next_event)).
 //!
 //! [`StaticTopology`] is the zero-cost identity view reproducing the paper's
-//! model exactly; `radionet-scenario` provides the dynamic overlay.
+//! model exactly; `radionet_api::dynamics` provides the dynamic overlay.
 
 use radionet_graph::{Graph, NodeId};
 

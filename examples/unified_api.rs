@@ -9,7 +9,7 @@
 //! one-line summary per task — no hand-wired `Sim`, no per-algorithm
 //! plumbing.
 
-use radionet::api::{Driver, Dynamics, Executor, MemorySink, RunSpec};
+use radionet::api::{Driver, Dynamics, MemorySink, RunSpec};
 use radionet::graph::families::Family;
 use radionet::sim::ReceptionMode;
 
@@ -32,7 +32,7 @@ fn main() {
         .collect();
 
     let mut sink = MemorySink::default();
-    driver.run_sweep(specs, 8, &Executor::Threads, &mut sink).expect("all specs valid");
+    driver.run_sweep(specs, 8, &mut sink).expect("all specs valid");
 
     println!("{:<22} {:>3}  {:>8}  {:>9}  {:>10}", "task", "ok", "achieved", "clock", "steps");
     for report in &sink.reports {

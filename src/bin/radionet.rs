@@ -17,13 +17,11 @@
 //! buffer in memory.
 
 use radionet::api::{
-    replay, Driver, Executor, JsonArraySink, JsonlSink, ResultSink, RunReport, RunSpec,
-    TaskRegistry,
+    replay, Driver, JsonArraySink, JsonlSink, ResultSink, RunReport, RunSpec, Scenario,
+    SweepConfig, TaskRegistry,
 };
 use radionet::graph::families::Family;
 use radionet::journal::{bisect, ClassMask, EventKind, Journal};
-use radionet::scenario::runner::SweepConfig;
-use radionet::scenario::Scenario;
 use radionet::service::cli::{self as service_cli, parse, parse_kernel, Args, SpecFlags};
 use radionet::sim::Kernel;
 use radionet::telemetry::{ProgressEvent, ProgressMeter, ProgressSink};
@@ -108,15 +106,9 @@ SWEEP OPTIONS:
   --scenario NAME     restrict to a named scenario (repeatable)
   --kernel K          sparse | dense               [default: sparse]
   --format F          jsonl | json                 [default: jsonl]
-  --sequential        one cell at a time (default: blocks of --chunk cells on
-                      rayon threads; the output stream is byte-identical
-                      either way)
-  --chunk N           cells per block              [default: 64]
-  --shards N          in process: at most N cells in flight (N-cell blocks;
-                      exclusive with --chunk); with --shard-exec: split each
-                      block across N worker subprocesses
-  --shard-exec PATH   run each block on spawned `PATH --worker` subprocesses
-                      (normally radionetd) instead of rayon threads
+  --chunk N           cells per block, run at once on rayon threads; 1 runs
+                      one cell at a time (the output stream is byte-identical
+                      for every N)                 [default: 64]
   --progress          live progress line on stderr (done/total, rate, ETA;
                       rate-limited to ~5 updates/sec)
   --progress-jsonl F  append one ProgressEvent JSON line per update to F
@@ -244,10 +236,7 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
     let mut names: Vec<String> = Vec::new();
     let mut kernel = Kernel::default();
     let mut format = "jsonl".to_string();
-    let mut sequential = false;
-    let mut chunk: Option<usize> = None;
-    let mut shards: Option<usize> = None;
-    let mut shard_exec: Option<String> = None;
+    let mut chunk = 64usize;
     let mut progress = false;
     let mut progress_jsonl: Option<String> = None;
     let mut out: Option<String> = None;
@@ -259,10 +248,7 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
             "--scenario" => names.push(args.value(flag)?.to_string()),
             "--kernel" => kernel = parse_kernel(args.value(flag)?)?,
             "--format" => format = args.value(flag)?.to_string(),
-            "--sequential" => sequential = true,
-            "--chunk" => chunk = Some(parse(flag, args.value(flag)?)?),
-            "--shards" => shards = Some(parse(flag, args.value(flag)?)?),
-            "--shard-exec" => shard_exec = Some(args.value(flag)?.to_string()),
+            "--chunk" => chunk = parse(flag, args.value(flag)?)?,
             "--progress" => progress = true,
             "--progress-jsonl" => progress_jsonl = Some(args.value(flag)?.to_string()),
             "--out" => out = Some(args.value(flag)?.to_string()),
@@ -296,8 +282,8 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
 
     // Delegating sink that totals the streaming-traffic cells for the
     // summary line and ticks the optional progress meter — reports stream
-    // through here in deterministic cell order on one thread, whichever
-    // execution path produced them.
+    // through here in deterministic cell order on one thread, whatever the
+    // block size.
     struct SweepTally<'a> {
         inner: &'a mut dyn ResultSink,
         /// Streaming-traffic cells seen, their injected/delivered message
@@ -326,22 +312,6 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
             self.inner.finish()
         }
     }
-
-    // Two executors, one block size: in process, `--shards N` keeps meaning
-    // "at most N cells in flight", so it picks the block size and cannot be
-    // combined with `--chunk`; with `--shard-exec` it is the worker count.
-    let (executor, chunk) = match (shard_exec, shards) {
-        (Some(exe), shards) => {
-            (Executor::Workers { exe: exe.into(), shards: shards.unwrap_or(1) }, chunk)
-        }
-        (None, Some(_)) if chunk.is_some() => {
-            return Err("--chunk and --shards both set how many cells run at once; \
-                        pass one of them"
-                .into())
-        }
-        (None, shards) => (Executor::Threads, shards.or(chunk)),
-    };
-    let chunk = if sequential { 1 } else { chunk.unwrap_or(64) };
 
     let mut scenarios = Scenario::extended_catalogue();
     if !names.is_empty() {
@@ -388,9 +358,8 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
     };
     // Cells are generated lazily and specs exist only a block at a time,
     // so the sweep's memory footprint is O(chunk) regardless of size.
-    let emitted = driver
-        .run_sweep(config.specs(kernel), chunk, &executor, &mut tally)
-        .map_err(|e| e.to_string())?;
+    let emitted =
+        driver.run_sweep(config.specs(kernel), chunk, &mut tally).map_err(|e| e.to_string())?;
     // The one-line sweep summary (always, progress or not): how much work
     // and how fast. Cache hits only exist on service-served sweeps — the
     // direct driver has no cache — so hit rates are left to

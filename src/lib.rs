@@ -25,7 +25,6 @@ pub use radionet_graph as graph;
 pub use radionet_journal as journal;
 pub use radionet_mobility as mobility;
 pub use radionet_primitives as primitives;
-pub use radionet_scenario as scenario;
 pub use radionet_service as service;
 pub use radionet_sim as sim;
 pub use radionet_telemetry as telemetry;

@@ -1,12 +1,15 @@
 //! Robustness and failure-injection tests: estimate slack, disconnected
 //! inputs, exhausted budgets, adversarial seeds, and dynamic topologies.
 
+use radionet::api::{
+    dynamics::DynamicTopology,
+    events::{EventKind, ScenarioEvent},
+};
 use radionet::core::broadcast::run_broadcast;
 use radionet::core::compete::CompeteConfig;
 use radionet::core::mis::{run_radio_mis, MisConfig};
 use radionet::graph::families::Family;
 use radionet::graph::Graph;
-use radionet::scenario::{DynamicTopology, EventKind, ScenarioEvent};
 use radionet::sim::{CostModel, NetInfo, ReceptionMode, Sim};
 
 #[test]
