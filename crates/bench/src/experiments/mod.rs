@@ -20,7 +20,7 @@
 //! | E17 | mobility: incremental index + time-resolved α/D | [`e17_mobility`] |
 //! | E18 | geometry-native SINR: sparse vs dense reception | [`e18_sinr`] |
 //! | E19 | sparse kernel: clock jumps over silent spans | [`e19_event`] |
-//! | E20 | radionetd serving: cache + sharded sweeps | [`e20_service`] |
+//! | E20 | radionetd serving: cache + block-size sweeps | [`e20_service`] |
 //! | E21 | telemetry overhead guard | [`e21_telemetry`] |
 //! | E22 | streaming traffic pipeline | [`e22_traffic`] |
 
@@ -118,7 +118,7 @@ pub const ALL: &[ExperimentDef] = &[
     },
     ExperimentDef {
         id: "E20",
-        claim: "radionetd serving: repeated specs hit the cache, shards merge byte-identically",
+        claim: "radionetd serving: repeated specs hit the cache, sweep blocks emit identical bytes",
         run: e20_service,
     },
     ExperimentDef {

@@ -1,5 +1,5 @@
 //! E20 — the `radionetd` serving layer: content-addressed caching on a
-//! repeated-spec workload, and sharded sweep determinism.
+//! repeated-spec workload, and block-size sweep determinism.
 //!
 //! Two parts:
 //!
@@ -11,7 +11,7 @@
 //!    byte-identical to the cold report (determinism is what makes the
 //!    cache sound); the cold/served throughput ratio is recorded, with a
 //!    soft ≥ 10× acceptance bar on the repeated-spec workload.
-//! 2. **Sharded sweep pin**: the JSONL stream of a distinct-spec sweep in
+//! 2. **Block-size sweep pin**: the JSONL stream of a distinct-spec sweep in
 //!    2- and 4-cell blocks on the rayon pool (what `radionet sweep
 //!    --chunk 2/4` runs) is hard-asserted byte-identical to the
 //!    sequential `Driver::run_sweep` stream, and the walls are recorded
@@ -42,9 +42,10 @@ fn distinct_specs(count: usize, n: usize) -> Vec<RunSpec> {
         .collect()
 }
 
-/// E20 — serving layer: cache throughput and sharded determinism.
+/// E20 — serving layer: cache throughput and block-size determinism.
 pub fn e20_service(scale: Scale) -> ExperimentRecord {
-    let claim = "radionetd serving: repeated specs hit the cache, shards merge byte-identically";
+    let claim =
+        "radionetd serving: repeated specs hit the cache, sweep blocks emit identical bytes";
     banner("E20", claim);
     let mut record = ExperimentRecord::new("E20", claim);
     let mut table = Table::new(["part", "arm", "requests", "distinct", "wall ms", "req/s"]);
@@ -157,7 +158,7 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
     driver.run_sweep(sweep_specs.clone(), 1, sink).expect("sequential");
     let seq_wall = start.elapsed().as_secs_f64().max(1e-9);
     table.row([
-        "sharded-sweep".into(),
+        "chunk-sweep".into(),
         "sequential".into(),
         sweep_specs.len().to_string(),
         sweep_specs.len().to_string(),
@@ -166,24 +167,24 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
     ]);
     record.push(
         RunRecord::new()
-            .param("part", "sharded-sweep")
+            .param("part", "chunk-sweep")
             .param("arm", "sequential")
             .param("n", n)
             .metric("cells", sweep_specs.len() as f64)
             .metric("wall_ms", seq_wall * 1e3),
     );
-    for shards in [2usize, 4] {
-        let mut merged = Vec::new();
+    for chunk in [2usize, 4] {
+        let mut blocked = Vec::new();
         let start = Instant::now();
-        let sink = &mut JsonlSink::new(&mut merged);
-        let emitted = driver.run_sweep(sweep_specs.clone(), shards, sink).expect("sharded sweep");
+        let sink = &mut JsonlSink::new(&mut blocked);
+        let emitted = driver.run_sweep(sweep_specs.clone(), chunk, sink).expect("chunked sweep");
         let wall = start.elapsed().as_secs_f64().max(1e-9);
         assert_eq!(emitted, sweep_specs.len());
-        // The hard acceptance: the merged stream is the sequential stream.
-        assert_eq!(merged, sequential, "{shards}-way shard merge diverged from sequential");
-        let arm = format!("{shards}-shard");
+        // The hard acceptance: the blocked stream is the sequential stream.
+        assert_eq!(blocked, sequential, "{chunk}-cell blocks diverged from the sequential sweep");
+        let arm = format!("chunk-{chunk}");
         table.row([
-            "sharded-sweep".into(),
+            "chunk-sweep".into(),
             arm.clone(),
             sweep_specs.len().to_string(),
             sweep_specs.len().to_string(),
@@ -192,17 +193,17 @@ pub fn e20_service(scale: Scale) -> ExperimentRecord {
         ]);
         record.push(
             RunRecord::new()
-                .param("part", "sharded-sweep")
+                .param("part", "chunk-sweep")
                 .param("arm", arm)
                 .param("n", n)
-                .param("shards", shards)
+                .param("chunk", chunk)
                 .metric("cells", sweep_specs.len() as f64)
                 .metric("wall_ms", wall * 1e3)
                 .metric("speedup_vs_sequential", seq_wall / wall),
         );
     }
     record.note(format!(
-        "sharded sweep: 2- and 4-cell-block streams byte-identical to the sequential \
+        "chunked sweep: 2- and 4-cell-block streams byte-identical to the sequential \
          {}-cell stream (walls informational; determinism is the claim)",
         sweep_specs.len(),
     ));

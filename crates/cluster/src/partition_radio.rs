@@ -234,22 +234,25 @@ impl Protocol for RadioPartitionNode {
         if now + 1 >= total {
             return Wake::Retire;
         }
-        match self.state {
+        let phase = now / self.phase_steps;
+        // The first phase boundary at which `act` changes anything; until
+        // then the node is a pure listener.
+        let wake_phase = match self.state {
             // Claimed in an earlier phase: transmitting Decay, fresh coin
             // every step.
-            NodeState::Claimed { claim_phase, .. } if now / self.phase_steps > claim_phase => {
-                Wake::Now
-            }
-            // Unclaimed, or claimed this very phase: a pure listener until
-            // the next phase boundary, where offers commit / transmission
-            // starts / centers may self-claim. The cluster-phase structure
-            // is exactly what the sparse kernel exploits: most nodes spend
-            // most phases waiting for an offer.
-            _ => {
-                let boundary = (now / self.phase_steps + 1) * self.phase_steps;
-                Wake::Listen { wake_at: boundary.min(total), done_at: Some(total - 1) }
-            }
-        }
+            NodeState::Claimed { claim_phase, .. } if phase > claim_phase => return Wake::Now,
+            // A center claimed this phase starts offering at the next
+            // boundary, and a held offer commits there.
+            NodeState::Claimed { .. } => phase + 1,
+            NodeState::Unclaimed if self.pending.is_some() => phase + 1,
+            // Unclaimed with no offer: nothing happens until an offer is
+            // heard (hearing re-engages the node) or, for a center, its
+            // start phase begins. Most nodes spend most phases here.
+            NodeState::Unclaimed => self.init.map_or(phase + 1, |c| c.start_phase.max(phase + 1)),
+        };
+        let wake_at = wake_phase.saturating_mul(self.phase_steps);
+        let wake_at = if wake_at < total { wake_at } else { Wake::NEVER };
+        Wake::Listen { wake_at, done_at: Some(total - 1) }
     }
 }
 

@@ -331,22 +331,41 @@ fn radio_mis_with_history_keeps_acting() {
     }
 }
 
+/// Every third node leaves inside one partition phase and returns one to
+/// four phases later, inside a phase or on its boundary: a center can miss
+/// its start boundary, and a node can miss the boundary that commits the
+/// offer it holds.
+fn partition_churn(g: &Graph, config: RadioPartitionConfig, beta: f64) -> Vec<Option<(u64, u64)>> {
+    let info = NetInfo::exact(g);
+    let (steps, phases) = (config.phase_steps(info.log_n()), config.total_phases(beta, info.n));
+    (0..g.n() as u64)
+        .map(|v| {
+            let from = (v * 5 % phases) * steps + v % steps;
+            (v % 3 == 0).then_some((from, from + (1 + v % 4) * steps + (v / 3) % 2))
+        })
+        .collect()
+}
+
 #[test]
 fn control_protocols_keep_their_wake_promises() {
     for (name, g) in graphs() {
         let centers = greedy_mis_min_degree(&g);
         let still = || vec![None; g.n()];
-        let partition = audit(&g, still(), ReceptionMode::Protocol, 5, |info| {
+        // β = 0.1 spreads the centers' start phases over about 80 phases.
+        for (beta, churn) in [(0.5, false), (0.1, false), (0.1, true)] {
             let config = RadioPartitionConfig::default();
-            let states = (0..g.n())
-                .map(|v| {
-                    let center = centers.iter().any(|c| c.index() == v);
-                    RadioPartitionNode::new(config, 0.5, info.n, info.log_n(), center)
-                })
-                .collect();
-            (states, config.total_steps(0.5, info.n, info.log_n()))
-        });
-        assert!(partition.listen > 0, "{name} partition: {partition:?}");
+            let down = if churn { partition_churn(&g, config, beta) } else { still() };
+            let partition = audit(&g, down, ReceptionMode::Protocol, 5, |info| {
+                let states = (0..g.n())
+                    .map(|v| {
+                        let center = centers.iter().any(|c| c.index() == v);
+                        RadioPartitionNode::new(config, beta, info.n, info.log_n(), center)
+                    })
+                    .collect();
+                (states, config.total_steps(beta, info.n, info.log_n()))
+            });
+            assert!(partition.listen > 0, "{name} partition, β = {beta}: {partition:?}");
+        }
 
         let decay = audit(&g, still(), ReceptionMode::ProtocolCd, 6, |info| {
             let schedule = DecaySchedule::new(info.log_n());

@@ -13,9 +13,10 @@
 //! The **sparse** kernel (the default) makes step cost proportional to
 //! actual radio activity:
 //!
-//! * an **active set** (an index ring deduplicated with epoch stamps, plus
-//!   two lazy-deletion wake heaps) tracks exactly the nodes whose `act`
-//!   must run this step, driven by the [`Wake`] hints protocols return;
+//! * an **active set** (an index ring deduplicated with step stamps, plus
+//!   two lazy-deletion timer heaps holding one live wake and one live done
+//!   time per node) tracks exactly the nodes whose `act` must run this
+//!   step, driven by the [`Wake`] hints protocols return;
 //! * a per-step **message arena** stores each transmitted message once;
 //!   listeners receive `&Msg` out of the arena;
 //! * protocol-model reception is resolved by iterating **transmitters'
@@ -28,7 +29,7 @@
 //!   signal), so the per-step cost is proportional to transmitters and
 //!   their physical neighborhoods instead of `O(listeners × transmitters)`.
 //!   Under the default [`FarFieldPolicy::Exact`] the interference sum
-//!   stays exact (over all transmitters, in transmitter order, so even
+//!   stays exact (over all transmitters, in ascending node order, so even
 //!   the floating-point sums are bit-identical to the dense kernel);
 //!   [`FarFieldPolicy::Cutoff`] truncates it with a proven
 //!   `≤ eps·noise` omitted-interference bound. Positions come from the
@@ -208,19 +209,24 @@ impl std::error::Error for SimError {}
 /// whose `act` runs this step, `next_ring` collects nodes engaged for the
 /// following step, and `ring_stamp[i] == step + 1` marks "already scheduled
 /// for `step`" so duplicate pushes are free. The two heaps are lazy-deletion
-/// timers keyed by phase-local step; an entry is stale (and dropped at pop
-/// time) unless its epoch still matches `epoch[i]`, which every fresh hint
-/// and every deactivation bumps.
+/// timers keyed by phase-local step, and `live_wake[i]` / `live_done[i]`
+/// hold node `i`'s one live time in each ([`Wake::NEVER`] = none). An entry
+/// is stale (and dropped at pop time) unless its time is still the node's
+/// live time: every fresh hint replaces both live times, and every
+/// deactivation withdraws them. A hint that repeats a live time pushes
+/// nothing, so a listener re-promising the same `done_at` at every
+/// engagement costs one heap entry, not one per engagement.
 #[derive(Debug, Default)]
 struct SparseSched {
     ring: Vec<u32>,
     next_ring: Vec<u32>,
     ring_stamp: Vec<u64>,
-    /// `(wake_at, node, epoch)`: call `act` at `wake_at`.
-    act_heap: BinaryHeap<Reverse<(u64, u32, u64)>>,
-    /// `(done_at, node, epoch)`: node counts as done at the end of `done_at`.
-    done_heap: BinaryHeap<Reverse<(u64, u32, u64)>>,
-    epoch: Vec<u64>,
+    /// `(wake_at, node)`: call `act` at `wake_at`.
+    act_heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// `(done_at, node)`: node counts as done at the end of `done_at`.
+    done_heap: BinaryHeap<Reverse<(u64, u32)>>,
+    live_wake: Vec<u64>,
+    live_done: Vec<u64>,
     /// Sticky engine-side done flags ([`Protocol::is_done`] is monotone).
     done: Vec<bool>,
     /// `done[i] || (inactive && retired)` — the completion predicate.
@@ -239,11 +245,11 @@ struct SparseSched {
     listen_defer: Vec<(u32, bool)>,
     /// Number of unfinished nodes; the phase completes when it hits 0.
     pending: usize,
-    /// Wake-heap entries popped this phase (stale ones included) — the
+    /// Timer entries popped this phase (stale ones included) — the
     /// phase's contribution to [`SimStats::scheduler_events`]: exactly the
     /// entries that come due before the phase ends, jumped or stepped
-    /// (a jump lands on every heap-peek time, and entries past the budget
-    /// are dropped at push time).
+    /// (a jump lands on every heap-peek time, and times past the budget
+    /// are never pushed).
     pops: u64,
 }
 
@@ -258,8 +264,10 @@ impl SparseSched {
         self.listen_defer.clear();
         self.ring_stamp.clear();
         self.ring_stamp.resize(n, 0);
-        self.epoch.clear();
-        self.epoch.resize(n, 0);
+        self.live_wake.clear();
+        self.live_wake.resize(n, Wake::NEVER);
+        self.live_done.clear();
+        self.live_done.resize(n, Wake::NEVER);
         self.done.clear();
         self.done.resize(n, false);
         self.finished.clear();
@@ -296,31 +304,28 @@ impl SparseSched {
     }
 
     /// Applies a [`Wake`] hint issued for node `i` at phase-local step
-    /// `now`. Timers beyond `max_steps` never fire within this phase (the
-    /// last step is `max_steps - 1`, whose completion check matures done
-    /// promises `d <= max_steps - 1`), so they are dropped instead of
-    /// pushed — on a 100k-listener Decay phase that is 200k heap entries
-    /// that would otherwise be allocated and never popped.
+    /// `now`: its wake and done times replace the node's live timers
+    /// ([`set_timer`]: a repeated time pushes nothing), and `Now` and
+    /// `Retire` withdraw both. Timers beyond `max_steps` never fire within
+    /// this phase (the last step is `max_steps - 1`, whose completion check
+    /// matures done promises `d <= max_steps - 1`), so they are withdrawn
+    /// instead of pushed — on a 100k-listener Decay phase that is 200k heap
+    /// entries that would otherwise be allocated and never popped.
     fn apply_hint(&mut self, i: usize, now: u64, hint: Wake, max_steps: u64) {
-        self.epoch[i] += 1;
-        let ep = self.epoch[i];
+        let (mut wake, mut done) = (Wake::NEVER, Wake::NEVER);
         match hint {
             Wake::Now => self.ring_at(i, now + 1, now),
             Wake::Listen { wake_at, done_at } | Wake::Sleep { wake_at, done_at } => {
                 self.listen_defer.push((i as u32, matches!(hint, Wake::Listen { .. })));
-                if let Some(d) = done_at {
-                    if d <= now {
-                        self.mark_done(i);
-                    } else if d < max_steps {
-                        self.done_heap.push(Reverse((d, i as u32, ep)));
-                    }
+                match done_at {
+                    Some(d) if d <= now => self.mark_done(i),
+                    Some(d) if d < max_steps => done = d,
+                    _ => {}
                 }
-                if wake_at != Wake::NEVER {
-                    if wake_at <= now + 1 {
-                        self.ring_at(i, now + 1, now);
-                    } else if wake_at < max_steps {
-                        self.act_heap.push(Reverse((wake_at, i as u32, ep)));
-                    }
+                if wake_at <= now + 1 {
+                    self.ring_at(i, now + 1, now);
+                } else if wake_at < max_steps {
+                    wake = wake_at;
                 }
             }
             Wake::Retire => {
@@ -328,6 +333,14 @@ impl SparseSched {
                 self.mark_done(i);
             }
         }
+        set_timer(&mut self.act_heap, &mut self.live_wake[i], i, wake);
+        set_timer(&mut self.done_heap, &mut self.live_done[i], i, done);
+    }
+
+    /// Withdraws both of node `i`'s timers (a deactivation).
+    fn withdraw(&mut self, i: usize) {
+        self.live_wake[i] = Wake::NEVER;
+        self.live_done[i] = Wake::NEVER;
     }
 
     /// Re-engages node `i` after it acted, heard, or sensed a collision at
@@ -351,33 +364,47 @@ impl SparseSched {
         self.apply_hint(i, now, hint, max_steps);
     }
 
-    /// Moves every due, still-valid act timer into this step's ring.
+    /// Moves every due, live act timer into this step's ring.
     fn pop_due_acts(&mut self, t: u64) {
-        while let Some(&Reverse((at, i, ep))) = self.act_heap.peek() {
+        while let Some(&Reverse((at, i))) = self.act_heap.peek() {
             if at > t {
                 break;
             }
             self.act_heap.pop();
             self.pops += 1;
             let iu = i as usize;
-            if ep == self.epoch[iu] && self.was_active[iu] {
+            if self.live_wake[iu] == at {
+                self.live_wake[iu] = Wake::NEVER;
                 self.ring_at(iu, t, t);
             }
         }
     }
 
-    /// Applies every matured, still-valid done promise (end of step `t`).
+    /// Applies every matured, live done promise (end of step `t`).
     fn mature_done(&mut self, t: u64) {
-        while let Some(&Reverse((at, i, ep))) = self.done_heap.peek() {
+        while let Some(&Reverse((at, i))) = self.done_heap.peek() {
             if at > t {
                 break;
             }
             self.done_heap.pop();
             self.pops += 1;
             let iu = i as usize;
-            if ep == self.epoch[iu] {
+            if self.live_done[iu] == at {
+                self.live_done[iu] = Wake::NEVER;
                 self.mark_done(iu);
             }
+        }
+    }
+}
+
+/// Makes `at` node `i`'s live time in `heap` ([`Wake::NEVER`] withdraws
+/// it). Repeating the live time pushes nothing; a new time is pushed and
+/// leaves the old entry stale.
+fn set_timer(heap: &mut BinaryHeap<Reverse<(u64, u32)>>, live: &mut u64, i: usize, at: u64) {
+    if *live != at {
+        *live = at;
+        if at != Wake::NEVER {
+            heap.push(Reverse((at, i as u32)));
         }
     }
 }
@@ -1157,7 +1184,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                         self.sched.ring_at(i, local_t, local_t);
                     } else {
                         self.listening[i] = false;
-                        self.sched.epoch[i] += 1;
+                        self.sched.withdraw(i);
                     }
                 }
                 let finished = self.sched.done[i] || (!active && self.topo.is_retired(v));
@@ -1302,10 +1329,10 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                     // listener that could possibly decode (or lose a
                     // decodable signal) is within one index cell ring —
                     // the cell width *is* the decode range — of some
-                    // transmitter. Track its strongest transmitter;
-                    // iterating transmitters in `ti` order with a strict
-                    // `>` reproduces the dense kernel's tie-break (first
-                    // maximal transmitter wins) exactly.
+                    // transmitter. Track its strongest transmitter, the
+                    // lowest node index among equal gains: the dense
+                    // kernel's tie-break (first maximum of its ascending
+                    // scan), whatever order the ring put `tx_nodes` in.
                     for (ti, &u) in self.tx_nodes.iter().enumerate() {
                         let pu = pos[u as usize];
                         grid.for_candidates(pu, |cand| {
@@ -1319,7 +1346,10 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                                 self.sinr_best[wi] = gain;
                                 self.from[wi] = ti as u32;
                                 self.sched.touched.push(cand);
-                            } else if gain > self.sinr_best[wi] {
+                            } else if gain > self.sinr_best[wi]
+                                || (gain == self.sinr_best[wi]
+                                    && u < self.tx_nodes[self.from[wi] as usize])
+                            {
                                 self.sinr_best[wi] = gain;
                                 self.from[wi] = ti as u32;
                             }
@@ -1370,23 +1400,21 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                         let approx = self.tx_coords.interference(cfg, floor, &pos[wi], slots);
                         let decodes =
                             cfg.decide_filtered(best, approx, terms).unwrap_or_else(|| {
-                                // The exact sum in `ti` order: the dense
-                                // kernel's floating-point reduction. Cutoff
-                                // candidates are sorted into that order too, so
-                                // a radius wide enough to reach every
-                                // transmitter reproduces the Exact sum
-                                // bit-for-bit instead of merely up to rounding.
-                                let gain = |t: u32| {
-                                    cfg.gain_clamped(dist3(&pos[t as usize], &pos[wi]), floor)
-                                };
-                                let total = if cutoff.is_some() {
-                                    cands.sort_unstable();
-                                    cands.iter().fold(0.0, |sum, &ti| {
-                                        sum + gain(self.tx_nodes[ti as usize])
-                                    })
-                                } else {
-                                    self.tx_nodes.iter().fold(0.0, |sum, &t| sum + gain(t))
-                                };
+                                // The exact sum in ascending node order:
+                                // the dense kernel's floating-point
+                                // reduction. Under Cutoff the candidates
+                                // are summed in that order too, so a radius
+                                // wide enough to reach every transmitter
+                                // reproduces the Exact sum bit-for-bit
+                                // instead of merely up to rounding.
+                                if cutoff.is_none() {
+                                    cands.extend(0..self.tx_nodes.len() as u32);
+                                }
+                                cands.sort_unstable_by_key(|&ti| self.tx_nodes[ti as usize]);
+                                let total = cands.iter().fold(0.0, |sum, &ti| {
+                                    let t = self.tx_nodes[ti as usize] as usize;
+                                    sum + cfg.gain_clamped(dist3(&pos[t], &pos[wi]), floor)
+                                });
                                 best / (cfg.noise + (total - best)) >= cfg.threshold
                             });
                         self.cutoff_cands = cands;
@@ -1546,10 +1574,10 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                 // are safe: landing on one executes a provably empty step
                 // (the pop discards it, the ring stays empty), exactly
                 // what stepping through the span would do at that time.
-                if let Some(&Reverse((at, _, _))) = self.sched.act_heap.peek() {
+                if let Some(&Reverse((at, _))) = self.sched.act_heap.peek() {
                     next = next.min(at);
                 }
-                if let Some(&Reverse((at, _, _))) = self.sched.done_heap.peek() {
+                if let Some(&Reverse((at, _))) = self.sched.done_heap.peek() {
                     next = next.min(at);
                 }
                 // Next scripted/mobility event: land on it so `advance_to`
@@ -2011,9 +2039,11 @@ mod tests {
         assert_eq!(sim.kernel(), Kernel::Dense);
     }
 
-    /// A contract-honoring sparse protocol: listens passively, goes done at
-    /// a promised step without ever being woken.
+    /// A contract-honoring sparse protocol: listens passively, wakes at
+    /// every `period` boundary and re-promises the same done step each
+    /// time, and goes done at that step without being woken.
     struct TimedListener {
+        period: u64,
         horizon: u64,
         last_acted: u64,
         heard: usize,
@@ -2035,8 +2065,9 @@ mod tests {
         fn is_done(&self) -> bool {
             self.last_acted + 1 >= self.horizon
         }
-        fn next_wake(&self, _now: u64) -> Wake {
-            Wake::Listen { wake_at: self.horizon, done_at: Some(self.horizon - 1) }
+        fn next_wake(&self, now: u64) -> Wake {
+            let boundary = (now / self.period + 1) * self.period;
+            Wake::Listen { wake_at: boundary.min(self.horizon), done_at: Some(self.horizon - 1) }
         }
     }
 
@@ -2048,11 +2079,9 @@ mod tests {
             let g = generators::star(3);
             let mut sim = Sim::new(&g, NetInfo::exact(&g), 1);
             sim.set_kernel(kernel);
-            let mut states = vec![
-                TimedListener { horizon: 7, last_acted: 0, heard: 0 },
-                TimedListener { horizon: 7, last_acted: 0, heard: 0 },
-                TimedListener { horizon: 7, last_acted: 0, heard: 0 },
-            ];
+            let mut states: Vec<TimedListener> = (0..3)
+                .map(|_| TimedListener { period: 7, horizon: 7, last_acted: 0, heard: 0 })
+                .collect();
             let rep = sim.run_phase(&mut states, 100);
             assert!(rep.completed, "{kernel:?}");
             assert_eq!(rep.steps, 7, "{kernel:?}");
@@ -2074,6 +2103,27 @@ mod tests {
             let rep = sim.run_phase(&mut states, 5);
             assert_eq!(rep.deliveries, 15, "{kernel:?}");
         }
+    }
+
+    #[test]
+    fn a_repeated_done_promise_is_one_timer() {
+        // Each node acts at steps 0, 5, 10 and 15 and promises done at 19
+        // every time: three act timers pop (5, 10, 15) and one done timer
+        // matures. The act timer for step 20 lies past the end of the
+        // phase and never pops.
+        let g = generators::path(3);
+        let run = |kernel| {
+            let mut sim = Sim::new(&g, NetInfo::exact(&g), 1);
+            sim.set_kernel(kernel);
+            let mut states: Vec<TimedListener> = (0..3)
+                .map(|_| TimedListener { period: 5, horizon: 20, last_acted: 0, heard: 0 })
+                .collect();
+            (sim.run_phase(&mut states, 100), *sim.stats())
+        };
+        let (sparse, stats) = run(Kernel::Sparse);
+        assert_eq!(sparse, run(Kernel::Dense).0);
+        assert!(sparse.completed && sparse.steps == 20, "{sparse:?}");
+        assert_eq!(stats.scheduler_events, 3 * (3 + 1), "{stats:?}");
     }
 
     #[test]

@@ -31,7 +31,10 @@ pub enum Wake {
     /// changing observable state. The engine keeps the node in the listener
     /// set without calling it, and re-engages it at `wake_at` — or as soon
     /// as it hears a message or (under collision detection) a collision,
-    /// after which a fresh hint supersedes this one.
+    /// after which a fresh hint supersedes this one. A fresh hint that
+    /// repeats this one's `wake_at` or `done_at` keeps the pending timer
+    /// for it, so a listener that hears often and re-promises the same
+    /// deadlines adds no timer work.
     Listen {
         /// First step at which `act` must run again ([`Wake::NEVER`] = not
         /// before the phase ends).

@@ -167,7 +167,9 @@ pub struct SinrConfig {
     pub positions: PositionSource,
     /// Path-loss exponent `α` (free space 2, urban 3–4).
     pub path_loss: f64,
-    /// SINR threshold `β ≥ 1` for successful decoding.
+    /// SINR threshold `β` for successful decoding, finite and positive
+    /// ([`SinrConfig::validate`]). Below 1 a listener can decode one of two
+    /// equally strong transmitters; both kernels pick the lower node index.
     pub threshold: f64,
     /// Ambient noise power `N > 0`.
     pub noise: f64,

@@ -37,10 +37,11 @@ pub struct SimStats {
     /// Grid rows recomputed by a mobility-backed topology view; zero for
     /// static views.
     pub mobility_rows_recomputed: u64,
-    /// Wake-heap entries popped by the sparse scheduler (act and listen
+    /// Timer entries popped by the sparse scheduler (wake and done
     /// deadlines, stale lazy-deletion entries included): exactly the
     /// entries that come due inside the phase, whether the clock jumps
-    /// over a span or not. Zero for the dense kernel, which has no
+    /// over a span or not. A hint that repeats a node's live wake or done
+    /// time adds no entry. Zero for the dense kernel, which has no
     /// scheduler.
     pub scheduler_events: u64,
     /// Steps the sparse kernel ([`Kernel::Sparse`](crate::Kernel::Sparse))

@@ -843,6 +843,66 @@ fn boundary_links_decide_identically_on_every_kernel() {
     }
 }
 
+/// Equal SINR gains: listener 1 sits midway between node 0 and node 2 on a
+/// path, and the threshold 0.5 lets it decode one of the two. Node 2
+/// transmits every step; node 0 sleeps until step 3, so at step 3 the
+/// sparse kernel's ring lists node 2 before node 0. Both kernels must decode
+/// the lower node index, node 0, whichever order the transmitters acted in.
+#[test]
+fn equal_sinr_gains_decode_the_lower_node_index() {
+    use radionet_sim::FarFieldPolicy;
+    /// Node `id` of the path; `heard` holds `(step, sender)` pairs.
+    struct Tie {
+        id: u32,
+        heard: Vec<(u64, u32)>,
+    }
+    impl Protocol for Tie {
+        type Msg = u32;
+        fn act(&mut self, ctx: &mut NodeCtx<'_>) -> Action<u32> {
+            match self.id {
+                0 if ctx.time == 3 => Action::Transmit(0),
+                2 => Action::Transmit(2),
+                1 => Action::Listen,
+                _ => Action::Idle,
+            }
+        }
+        fn on_hear(&mut self, ctx: &mut NodeCtx<'_>, msg: &u32) {
+            self.heard.push((ctx.time, *msg));
+        }
+        fn next_wake(&self, now: u64) -> Wake {
+            match self.id {
+                0 if now < 3 => Wake::sleep_until(3),
+                0 => Wake::sleep_until(Wake::NEVER),
+                1 => Wake::listen(),
+                _ => Wake::Now,
+            }
+        }
+    }
+    impl Snapshot<Vec<(u64, u32)>> for Tie {
+        fn snapshot(&self) -> Vec<(u64, u32)> {
+            self.heard.clone()
+        }
+    }
+    let g = Graph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
+    let view = ScriptView::new(vec![None; 3], vec![None; 3]);
+    let pts = vec![[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]];
+    for far_field in [FarFieldPolicy::Exact, FarFieldPolicy::Cutoff(1e-12)] {
+        let mut cfg = SinrConfig::for_unit_range(pts.clone(), 1.0).with_far_field(far_field);
+        cfg.threshold = 0.5;
+        assert!(cfg.validate().is_ok());
+        let [sparse, dense] = all_kernels_with(
+            |i| Tie { id: i as u32, heard: Vec::new() },
+            &view,
+            &g,
+            3,
+            5,
+            ReceptionMode::Sinr(cfg),
+        );
+        assert_eq!(sparse.3[1], [(0, 2), (1, 2), (2, 2), (3, 0), (4, 2)], "{far_field:?}");
+        assert_eq!(sparse, dense, "{far_field:?}");
+    }
+}
+
 /// The sparse kernel must genuinely jump (not just match): slot beacons that
 /// sleep 25-step windows leave most of the clock silent, and the skip
 /// counter has to show it while every observable stays identical to dense.

@@ -106,9 +106,9 @@ SWEEP OPTIONS:
   --scenario NAME     restrict to a named scenario (repeatable)
   --kernel K          sparse | dense               [default: sparse]
   --format F          jsonl | json                 [default: jsonl]
-  --chunk N           cells per block, run at once on rayon threads; 1 runs
-                      one cell at a time (the output stream is byte-identical
-                      for every N)                 [default: 64]
+  --chunk N           cells per block (N >= 1), run at once on rayon threads;
+                      1 runs one cell at a time (the output stream is
+                      byte-identical for every N)  [default: 64]
   --progress          live progress line on stderr (done/total, rate, ETA;
                       rate-limited to ~5 updates/sec)
   --progress-jsonl F  append one ProgressEvent JSON line per update to F
@@ -254,6 +254,9 @@ fn cmd_sweep(rest: &[String]) -> Result<(), String> {
             "--out" => out = Some(args.value(flag)?.to_string()),
             other => return Err(format!("unknown flag {other:?} (see `radionet help`)")),
         }
+    }
+    if chunk == 0 {
+        return Err("--chunk 0: a block holds at least one cell".into());
     }
 
     // Where `--progress` / `--progress-jsonl` events land: a `\r`-rewritten
