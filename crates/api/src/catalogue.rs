@@ -1,7 +1,7 @@
 //! The named scenario catalogue and the sweeps it expands into.
 //!
 //! A [`Scenario`] is a named [`RunSpec`] family: a graph family, a task
-//! registry key, a reception mode and a [`Dynamics`] recipe, instantiated
+//! key, a reception mode and a [`Dynamics`] recipe, instantiated
 //! at any `(n, seed)`. [`Scenario::catalogue`] lists the presets experiment
 //! E14 (`exp E14`) sweeps; [`Scenario::extended_catalogue`] adds the
 //! mobility and streaming-traffic cells `radionet sweep` iterates.
@@ -26,7 +26,7 @@ pub struct Scenario {
     pub name: String,
     /// The base graph family.
     pub family: Family,
-    /// The task registry key each cell runs.
+    /// The key of the task each cell runs ([`Task::key`](crate::Task::key)).
     pub task: String,
     /// The reception rule.
     pub reception: ReceptionMode,
@@ -172,7 +172,7 @@ impl SweepConfig {
 mod tests {
     use super::*;
     use crate::spec::{ChurnSpec, JamSpec, PartitionSpec, StaggerSpec};
-    use crate::{Driver, MemorySink, RunReport, TaskRegistry};
+    use crate::{Driver, MemorySink, RunReport, Task};
 
     #[test]
     fn catalogue_names_unique_and_serde_stable() {
@@ -272,21 +272,18 @@ mod tests {
     #[test]
     fn timebase_scales_with_size() {
         use radionet_sim::NetInfo;
-        let registry = TaskRegistry::standard();
         let small = NetInfo { n: 64, d: 14, alpha: 32.0 };
         let big = NetInfo { n: 1024, d: 62, alpha: 512.0 };
-        for key in ["broadcast", "leader-election", "mis"] {
-            let task = registry.get(key).expect("every catalogue task is registered");
-            assert!(task.timebase(&big) > task.timebase(&small), "{key}");
-            assert!(task.timebase(&small) > 100, "{key} timebase degenerate");
+        for task in [Task::Broadcast, Task::LeaderElection, Task::Mis] {
+            assert!(task.timebase(&big) > task.timebase(&small), "{task:?}");
+            assert!(task.timebase(&small) > 100, "{task:?} timebase degenerate");
         }
     }
 
     #[test]
     fn catalogue_task_keys_resolve_in_the_standard_registry() {
-        let registry = TaskRegistry::standard();
         for scenario in Scenario::extended_catalogue() {
-            assert!(registry.get(&scenario.task).is_some(), "{}: no task", scenario.name);
+            assert!(Task::from_key(&scenario.task).is_some(), "{}: no task", scenario.name);
         }
     }
 

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 pub enum RunError {
     /// The spec failed structural or task-specific validation.
     InvalidSpec(String),
-    /// The task key is not in the registry.
+    /// The task key names no [`Task`].
     UnknownTask(String),
     /// A [`ResultSink`](crate::ResultSink) failed to record a report.
     Sink(std::io::Error),
@@ -102,8 +102,8 @@ pub struct RunReport {
 }
 
 /// One fully materialized cell, ready for a simulator under any observer.
-struct Materialized<'d> {
-    task: &'d dyn Task,
+struct Materialized {
+    task: Task,
     g: Graph,
     info: NetInfo,
     topo: RunTopology,
@@ -144,7 +144,7 @@ fn assemble_report<O: Observer>(
     }
 }
 
-/// Executes [`RunSpec`]s against a [`TaskRegistry`].
+/// Executes [`RunSpec`]s.
 ///
 /// The driver owns the whole cell pipeline — family instantiation,
 /// [`NetInfo`] measurement, dynamics materialization, simulator and kernel
@@ -165,7 +165,6 @@ fn assemble_report<O: Observer>(
 /// ```
 #[derive(Default)]
 pub struct Driver {
-    registry: TaskRegistry,
     /// Attached telemetry. A process-level property, never part of the
     /// [`RunSpec`]: cache keys, echoed specs, and reports are identical
     /// with or without it (the `telemetry_equivalence` test pins this).
@@ -173,14 +172,9 @@ pub struct Driver {
 }
 
 impl Driver {
-    /// A driver over [`TaskRegistry::standard`].
+    /// A driver without telemetry.
     pub fn standard() -> Self {
-        Driver { registry: TaskRegistry::standard(), tel: None }
-    }
-
-    /// A driver over a custom registry.
-    pub fn with_registry(registry: TaskRegistry) -> Self {
-        Driver { registry, tel: None }
+        Driver { tel: None }
     }
 
     /// Attaches a telemetry registry: every subsequent [`Driver::run`] and
@@ -198,9 +192,9 @@ impl Driver {
         self.tel.as_ref()
     }
 
-    /// The registry this driver resolves task keys against.
-    pub fn registry(&self) -> &TaskRegistry {
-        &self.registry
+    /// The tasks this driver resolves keys against, by key.
+    pub fn registry(&self) -> TaskRegistry {
+        TaskRegistry::standard()
     }
 
     /// Runs one spec to completion.
@@ -214,10 +208,10 @@ impl Driver {
     /// at zero).
     pub fn run(&self, spec: &RunSpec) -> Result<RunReport, RunError> {
         let report = match &self.tel {
-            None => self.execute(spec, |_| Ok(Quiet), |task, sim, ctx| task.run(sim, ctx))?.0,
+            None => self.execute(spec, |_| Ok(Quiet))?.0,
             Some(tel) => {
                 let obs = Observed { journal: None, metrics: Some(tel.clone()) };
-                self.execute(spec, |_| Ok(obs), |task, sim, ctx| task.run_observed(sim, ctx))?.0
+                self.execute(spec, |_| Ok(obs))?.0
             }
         };
         Ok(report)
@@ -240,14 +234,13 @@ impl Driver {
     /// Same failure modes as [`Driver::run`].
     pub fn run_journaled(&self, spec: &RunSpec) -> Result<(RunReport, Journal), RunError> {
         let started = std::time::Instant::now();
-        let observe = |m: &Materialized<'_>| {
+        let observe = |m: &Materialized| {
             let jspec = spec.journal.clone().unwrap_or_default();
             let mask = jspec.mask().map_err(RunError::InvalidSpec)?;
             let cadence = jspec.cadence(m.task.timebase(&m.info));
             Ok(Observed { journal: Some(Recorder::new(mask, cadence)), metrics: self.tel.clone() })
         };
-        let (report, obs) =
-            self.execute(spec, observe, |task, sim, ctx| task.run_observed(sim, ctx))?;
+        let (report, obs) = self.execute(spec, observe)?;
         let journal = obs.journal.expect("a journaled run records").into_journal(
             concat!("radionet ", env!("CARGO_PKG_VERSION")),
             spec.kernel.name(),
@@ -260,16 +253,15 @@ impl Driver {
     }
 
     /// The one run body every entry point shares: materialize the cell,
-    /// build the simulator around the observer `observe` makes for it, let
-    /// the task `run` on it, and assemble the report. With telemetry
+    /// build the simulator around the observer `observe` makes for it, run
+    /// the task on it, and assemble the report. With telemetry
     /// attached, the setup (materialization and simulator construction),
     /// simulate and report stages are timed into the registry; the
     /// simulator records the kernel-level metrics through its observer.
     fn execute<O: Observer>(
         &self,
         spec: &RunSpec,
-        observe: impl FnOnce(&Materialized<'_>) -> Result<O, RunError>,
-        run: impl FnOnce(&dyn Task, &mut Sim<'_, RunTopology, O>, &TaskCtx) -> TaskOutcome,
+        observe: impl FnOnce(&Materialized) -> Result<O, RunError>,
     ) -> Result<(RunReport, O), RunError> {
         let tel = self.tel.as_ref();
         let total = Stopwatch::start(tel.is_some());
@@ -282,7 +274,7 @@ impl Driver {
         sim.set_kernel(spec.kernel);
         setup.stop(tel, "driver_setup_micros");
         let simulate = Stopwatch::start(tel.is_some());
-        let outcome = run(m.task, &mut sim, &m.ctx);
+        let outcome = m.task.run(&mut sim, &m.ctx);
         simulate.stop(tel, "driver_simulate_micros");
         let assemble = Stopwatch::start(tel.is_some());
         let report = assemble_report(spec, &m.g, m.info, m.n_events, &sim, outcome);
@@ -299,12 +291,10 @@ impl Driver {
     /// measurement, dynamics materialization, and SINR position
     /// resolution. Every entry point goes through it, so a journaled or
     /// timed run drives the exact same cell as a plain one.
-    fn materialize(&self, spec: &RunSpec) -> Result<Materialized<'_>, RunError> {
+    fn materialize(&self, spec: &RunSpec) -> Result<Materialized, RunError> {
         spec.validate().map_err(RunError::InvalidSpec)?;
-        let task = self
-            .registry
-            .get(&spec.task)
-            .ok_or_else(|| RunError::UnknownTask(spec.task.clone()))?;
+        let task =
+            Task::from_key(&spec.task).ok_or_else(|| RunError::UnknownTask(spec.task.clone()))?;
         task.check_spec(spec).map_err(RunError::InvalidSpec)?;
 
         // Mobility derives the topology from the moving point set; every

@@ -10,13 +10,12 @@
 //!
 //! * [`spec`] — [`RunSpec`] (graph family + size, reception mode, step
 //!   kernel, [`Dynamics`] recipe, task key, optional step cap, seed);
-//! * [`task`] — the object-safe [`Task`] trait and the unified
-//!   [`TaskOutcome`] enum;
-//! * [`tasks`] — the standard implementations: `Compete` broadcast, leader
-//!   election, radio MIS, radio partition, and every baseline (BGI,
+//! * [`task`] — the closed [`Task`] enum, one variant per algorithm with
+//!   one observer-generic [`Task::run`], and the unified [`TaskOutcome`];
+//! * [`tasks`] — the run bodies behind [`Task::run`]: `Compete` broadcast,
+//!   leader election, radio MIS, radio partition, and every baseline (BGI,
 //!   Czumaj–Rytter, CD wake-up, naive LE, LOCAL MIS references);
-//! * [`registry`] — the string-keyed [`TaskRegistry`]: a new algorithm
-//!   plugs in with one `impl` plus one registry line;
+//! * [`registry`] — [`TaskRegistry`], the by-key view over [`Task::ALL`];
 //! * [`driver`] — [`Driver`] and its [`RunReport`];
 //! * [`sweep`] — [`Driver::run_sweep`], the one streaming sweep loop, in
 //!   blocks on the rayon pool;
@@ -29,8 +28,8 @@
 //!   [`DynamicTopology`](dynamics::DynamicTopology) overlay) every
 //!   scripted run is executed through (a static run is simply an empty
 //!   script);
-//! * [`topology`] — [`RunTopology`], the unified view tasks run under:
-//!   the scripted overlay or a
+//! * [`topology`] — [`RunTopology`], the one view type every task runs
+//!   under: the scripted overlay or a
 //!   [`MobileTopology`](radionet_mobility::MobileTopology) whose edges
 //!   are re-derived from moving geometry
 //!   ([`Dynamics::Mobility`] recipes);

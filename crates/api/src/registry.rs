@@ -1,15 +1,13 @@
-//! The string-keyed task registry.
+//! The string-keyed view over the task set.
 
 use crate::task::Task;
-use crate::tasks;
-use std::collections::BTreeMap;
 
-/// Maps stable string keys to boxed [`Task`]s.
+/// Looks [`Task`]s up by key: a field-less view over [`Task::ALL`].
 ///
-/// The registry is the single catalogue of runnable algorithms: the
-/// [`Driver`](crate::Driver) resolves [`RunSpec::task`](crate::RunSpec)
-/// against it, and `radionet list-tasks` prints it. Keys iterate in sorted
-/// order, so listings are deterministic.
+/// The [`Driver`](crate::Driver) resolves [`RunSpec::task`](crate::RunSpec)
+/// with [`Task::from_key`], and `radionet list-tasks` prints
+/// [`Task::ALL`]. Keys iterate in sorted order, so listings are
+/// deterministic.
 ///
 /// ```
 /// use radionet_api::TaskRegistry;
@@ -20,72 +18,38 @@ use std::collections::BTreeMap;
 /// let keys: Vec<&str> = registry.keys().collect();
 /// assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted and duplicate-free");
 /// ```
-#[derive(Default)]
-pub struct TaskRegistry {
-    tasks: BTreeMap<&'static str, Box<dyn Task>>,
-}
+#[derive(Clone, Copy, Debug)]
+pub struct TaskRegistry;
 
 impl TaskRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The standard registry: every algorithm in the workspace.
     pub fn standard() -> Self {
-        let mut r = TaskRegistry::new();
-        r.register(Box::new(tasks::BroadcastTask));
-        r.register(Box::new(tasks::LeaderElectionTask));
-        r.register(Box::new(tasks::MisTask));
-        r.register(Box::new(tasks::PartitionTask));
-        r.register(Box::new(tasks::BgiBroadcastTask));
-        r.register(Box::new(tasks::CrBroadcastTask));
-        r.register(Box::new(tasks::NaiveLeaderElectionTask));
-        r.register(Box::new(tasks::CdWakeupTask));
-        r.register(Box::new(tasks::LubyMisTask));
-        r.register(Box::new(tasks::GhaffariMisTask));
-        r.register(Box::new(tasks::TrafficTask::new(radionet_traffic::TrafficKind::Gossip)));
-        r.register(Box::new(tasks::TrafficTask::new(radionet_traffic::TrafficKind::Unicast)));
-        r.register(Box::new(tasks::TrafficTask::new(radionet_traffic::TrafficKind::Multicast)));
-        r
-    }
-
-    /// Registers a task under its own key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is already taken — duplicate keys are always a
-    /// wiring bug, and silently replacing an algorithm would corrupt every
-    /// downstream result.
-    pub fn register(&mut self, task: Box<dyn Task>) {
-        let key = task.key();
-        let prev = self.tasks.insert(key, task);
-        assert!(prev.is_none(), "duplicate task key {key:?}");
+        TaskRegistry
     }
 
     /// Looks a task up by key.
-    pub fn get(&self, key: &str) -> Option<&dyn Task> {
-        self.tasks.get(key).map(|t| t.as_ref())
+    pub fn get(self, key: &str) -> Option<Task> {
+        Task::from_key(key)
     }
 
     /// All keys, sorted.
-    pub fn keys(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.tasks.keys().copied()
+    pub fn keys(self) -> impl Iterator<Item = &'static str> {
+        Task::ALL.into_iter().map(Task::key)
     }
 
     /// All tasks, sorted by key.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Task> + '_ {
-        self.tasks.values().map(|t| t.as_ref())
+    pub fn iter(self) -> impl Iterator<Item = Task> {
+        Task::ALL.into_iter()
     }
 
-    /// Number of registered tasks.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
+    /// Number of tasks.
+    pub fn len(self) -> usize {
+        Task::ALL.len()
     }
 
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+    /// Whether there are no tasks.
+    pub fn is_empty(self) -> bool {
+        Task::ALL.is_empty()
     }
 }
 
@@ -121,16 +85,10 @@ mod tests {
     #[test]
     fn keys_match_tasks_and_have_descriptions() {
         let r = TaskRegistry::standard();
+        assert!(r.keys().eq(r.iter().map(Task::key)));
         for task in r.iter() {
-            assert_eq!(r.get(task.key()).unwrap().key(), task.key());
+            assert_eq!(r.get(task.key()), Some(task));
             assert!(!task.describe().is_empty());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate task key")]
-    fn duplicate_registration_panics() {
-        let mut r = TaskRegistry::standard();
-        r.register(Box::new(crate::tasks::BroadcastTask));
     }
 }

@@ -331,8 +331,7 @@ fn pick_victims(n: usize, count: usize, seed: u64) -> Vec<usize> {
 /// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunSpec {
-    /// Registry key of the task to run (see
-    /// [`TaskRegistry::standard`](crate::TaskRegistry::standard)).
+    /// Key of the task to run ([`Task::key`](crate::Task::key)).
     pub task: String,
     /// The base graph family (geometry is the family's own parametrization).
     pub family: Family,
@@ -446,7 +445,7 @@ impl RunSpec {
         SpecHash::of_bytes(&self.canonical_bytes())
     }
 
-    /// Structural validation that needs no registry: the family size
+    /// Structural validation that needs no task: the family size
     /// floor ([`Family::min_n`]), the dynamics parameters that would
     /// otherwise fail inside the run (a partition needs two parts, the
     /// mobility model's own rules), the mobility × family compatibility

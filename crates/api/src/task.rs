@@ -1,10 +1,16 @@
-//! The object-safe [`Task`] abstraction: one `impl` per algorithm, all
-//! returning the unified [`TaskOutcome`].
+//! The closed set of runnable algorithms, [`Task`], and the unified
+//! [`TaskOutcome`] every one of them returns.
 
 use crate::spec::RunSpec;
+use crate::tasks;
 use crate::topology::RunTopology;
-use radionet_sim::{NetInfo, Observed, Sim};
-use radionet_traffic::{TrafficReport, TrafficSpec};
+use radionet_baselines::bgi::BgiConfig;
+use radionet_baselines::czumaj_rytter::CrConfig;
+use radionet_cluster::partition_radio::RadioPartitionConfig;
+use radionet_core::compete::CompeteConfig;
+use radionet_core::mis::MisConfig;
+use radionet_sim::{NetInfo, Observer, ReceptionMode, Sim};
+use radionet_traffic::{TrafficKind, TrafficReport, TrafficSpec};
 use serde::{Deserialize, Serialize};
 
 /// Per-run inputs a task receives beyond the simulator itself.
@@ -36,92 +42,218 @@ impl TaskCtx {
     }
 }
 
-/// One runnable algorithm behind the façade.
+/// One runnable algorithm behind the façade: the paper's algorithms and
+/// every baseline, one variant each.
 ///
-/// Implementations erase the divergent `run_*` signatures of the workspace
-/// behind a single object-safe interface; the
-/// [`TaskRegistry`](crate::TaskRegistry) maps string keys to boxed tasks,
-/// so a new algorithm plugs in with one `impl` plus one registry line.
+/// A [`RunSpec`] names its task by [`key`](Task::key). The
+/// [`Driver`](crate::Driver) owns graph construction, event
+/// materialization and kernel selection; the task only runs its protocol
+/// and summarizes the outcome. [`Task::run`] is generic over the
+/// simulator's [`Observer`], so each algorithm has one body (in
+/// [`tasks`]) for quiet, journaled and timed runs alike. A new algorithm
+/// is one variant and its arms in the matches below.
 ///
-/// `Sim` is monomorphic over its [`Observer`](radionet_sim::Observer), so
-/// a task has two object-safe entry points: [`Task::run`] on the quiet
-/// simulator and [`Task::run_observed`] on the one recording a journal,
-/// metrics, or both. Both forward to one observer-generic body:
+/// | key | algorithm | outcome variant |
+/// |-----|-----------|-----------------|
+/// | `broadcast` | `Compete({s})` broadcast (Thm 7) | `Broadcast` |
+/// | `leader-election` | Algorithm 3 (Thm 8) | `LeaderElection` |
+/// | `mis` | Radio MIS (Thm 14) | `Mis` |
+/// | `partition` | MIS centers + `Partition(β, C)` (Thm 2) | `Partition` |
+/// | `bgi-broadcast` | Bar-Yehuda–Goldreich–Itai Decay flood | `Broadcast` |
+/// | `cr-broadcast` | Czumaj–Rytter-style broadcast | `Broadcast` |
+/// | `naive-leader-election` | lottery + multi-source BGI flood | `LeaderElection` |
+/// | `cd-wakeup` | collision-detection wake-up flood | `Wakeup` |
+/// | `luby-mis` | Luby's LOCAL MIS reference | `Mis` |
+/// | `ghaffari-mis` | Ghaffari's LOCAL MIS reference (Alg 4) | `Mis` |
+/// | `traffic.gossip` | streaming multi-message gossip flood | `Traffic` |
+/// | `traffic.unicast` | streaming point-to-point delivery | `Traffic` |
+/// | `traffic.multicast` | streaming salted-multicast delivery | `Traffic` |
 ///
 /// ```
-/// use radionet_api::{Driver, RunSpec, Task, TaskCtx, TaskOutcome, TaskRegistry};
-/// use radionet_api::topology::RunTopology;
-/// use radionet_graph::families::Family;
-/// use radionet_sim::{NetInfo, Observed, Observer, Registry, Sim};
+/// use radionet_api::{Task, TrafficKind};
 ///
-/// struct NoOp;
-/// impl NoOp {
-///     fn exec<O: Observer>(&self, sim: &mut Sim<'_, RunTopology, O>) -> TaskOutcome {
-///         TaskOutcome::Broadcast(radionet_api::task::BroadcastSummary {
-///             completed: true,
-///             informed_fraction: 1.0,
-///             clock_all_informed: Some(sim.clock()),
-///         })
-///     }
-/// }
-/// impl Task for NoOp {
-///     fn key(&self) -> &'static str { "no-op" }
-///     fn describe(&self) -> &'static str { "does nothing, succeeds instantly" }
-///     fn timebase(&self, info: &NetInfo) -> u64 { info.d as u64 }
-///     fn run(&self, sim: &mut Sim<'_, RunTopology>, _ctx: &TaskCtx) -> TaskOutcome {
-///         self.exec(sim)
-///     }
-///     fn run_observed(
-///         &self,
-///         sim: &mut Sim<'_, RunTopology, Observed>,
-///         _ctx: &TaskCtx,
-///     ) -> TaskOutcome {
-///         self.exec(sim)
-///     }
-/// }
-///
-/// let registry = || {
-///     let mut registry = TaskRegistry::standard();
-///     registry.register(Box::new(NoOp));
-///     registry
-/// };
-/// let spec = RunSpec::new("no-op", Family::Grid, 16);
-/// assert!(Driver::with_registry(registry()).run(&spec).unwrap().success);
-/// // Telemetry-attached and journaled runs take the observed entry point.
-/// let timed = Driver::with_registry(registry()).with_telemetry(Registry::default());
-/// assert!(timed.run(&spec).unwrap().success);
-/// let (report, journal) = timed.run_journaled(&spec).unwrap();
-/// assert_eq!(report.journal, Some(journal.summary()));
+/// let task = Task::from_key("traffic.unicast").unwrap();
+/// assert_eq!(task, Task::Traffic(TrafficKind::Unicast));
+/// assert_eq!(task.key(), "traffic.unicast");
+/// assert!(Task::from_key("warp-drive").is_none());
 /// ```
-pub trait Task: Send + Sync {
-    /// The registry key (stable, kebab-case).
-    fn key(&self) -> &'static str;
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Task {
+    /// `Compete({s})` broadcast from node 0 (paper, Theorem 7).
+    Broadcast,
+    /// Leader election via candidate lottery + `Compete(C)` (paper,
+    /// Theorem 8).
+    LeaderElection,
+    /// Radio MIS (paper, Theorem 14).
+    Mis,
+    /// Radio MIS centers + `Partition(β, C)` clustering (paper, Theorem 2).
+    Partition,
+    /// The BGI Decay-flood broadcast baseline.
+    BgiBroadcast,
+    /// The Czumaj–Rytter-style broadcast baseline.
+    CrBroadcast,
+    /// The folklore lottery + multi-source BGI flood election baseline.
+    NaiveLeaderElection,
+    /// Collision-detection wake-up flood (requires
+    /// [`ReceptionMode::ProtocolCd`]).
+    CdWakeup,
+    /// Luby's LOCAL MIS, a round-complexity reference (not a radio
+    /// algorithm: message-passing rounds are free and the dynamics overlay
+    /// is ignored).
+    LubyMis,
+    /// Ghaffari's LOCAL MIS (paper, Algorithm 4), a round-complexity
+    /// reference (not a radio algorithm: rounds are free and the dynamics
+    /// overlay is ignored).
+    GhaffariMis,
+    /// The streaming-traffic delivery pipeline, one task per
+    /// [`TrafficKind`]: the delivery mechanics are identical — the kind
+    /// picks the key and which nodes each message is *accountable* to
+    /// (everyone / one destination / a salted member set).
+    Traffic(TrafficKind),
+}
+
+impl Task {
+    /// Every task, sorted by key: the order `radionet list-tasks` prints
+    /// and [`TaskRegistry::keys`](crate::TaskRegistry::keys) yields.
+    pub const ALL: [Task; 13] = [
+        Task::BgiBroadcast,
+        Task::Broadcast,
+        Task::CdWakeup,
+        Task::CrBroadcast,
+        Task::GhaffariMis,
+        Task::LeaderElection,
+        Task::LubyMis,
+        Task::Mis,
+        Task::NaiveLeaderElection,
+        Task::Partition,
+        Task::Traffic(TrafficKind::Gossip),
+        Task::Traffic(TrafficKind::Multicast),
+        Task::Traffic(TrafficKind::Unicast),
+    ];
+
+    /// The task `key` names, if any.
+    pub fn from_key(key: &str) -> Option<Task> {
+        Task::ALL.into_iter().find(|task| task.key() == key)
+    }
+
+    /// The key a [`RunSpec`] names the task by (stable, kebab-case).
+    pub fn key(self) -> &'static str {
+        match self {
+            Task::Broadcast => "broadcast",
+            Task::LeaderElection => "leader-election",
+            Task::Mis => "mis",
+            Task::Partition => "partition",
+            Task::BgiBroadcast => "bgi-broadcast",
+            Task::CrBroadcast => "cr-broadcast",
+            Task::NaiveLeaderElection => "naive-leader-election",
+            Task::CdWakeup => "cd-wakeup",
+            Task::LubyMis => "luby-mis",
+            Task::GhaffariMis => "ghaffari-mis",
+            Task::Traffic(TrafficKind::Gossip) => "traffic.gossip",
+            Task::Traffic(TrafficKind::Unicast) => "traffic.unicast",
+            Task::Traffic(TrafficKind::Multicast) => "traffic.multicast",
+        }
+    }
 
     /// One-line human description for `radionet list-tasks`.
-    fn describe(&self) -> &'static str;
+    pub fn describe(self) -> &'static str {
+        match self {
+            Task::Broadcast => {
+                "Compete({s}) broadcast from node 0 (Theorem 7, O(D log_D α + polylog n))"
+            }
+            Task::LeaderElection => {
+                "leader election: Θ(log n / n) lottery + Compete(C) (Theorem 8)"
+            }
+            Task::Mis => "Radio MIS in O(log³ n) steps (Theorem 14)",
+            Task::Partition => "radio clustering: MIS centers + Partition(1/√D, C) (Theorem 2)",
+            Task::BgiBroadcast => "BGI Decay broadcast baseline, O(D log n + log² n)",
+            Task::CrBroadcast => "Czumaj–Rytter-style broadcast baseline, O(D log(n/D) + log² n)",
+            Task::NaiveLeaderElection => "naive leader election: lottery + multi-source BGI flood",
+            Task::CdWakeup => {
+                "collision-detection wake-up flood: eccentricity(source) steps exactly"
+            }
+            Task::LubyMis => "Luby's LOCAL MIS reference (free rounds, O(log n))",
+            Task::GhaffariMis => "Ghaffari's LOCAL MIS reference (Algorithm 4, free rounds)",
+            Task::Traffic(TrafficKind::Gossip) => {
+                "streaming gossip: deterministic arrivals, queue-draining flood, \
+                 delivery = every node"
+            }
+            Task::Traffic(TrafficKind::Unicast) => {
+                "streaming unicast: deterministic arrivals, queue-draining flood, \
+                 delivery = one destination per message"
+            }
+            Task::Traffic(TrafficKind::Multicast) => {
+                "streaming multicast: deterministic arrivals, queue-draining flood, \
+                 delivery = a salted member set per message"
+            }
+        }
+    }
 
     /// The step budget envelope dynamics fractions scale against: an
     /// a-priori estimate of how long the task keeps running, computable
     /// from [`NetInfo`] alone.
-    fn timebase(&self, info: &NetInfo) -> u64;
-
-    /// Spec validation beyond [`RunSpec::validate`] (e.g. a required
-    /// reception mode). The default accepts everything.
-    fn check_spec(&self, _spec: &RunSpec) -> Result<(), String> {
-        Ok(())
+    pub fn timebase(self, info: &NetInfo) -> u64 {
+        match self {
+            Task::Broadcast | Task::LeaderElection => {
+                CompeteConfig::default().propagation_budget(info)
+            }
+            Task::Mis => {
+                let c = MisConfig::default();
+                let log_n = MisConfig::effective_log_n(info.log_n());
+                c.total_steps(log_n)
+            }
+            Task::Partition => {
+                let mis = Task::Mis.timebase(info);
+                let c = RadioPartitionConfig::default();
+                mis + c.total_steps(tasks::partition_beta(info), info.n, info.log_n())
+            }
+            Task::BgiBroadcast | Task::NaiveLeaderElection => BgiConfig::default().budget(info),
+            Task::CrBroadcast => CrConfig::default().budget(info),
+            Task::CdWakeup => info.d.max(1) as u64,
+            Task::LubyMis | Task::GhaffariMis => tasks::local_mis_budget(info),
+            // The default horizon: dynamics fractions scale against the
+            // phase length a default-spec traffic run actually executes.
+            // (Custom horizons come through the spec, which `timebase`
+            // cannot see — the envelope stays the documented default.)
+            Task::Traffic(_) => u64::from(TrafficSpec::default().horizon),
+        }
     }
 
-    /// Runs the algorithm on a prepared simulator. The driver owns graph
-    /// construction, event materialization, and kernel selection; the task
-    /// only runs its protocol and summarizes the outcome.
-    fn run(&self, sim: &mut Sim<'_, RunTopology>, ctx: &TaskCtx) -> TaskOutcome;
+    /// Spec validation beyond [`RunSpec::validate`]: `cd-wakeup` requires
+    /// collision detection, and a traffic task's traffic axis must be
+    /// valid. Every other task accepts everything.
+    pub fn check_spec(self, spec: &RunSpec) -> Result<(), String> {
+        match self {
+            Task::CdWakeup if spec.reception != ReceptionMode::ProtocolCd => Err(format!(
+                "cd-wakeup requires collision detection (reception {:?})",
+                spec.reception.name()
+            )),
+            Task::Traffic(_) => match &spec.traffic {
+                Some(traffic) => traffic.validate(),
+                None => Ok(()),
+            },
+            _ => Ok(()),
+        }
+    }
 
-    /// [`Task::run`], but on a simulator recording a journal, metrics, or
-    /// both — what [`Driver::run_journaled`](crate::Driver::run_journaled)
-    /// and a telemetry-attached [`Driver`](crate::Driver) call. The outcome
-    /// must not depend on the observer (recording is observation, never
-    /// steering).
-    fn run_observed(&self, sim: &mut Sim<'_, RunTopology, Observed>, ctx: &TaskCtx) -> TaskOutcome;
+    /// Runs the algorithm on a prepared simulator under any observer. The
+    /// outcome does not depend on the observer (recording is observation,
+    /// never steering).
+    pub fn run<O: Observer>(self, sim: &mut Sim<'_, RunTopology, O>, ctx: &TaskCtx) -> TaskOutcome {
+        match self {
+            Task::Broadcast => tasks::broadcast(sim),
+            Task::LeaderElection => tasks::leader_election(sim, ctx),
+            Task::Mis => tasks::mis(sim),
+            Task::Partition => tasks::partition(sim),
+            Task::BgiBroadcast => tasks::bgi_broadcast(sim),
+            Task::CrBroadcast => tasks::cr_broadcast(sim),
+            Task::NaiveLeaderElection => tasks::naive_leader_election(sim, ctx),
+            Task::CdWakeup => tasks::cd_wakeup(sim, ctx),
+            Task::LubyMis => tasks::luby_mis(sim, ctx),
+            Task::GhaffariMis => tasks::ghaffari_mis(sim, ctx),
+            Task::Traffic(kind) => tasks::traffic(kind, sim, ctx),
+        }
+    }
 }
 
 /// Summary of a message dissemination (single- or multi-source).
@@ -356,6 +488,14 @@ mod tests {
         let json = serde_json::to_string_pretty(&outcomes).unwrap();
         let back: Vec<TaskOutcome> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, outcomes);
+    }
+
+    #[test]
+    fn all_is_sorted_by_key_and_keys_round_trip() {
+        assert!(Task::ALL.windows(2).all(|w| w[0].key() < w[1].key()), "Task::ALL out of order");
+        for task in Task::ALL {
+            assert_eq!(Task::from_key(task.key()), Some(task));
+        }
     }
 
     #[test]

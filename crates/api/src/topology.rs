@@ -1,9 +1,10 @@
 //! The topology the driver hands every task: scripted overlay or moving
 //! geometry, behind one [`TopologyView`].
 //!
-//! [`Task`](crate::Task) implementations are object-safe and therefore
-//! monomorphic in the simulator's view type; [`RunTopology`] is that type.
-//! Scripted dynamics (the paper's static model is an empty script) run on
+//! [`Task::run`](crate::Task::run) is generic over the simulator's
+//! observer only: [`RunTopology`] is its one view type, so each algorithm
+//! compiles once per observer, not once per observer and view. Scripted
+//! dynamics (the paper's static model is an empty script) run on
 //! the [`DynamicTopology`] overlay exactly as before the mobility
 //! subsystem; [`Dynamics::Mobility`](crate::Dynamics::Mobility) recipes run
 //! on a [`MobileTopology`] whose edges are re-derived from the moving point

@@ -2,9 +2,9 @@
 //! graph — the "one typed spec reaches everything" acceptance check, plus
 //! outcome sanity per task kind.
 
-use radionet_api::{Driver, Dynamics, RunSpec, TaskOutcome};
+use radionet_api::{Driver, Dynamics, RunReport, RunSpec, Task, TaskOutcome};
 use radionet_graph::families::Family;
-use radionet_sim::{Kernel, ReceptionMode};
+use radionet_sim::{Kernel, ReceptionMode, Registry};
 
 fn spec_for(task: &str, seed: u64) -> RunSpec {
     let mut spec = RunSpec::new(task, Family::Grid, 36).with_seed(seed);
@@ -65,6 +65,23 @@ fn kernels_agree_for_every_task() {
             sparse.rng_fingerprint, dense.rng_fingerprint,
             "{key} kernel RNG streams disagree"
         );
+    }
+}
+
+/// Every task returns the same report under every observer: quiet, with
+/// telemetry attached, and journaled (apart from the journal summary a
+/// journaled run adds).
+#[test]
+fn every_task_runs_unchanged_under_every_observer() {
+    for task in Task::ALL {
+        let key = task.key();
+        let spec = spec_for(key, 5);
+        let plain = Driver::standard().run(&spec).unwrap_or_else(|e| panic!("{key}: {e}"));
+        let timed = Driver::standard().with_telemetry(Registry::default()).run(&spec).unwrap();
+        assert_eq!(timed, plain, "{key}: telemetry changed the report");
+        let (journaled, _) = Driver::standard().run_journaled(&spec).unwrap();
+        assert!(journaled.journal.is_some(), "{key}: no journal summary");
+        assert_eq!(RunReport { journal: None, ..journaled }, plain, "{key}: recording changed it");
     }
 }
 

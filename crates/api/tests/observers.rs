@@ -1,7 +1,7 @@
 //! Observers through the driver: a journal and metrics record in the same
 //! run without changing it, and the emitted metric names are exactly the
-//! README telemetry glossary. (That a custom task runs under every
-//! observer is the `Task` rustdoc example.)
+//! README telemetry glossary. (That every task returns the same report
+//! under every observer is checked in `all_tasks.rs`.)
 
 use radionet_api::{Driver, Dynamics, MemorySink, RunSpec};
 use radionet_graph::families::Family;

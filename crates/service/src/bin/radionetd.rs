@@ -20,10 +20,12 @@ USAGE:
 
 OPTIONS:
   --addr A            bind address             [default: 127.0.0.1:7177; port 0 = free port]
-  --workers N         queue worker threads; also caps a sweep's cells in flight [default: 2]
-  --queue-cap N       backpressure high-water  [default: 256]
+  --workers N         worker threads (N >= 1): the most runs at once, sweep
+                      cells included           [default: 2]
+  --queue-cap N       backpressure high-water (N >= 1) [default: 256]
   --cache-bytes N     in-memory LRU budget     [default: 67108864]
-  --audit-fraction F  fraction of cache hits re-run and byte-compared [default: 0.05]
+  --audit-fraction F  fraction (0 to 1) of cache hits re-run and
+                      byte-compared            [default: 0.05]
   --persist FILE      JSONL-backed persistent result store
 ";
 

@@ -145,31 +145,56 @@ impl SpecFlags {
     }
 }
 
-/// `serve`: run the daemon in the foreground until a client sends
-/// `shutdown`.
-///
-/// Flags: `--addr A` (default [`DEFAULT_ADDR`]; port 0 picks a free
-/// port), `--workers N`, `--queue-cap N`, `--cache-bytes N`,
-/// `--audit-fraction F`, `--persist FILE`.
+/// The [`ServiceConfig`] the `serve` flags describe: `--addr A` (default
+/// [`DEFAULT_ADDR`]; port 0 picks a free port), `--workers N` and
+/// `--queue-cap N` (each at least 1), `--cache-bytes N`,
+/// `--audit-fraction F` (within `[0, 1]`) and `--persist FILE`.
 ///
 /// # Errors
 ///
-/// Flag, bind, and persistent-store failures, as printable text.
-pub fn serve_cmd(rest: &[String]) -> Result<(), String> {
+/// An unknown flag, or a missing, malformed or out-of-range value, naming
+/// the flag.
+pub fn serve_config(rest: &[String]) -> Result<ServiceConfig, String> {
     let mut args = Args::new(rest);
     let mut config = ServiceConfig { addr: DEFAULT_ADDR.into(), ..ServiceConfig::default() };
     while let Some(flag) = args.next_flag() {
         match flag {
             "--addr" => config.addr = args.value(flag)?.to_string(),
-            "--workers" => config.workers = parse(flag, args.value(flag)?)?,
-            "--queue-cap" => config.queue_capacity = parse(flag, args.value(flag)?)?,
+            "--workers" => config.workers = parse_positive(flag, args.value(flag)?)?,
+            "--queue-cap" => config.queue_capacity = parse_positive(flag, args.value(flag)?)?,
             "--cache-bytes" => config.cache.max_bytes = parse(flag, args.value(flag)?)?,
-            "--audit-fraction" => config.cache.audit_fraction = parse(flag, args.value(flag)?)?,
+            "--audit-fraction" => {
+                let value = args.value(flag)?;
+                let fraction: f64 = parse(flag, value)?;
+                // `contains` is false for NaN, which `parse` accepts.
+                if !(0.0..=1.0).contains(&fraction) {
+                    return Err(format!("{flag} {value}: must be a fraction within [0, 1]"));
+                }
+                config.cache.audit_fraction = fraction;
+            }
             "--persist" => config.cache.persist = Some(args.value(flag)?.into()),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    let handle = Service::start(config).map_err(|e| e.to_string())?;
+    Ok(config)
+}
+
+/// Parses a count flag's value, refusing 0.
+fn parse_positive(flag: &str, value: &str) -> Result<usize, String> {
+    match parse(flag, value)? {
+        0 => Err(format!("{flag} 0: must be at least 1")),
+        count => Ok(count),
+    }
+}
+
+/// `serve`: run the daemon with the [`serve_config`] flags in the
+/// foreground until a client sends `shutdown`.
+///
+/// # Errors
+///
+/// Flag, bind, and persistent-store failures, as printable text.
+pub fn serve_cmd(rest: &[String]) -> Result<(), String> {
+    let handle = Service::start(serve_config(rest)?).map_err(|e| e.to_string())?;
     // The exact line CI greps for; flushed so a piped supervisor sees it
     // before the first request arrives.
     println!("radionetd listening on {}", handle.addr());
@@ -338,6 +363,25 @@ mod tests {
             }
         }
         flags.finish()
+    }
+
+    #[test]
+    fn serve_flags_refuse_out_of_range_values() {
+        let config =
+            |argv: &[&str]| serve_config(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let ok = config(&["--workers", "3", "--queue-cap", "8", "--audit-fraction", "1"]).unwrap();
+        assert_eq!((ok.workers, ok.queue_capacity, ok.cache.audit_fraction), (3, 8, 1.0));
+        assert_eq!(ok.addr, DEFAULT_ADDR);
+        for argv in [
+            ["--workers", "0"],
+            ["--queue-cap", "0"],
+            ["--audit-fraction", "1.5"],
+            ["--audit-fraction", "-0.1"],
+            ["--audit-fraction", "nan"],
+        ] {
+            let err = config(&argv).unwrap_err();
+            assert!(err.starts_with(&format!("{} {}:", argv[0], argv[1])), "{argv:?}: {err}");
+        }
     }
 
     #[test]

@@ -92,8 +92,9 @@ impl ServiceClient {
         self.call_ok(&Request::result(id))
     }
 
-    /// Serves a sweep through the cache, at most `shards` cells at a time;
-    /// returns the in-order reports and the per-cell hit flags.
+    /// Runs a sweep as queue jobs served through the cache, at most
+    /// `shards` cells queued at once (capped at the service's worker
+    /// count); returns the in-order reports and the per-cell hit flags.
     ///
     /// # Errors
     ///

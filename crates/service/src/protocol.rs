@@ -39,8 +39,8 @@ pub struct Request {
     pub specs: Option<Vec<RunSpec>>,
     /// `status` / `result`: the job id.
     pub id: Option<u64>,
-    /// `sweep`: at most this many cells are served at once (default 1,
-    /// and never more than the service's `--workers`).
+    /// `sweep`: at most this many of the request's cells are queued at
+    /// once (default 1, clamped between 1 and the service's `--workers`).
     pub shards: Option<usize>,
     /// `submit`: block until the job is terminal and return its result in
     /// the same response (default `false`).
@@ -68,8 +68,8 @@ impl Request {
         Request { id: Some(id), ..Request::bare("result") }
     }
 
-    /// `sweep` — serve a spec list through the cache, `shards` cells at a
-    /// time (capped at the service's worker count).
+    /// `sweep` — run a spec list as queue jobs, at most `shards` of them
+    /// queued at once (capped at the service's worker count).
     pub fn sweep(specs: Vec<RunSpec>, shards: usize) -> Request {
         Request { specs: Some(specs), shards: Some(shards), ..Request::bare("sweep") }
     }

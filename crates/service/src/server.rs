@@ -16,12 +16,13 @@
 //!                               ResultCache ──miss──▶ Driver::run
 //! ```
 //!
-//! `sweep` requests bypass the queue: the connection thread serves the
-//! specs through [`ResultCache::serve`], the same audited path a `submit`
-//! job takes, in blocks of `shards` cells that run at once, and answers
-//! in request order — so a repeated sweep is almost entirely cache traffic.
-//! A block never exceeds the worker count, so one request runs at most
-//! `--workers` cells at once, however many it lists.
+//! A `sweep` request is a batch of queue jobs: the connection thread
+//! submits its cells in blocks of `shards` (at most the worker count),
+//! waits for each block's jobs in request order, and answers in request
+//! order. Every cell therefore takes the audited [`ResultCache::serve`]
+//! path of a `submit`, so a repeated sweep is almost entirely cache
+//! traffic, and the worker pool bounds the simulations the daemon runs at
+//! once, however many clients sweep.
 //!
 //! Shutdown is cooperative: the `shutdown` command (or
 //! [`ServiceHandle::request_shutdown`]) stops intake, wakes blocked
@@ -29,10 +30,10 @@
 //! loopback connection to itself; [`ServiceHandle::join`] then reaps the
 //! threads.
 
-use crate::cache::{CacheConfig, ResultCache, Served};
+use crate::cache::{CacheConfig, ResultCache};
 use crate::protocol::{Request, Response, ServiceStats};
-use crate::queue::{JobQueue, JobSnapshot, SubmitError};
-use radionet_api::{Driver, RunError};
+use crate::queue::{JobId, JobQueue, JobSnapshot, SubmitError};
+use radionet_api::{Driver, RunSpec};
 use radionet_telemetry::{MetricsSnapshot, Registry, Stopwatch};
 use std::io::{self, BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -46,8 +47,8 @@ pub struct ServiceConfig {
     /// Bind address. Port 0 picks a free port — read it back from
     /// [`ServiceHandle::addr`].
     pub addr: String,
-    /// Worker threads draining the job queue; also the most cells one
-    /// `sweep` request runs at once.
+    /// Worker threads draining the job queue: the most simulations the
+    /// daemon runs at once, counting `submit` jobs and `sweep` cells alike.
     pub workers: usize,
     /// Queue high-water mark (submissions beyond it are rejected).
     pub queue_capacity: usize,
@@ -91,6 +92,15 @@ impl Shared {
         // The accept loop blocks in `accept()`; a throwaway loopback
         // connection delivers the wake-up.
         let _ = TcpStream::connect(self.addr);
+    }
+
+    /// Submits one job; a rejection for a full queue counts in `rejected`.
+    fn enqueue(&self, spec: RunSpec) -> Result<JobId, SubmitError> {
+        let submitted = self.queue.submit(spec);
+        if let Err(SubmitError::QueueFull { .. }) = submitted {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+        }
+        submitted
     }
 
     fn stats(&self) -> ServiceStats {
@@ -307,7 +317,7 @@ fn handle_submit(shared: &Shared, request: Request) -> Response {
     let Some(spec) = request.spec else {
         return Response::err("submit needs a \"spec\"");
     };
-    match shared.queue.submit(spec) {
+    match shared.enqueue(spec) {
         Ok(id) => {
             if request.wait.unwrap_or(false) {
                 let snap = shared.queue.wait_terminal(id).expect("job just submitted");
@@ -316,12 +326,7 @@ fn handle_submit(shared: &Shared, request: Request) -> Response {
                 Response { id: Some(id), state: Some("queued".into()), ..Response::ok() }
             }
         }
-        Err(e) => {
-            if matches!(e, SubmitError::QueueFull { .. }) {
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
-            }
-            Response::err(e.to_string())
-        }
+        Err(e) => Response::err(e.to_string()),
     }
 }
 
@@ -351,15 +356,14 @@ fn snapshot_response(snap: JobSnapshot, with_report: bool) -> Response {
 }
 
 /// The block size of a `sweep` request: its `shards` (default 1),
-/// clamped to `1..=workers` so one request never starts more threads
-/// than the service has workers.
+/// clamped to `1..=workers`, the most of its cells queued at once.
 fn sweep_block(shards: Option<usize>, workers: usize) -> usize {
     shards.unwrap_or(1).clamp(1, workers.max(1))
 }
 
-/// `sweep`: serve every cell through the cache in blocks of
-/// [`sweep_block`] cells, each cell of a block on its own thread and
-/// timed like a job, and answer in request order. The first failing cell
+/// `sweep`: submit the cells to the job queue in blocks of
+/// [`sweep_block`] cells, wait for each block's jobs in request order, and
+/// answer in request order. A refused submit or the first failing cell
 /// fails the request.
 fn handle_sweep(shared: &Shared, request: Request) -> Response {
     let Some(specs) = request.specs else {
@@ -368,24 +372,20 @@ fn handle_sweep(shared: &Shared, request: Request) -> Response {
     let mut reports = Vec::with_capacity(specs.len());
     let mut cache_hits = Vec::with_capacity(specs.len());
     for block in specs.chunks(sweep_block(request.shards, shared.workers as usize)) {
-        let served: Vec<Result<Served, RunError>> = std::thread::scope(|s| {
-            let serve = |spec| {
-                let watch = Stopwatch::start(true);
-                let served = shared.cache.serve(&shared.driver, spec);
-                watch.stop(Some(&shared.registry), "service_cache_serve_micros");
-                served
-            };
-            let cells: Vec<_> = block.iter().map(|spec| s.spawn(move || serve(spec))).collect();
-            cells.into_iter().map(|cell| cell.join().expect("a sweep cell panicked")).collect()
-        });
-        for served in served {
-            match served {
-                Ok(served) => {
-                    reports.push(served.report);
-                    cache_hits.push(served.hit);
-                }
+        let mut ids = Vec::with_capacity(block.len());
+        for spec in block {
+            match shared.enqueue(spec.clone()) {
+                Ok(id) => ids.push(id),
                 Err(e) => return Response::err(e.to_string()),
             }
+        }
+        for id in ids {
+            let snap = shared.queue.wait_terminal(id).expect("job just submitted");
+            let Some(report) = snap.report else {
+                return Response::err(snap.error.unwrap_or_default());
+            };
+            reports.push(report);
+            cache_hits.push(snap.cache_hit == Some(true));
         }
     }
     Response { reports: Some(reports), cache_hits: Some(cache_hits), ..Response::ok() }

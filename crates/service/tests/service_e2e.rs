@@ -95,6 +95,21 @@ fn an_unbounded_sweep_block_answers_like_a_sequential_sweep() {
     assert_eq!(cold_sweep(usize::MAX), cold_sweep(1));
 }
 
+/// Sweep cells are queue jobs: the worker pool bounds the simulations the
+/// daemon runs at once, whoever asks, and each cell is counted and timed
+/// like a `submit`.
+#[test]
+fn sweep_cells_run_as_queue_jobs() {
+    let (handle, mut client) = start(ServiceConfig { workers: 2, ..ServiceConfig::default() });
+    let specs: Vec<RunSpec> = (0..5).map(tiny).collect();
+    client.sweep(&specs, 2).unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.jobs_live, stats.jobs_terminal), (0, 5));
+    assert_eq!(stats.queue_latency.map(|l| l.samples), Some(5));
+    client.shutdown().unwrap();
+    handle.join();
+}
+
 /// A poisoned persisted entry of the current results version, served
 /// through `sweep`, is audited like a `submit` hit: re-run, caught,
 /// replaced, and answered with the fresh report.

@@ -1596,9 +1596,16 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                 // Next waypoint boundary `w` is checked after executing
                 // step `w - clock - 1`; land there so the recording keeps
                 // the stepped cadence (boundaries beyond the span are not
-                // due, so charging past them is exact).
+                // due, so charging past them is exact). The landing step is
+                // as silent as the span it splits, so it counts as skipped:
+                // the counter does not depend on the observer.
                 if let Some(w) = journal(&mut self.obs).and_then(|r| r.next_checkpoint()) {
-                    next = next.min(w.saturating_sub(self.clock).saturating_sub(1));
+                    let landing = w.saturating_sub(self.clock).saturating_sub(1);
+                    let (lo, hi) = (local_t + 1, max_steps);
+                    if landing.clamp(lo, hi) < next.clamp(lo, hi) {
+                        skipped += 1;
+                    }
+                    next = next.min(landing);
                 }
                 next.clamp(local_t + 1, max_steps)
             };

@@ -931,6 +931,34 @@ fn sparse_kernel_actually_skips() {
     );
 }
 
+/// A journal's waypoint boundaries split the sparse kernel's silent spans
+/// (a boundary is checked after an executed step), but the landing step is
+/// as silent as the span and counts as skipped, so a journaled run reports
+/// the same stats as a quiet one at every cadence.
+#[test]
+fn journal_waypoints_do_not_move_the_skip_counter() {
+    use radionet_journal::{ClassMask, Recorder};
+    use radionet_sim::{Observed, StaticTopology};
+    let g = Graph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
+    let info = NetInfo { n: 3, d: 2, alpha: 3.0 };
+    let beacons =
+        || (0..3).map(|_| SlotBeacon { period: 25, horizon: 200, last: 0, txs: 0 }).collect();
+    let run = |journal: Option<Recorder>| {
+        let obs = Observed { journal, metrics: None };
+        let mut sim =
+            Sim::try_observed(&g, StaticTopology, info, 11, ReceptionMode::Protocol, obs).unwrap();
+        let mut states: Vec<SlotBeacon> = beacons();
+        let rep = sim.run_phase(&mut states, 300);
+        (rep, *sim.stats(), sim.rng_fingerprint())
+    };
+    let quiet = run(None);
+    assert!(quiet.1.silent_steps_skipped > 100, "{:?}", quiet.1);
+    for cadence in [1, 7, 25, 64, 299, 1000] {
+        let journaled = run(Some(Recorder::new(ClassMask::ALL, cadence)));
+        assert_eq!(journaled, quiet, "cadence {cadence}");
+    }
+}
+
 /// A protocol whose hints lie (claims passivity but keeps drawing
 /// randomness) would diverge — sanity-check that the harness catches real
 /// differences, i.e. the comparison isn't vacuous.

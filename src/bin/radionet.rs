@@ -18,7 +18,7 @@
 
 use radionet::api::{
     replay, Driver, JsonArraySink, JsonlSink, ResultSink, RunReport, RunSpec, Scenario,
-    SweepConfig, TaskRegistry,
+    SweepConfig, Task,
 };
 use radionet::graph::families::Family;
 use radionet::journal::{bisect, ClassMask, EventKind, Journal};
@@ -512,16 +512,15 @@ fn cmd_list_tasks(rest: &[String]) -> Result<(), String> {
         [flag] if flag == "--json" => true,
         _ => return Err("list-tasks takes only --json".into()),
     };
-    let registry = TaskRegistry::standard();
     if as_json {
-        let rows: Vec<TaskRow> = registry
+        let rows: Vec<TaskRow> = Task::ALL
             .iter()
             .map(|t| TaskRow { key: t.key().to_string(), description: t.describe().to_string() })
             .collect();
         println!("{}", serde_json::to_string_pretty(&rows).map_err(|e| e.to_string())?);
     } else {
-        let width = registry.keys().map(str::len).max().unwrap_or(0);
-        for task in registry.iter() {
+        let width = Task::ALL.iter().map(|t| t.key().len()).max().unwrap_or(0);
+        for task in Task::ALL {
             println!("{:width$}  {}", task.key(), task.describe());
         }
     }
