@@ -108,6 +108,35 @@ fn traffic_cells_agree_across_kernels() {
     }
 }
 
+/// Radio MIS recorded at a short waypoint cadence takes the same waypoints
+/// under both kernels: the same kernel-invariant event digest and the same
+/// RNG fingerprint at every boundary, not only at the end. Nodes draw their
+/// coins ahead only at steps where both kernels call `act` — a fresh step
+/// or a drawn transmission — so a window drawn from a listen step inside a
+/// window (which only the dense kernel executes) moves a mid-phase
+/// fingerprint here.
+#[test]
+fn journaled_mis_takes_the_same_waypoints_on_both_kernels() {
+    use radionet_api::JournalSpec;
+    use radionet_graph::families::Family;
+
+    let journal = JournalSpec { classes: "radio,phase".into(), checkpoint_every: 5 };
+    for (seed, dynamics) in [(3, "static"), (4, "churn"), (5, "staggered-wake")] {
+        let run = |kernel| {
+            let spec = RunSpec::new("mis", Family::Grid, 100)
+                .with_seed(seed)
+                .with_dynamics(radionet_api::Dynamics::preset(dynamics).unwrap())
+                .with_journal(journal.clone())
+                .with_kernel(kernel);
+            let (report, journal) = Driver::standard().run_journaled(&spec).expect("mis runs");
+            (report.rng_fingerprint, journal.waypoints)
+        };
+        let (fingerprint, sparse) = run(Kernel::Sparse);
+        assert!(sparse.len() > 200, "{dynamics}: only {} waypoints", sparse.len());
+        assert_eq!((fingerprint, sparse), run(Kernel::Dense), "{dynamics}: waypoints differ");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

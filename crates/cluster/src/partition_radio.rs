@@ -19,8 +19,8 @@ use crate::mpx::Clustering;
 use radionet_graph::{traversal, Graph, NodeId};
 use radionet_primitives::decay::DecaySchedule;
 use radionet_primitives::ids::random_id;
+use radionet_primitives::CoinWindow;
 use radionet_sim::{Action, NodeCtx, Observer, PhaseReport, Protocol, Sim, TopologyView, Wake};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -100,6 +100,8 @@ pub struct RadioPartitionNode {
     state: NodeState,
     /// Best offer heard during the current phase: `(key, center, delta, dist)`.
     pending: Option<(f64, u64, f64, u32)>,
+    /// A claimed node's Decay coins, drawn ahead.
+    coins: CoinWindow,
     elapsed: u64,
 }
 
@@ -135,6 +137,7 @@ impl RadioPartitionNode {
             init: None,
             state: NodeState::Unclaimed,
             pending: None,
+            coins: CoinWindow::default(),
             elapsed: 0,
         }
     }
@@ -198,12 +201,17 @@ impl Protocol for RadioPartitionNode {
                 }
             }
         }
-        if t >= self.total_phases * self.phase_steps {
+        let total = self.total_phases * self.phase_steps;
+        if t >= total {
             return Action::Idle;
         }
         match self.state {
+            // Offering: a Decay coin every step, drawn ahead up to the next
+            // transmission (claims and offers never change once claimed).
+            NodeState::Claimed { .. } if self.coins.covers(t) => Action::Listen,
             NodeState::Claimed { center, delta, dist, claim_phase } if phase > claim_phase => {
-                if ctx.rng.gen_bool(self.schedule.prob(step_in_phase)) {
+                let (schedule, steps) = (self.schedule, self.phase_steps);
+                if self.coins.draw(ctx, total, |u| schedule.prob(u % steps)) {
                     Action::Transmit(PartitionMsg { center, delta, hops: dist })
                 } else {
                     Action::Listen
@@ -235,22 +243,24 @@ impl Protocol for RadioPartitionNode {
             return Wake::Retire;
         }
         let phase = now / self.phase_steps;
-        // The first phase boundary at which `act` changes anything; until
-        // then the node is a pure listener.
-        let wake_phase = match self.state {
-            // Claimed in an earlier phase: transmitting Decay, fresh coin
-            // every step.
-            NodeState::Claimed { claim_phase, .. } if phase > claim_phase => return Wake::Now,
+        let boundary = |phase: u64| phase.saturating_mul(self.phase_steps);
+        // The first step at which `act` changes anything; until then the
+        // node is a pure listener.
+        let wake_at = match self.state {
+            // Claimed in an earlier phase: transmitting Decay, listening
+            // through the coins drawn ahead up to the next transmission.
+            NodeState::Claimed { claim_phase, .. } if phase > claim_phase => self.coins.end(),
             // A center claimed this phase starts offering at the next
             // boundary, and a held offer commits there.
-            NodeState::Claimed { .. } => phase + 1,
-            NodeState::Unclaimed if self.pending.is_some() => phase + 1,
+            NodeState::Claimed { .. } => boundary(phase + 1),
+            NodeState::Unclaimed if self.pending.is_some() => boundary(phase + 1),
             // Unclaimed with no offer: nothing happens until an offer is
             // heard (hearing re-engages the node) or, for a center, its
             // start phase begins. Most nodes spend most phases here.
-            NodeState::Unclaimed => self.init.map_or(phase + 1, |c| c.start_phase.max(phase + 1)),
+            NodeState::Unclaimed => {
+                boundary(self.init.map_or(phase + 1, |c| c.start_phase.max(phase + 1)))
+            }
         };
-        let wake_at = wake_phase.saturating_mul(self.phase_steps);
         let wake_at = if wake_at < total { wake_at } else { Wake::NEVER };
         Wake::Listen { wake_at, done_at: Some(total - 1) }
     }

@@ -21,6 +21,7 @@ use radionet_graph::independent_set::is_maximal_independent_set;
 use radionet_graph::{Graph, NodeId};
 use radionet_primitives::decay::DecaySchedule;
 use radionet_primitives::effective_degree::{EedConfig, EedCounter, EedVerdict};
+use radionet_primitives::CoinWindow;
 use radionet_sim::{Action, NodeCtx, Observer, Protocol, Sim, TopologyView, Wake};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -149,8 +150,9 @@ pub struct MisNode {
     marked: bool,
     heard_marked: bool,
     eed: EedCounter,
-    eed_heard: bool,
-    prev_was_eed: bool,
+    /// Coins drawn ahead: a marked node's MarkDecay coins, an undecided
+    /// node's EED coins.
+    coins: CoinWindow,
     /// Per-round trajectory (only with `record_history`).
     history: Vec<MisRoundRecord>,
 }
@@ -169,8 +171,7 @@ impl MisNode {
             marked: false,
             heard_marked: false,
             eed: EedCounter::new(config.eed, log_n),
-            eed_heard: false,
-            prev_was_eed: false,
+            coins: CoinWindow::default(),
             history: Vec::new(),
         }
     }
@@ -214,13 +215,13 @@ impl MisNode {
         }
         self.heard_marked = false;
         self.eed.restart();
-        self.eed_heard = false;
-        self.prev_was_eed = false;
     }
 
-    fn finish_round(&mut self) {
+    /// Closes the round that ends at step `t`.
+    fn finish_round(&mut self, t: u64) {
+        let verdict = self.eed.verdict(t);
         if self.status == MisStatus::Active {
-            match self.eed.verdict() {
+            match verdict {
                 Some(EedVerdict::High) => self.p /= 2.0,
                 Some(EedVerdict::Low) => self.p = (2.0 * self.p).min(0.5),
                 None => {}
@@ -229,7 +230,7 @@ impl MisNode {
         if self.config.record_history {
             if let Some(rec) = self.history.last_mut() {
                 if rec.verdict.is_none() {
-                    rec.verdict = self.eed.verdict();
+                    rec.verdict = verdict;
                 }
                 rec.status = self.status;
             }
@@ -243,19 +244,12 @@ impl Protocol for MisNode {
     fn act(&mut self, ctx: &mut NodeCtx<'_>) -> Action<MisMsg> {
         let t = ctx.time;
         let t_in_round = t % self.round_steps;
+        let round_start = t - t_in_round;
         let d = self.decay_steps;
-
-        // Settle the previous EED step before anything else.
-        if self.prev_was_eed && !self.eed.finished() {
-            let heard = self.eed_heard;
-            self.eed_heard = false;
-            self.eed.note(heard);
-        }
-        self.prev_was_eed = false;
 
         if t_in_round == 0 {
             if t > 0 {
-                self.finish_round();
+                self.finish_round(t);
             }
             self.start_round(ctx.rng);
         }
@@ -267,14 +261,21 @@ impl Protocol for MisNode {
 
         let seg = self.segment(t_in_round);
         match (seg, self.status) {
+            // A tails drawn ahead: listen, draw nothing.
+            (Segment::MarkDecay | Segment::Eed, MisStatus::Active) if self.coins.covers(t) => {
+                Action::Listen
+            }
             (Segment::MarkDecay, MisStatus::Active) => {
-                let local = t_in_round;
-                if self.marked && ctx.rng.gen_bool(self.schedule.prob(local)) {
+                let schedule = self.schedule;
+                let end = round_start + d;
+                if self.marked && self.coins.draw(ctx, end, |u| schedule.prob(u - round_start)) {
                     Action::Transmit(MisMsg::Marked)
                 } else {
                     Action::Listen
                 }
             }
+            // A member is done and the phase may end at any MisDecay step,
+            // so its coins are drawn one step at a time.
             (Segment::MisDecay, MisStatus::InMis) => {
                 let local = t_in_round - d;
                 if ctx.rng.gen_bool(self.schedule.prob(local)) {
@@ -285,14 +286,10 @@ impl Protocol for MisNode {
             }
             (Segment::MisDecay, MisStatus::Active) => Action::Listen,
             (Segment::Eed, MisStatus::Active) => {
-                self.prev_was_eed = true;
-                if self.eed.finished() {
-                    return Action::Listen;
-                }
-                if ctx.rng.gen_bool(self.eed.transmit_prob(self.p)) {
-                    Action::Transmit(MisMsg::Probe)
-                } else {
-                    Action::Listen
+                let end = round_start + self.round_steps;
+                match self.eed.draw(&mut self.coins, ctx, self.p, end) {
+                    Some(true) => Action::Transmit(MisMsg::Probe),
+                    _ => Action::Listen,
                 }
             }
             _ => Action::Idle,
@@ -305,7 +302,7 @@ impl Protocol for MisNode {
             (Segment::MisDecay, MisMsg::InMis) if self.status == MisStatus::Active => {
                 self.status = MisStatus::Dominated;
             }
-            (Segment::Eed, MisMsg::Probe) => self.eed_heard = true,
+            (Segment::Eed, MisMsg::Probe) => self.eed.hear(ctx.time),
             // Segment-inconsistent messages cannot occur (global sync);
             // ignore defensively.
             _ => {}
@@ -332,13 +329,17 @@ impl Protocol for MisNode {
     ///   start: in MarkDecay and EED `act` returns `Idle` with no coin, and
     ///   the round-start resets touch only fields (`marked`,
     ///   `heard_marked`, the EED counter) that a member never reads again.
-    /// * **Active:** `Now` at `τ = 0` (settle the last EED count, update
-    ///   `p`, draw the mark coin), through MarkDecay and at `τ = d` while
-    ///   marked (a Decay coin every step, then the join decision), and
-    ///   through EED `[2d, R)` (a coin every step). Otherwise — unmarked in
-    ///   MarkDecay, or undecided in MisDecay — `act` returns `Listen` with
-    ///   no coin until EED starts at round start `+ 2d`. Hearing still
-    ///   re-engages the node, so an InMis announcement dominates it.
+    /// * **Active:** `Now` at `τ = 0` (update `p` from the EED verdict,
+    ///   draw the mark coin), at `τ = d` while marked (the join decision)
+    ///   and at each fresh step of a marked node's MarkDecay or of EED
+    ///   `[2d, R)`. At such a step the node draws its coins ahead
+    ///   ([`CoinWindow`]) up to its next transmission, the segment's end
+    ///   or the view's next event ([`NodeCtx::horizon`]), and listens
+    ///   until then: `act` returns `Listen` with no coin at the drawn
+    ///   tails. Otherwise — unmarked in MarkDecay, or undecided in
+    ///   MisDecay — `act` returns `Listen` with no coin until EED starts at
+    ///   round start `+ 2d`. Hearing still re-engages the node, so an
+    ///   InMis announcement dominates it.
     ///
     /// With `record_history` on every node keeps acting (a dominated one
     /// included): `finish_round` stamps each node's last record at every
@@ -355,6 +356,7 @@ impl Protocol for MisNode {
             MisStatus::InMis if (d..2 * d).contains(&tau) => Wake::Now,
             MisStatus::InMis if tau < d => Wake::sleep_until(round_start + d),
             MisStatus::InMis => Wake::sleep_until(round_start + r + d),
+            MisStatus::Active if self.coins.covers(now + 1) => Wake::listen_until(self.coins.end()),
             MisStatus::Active if tau == 0 || tau >= 2 * d || (self.marked && tau <= d) => Wake::Now,
             MisStatus::Active => Wake::listen_until(round_start + 2 * d),
         }

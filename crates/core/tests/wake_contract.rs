@@ -18,8 +18,9 @@
 //!
 //! A gap in a node's `act` calls means the topology deactivated it. The
 //! sparse kernel then drops its timers and re-engages it on return, so the
-//! auditor does too; [`Blink`] churn reaches the hint arms that only a
-//! reactivation can.
+//! auditor does too; [`Blink`] churn and staggered wake reach the hint arms
+//! that only a reactivation can, and cut the coin windows that nodes draw
+//! ahead at the view's events.
 //!
 //! The kernel-equivalence tests see a broken promise only when it changes
 //! an outcome on the graphs they draw; the auditor stops at the first step
@@ -233,24 +234,77 @@ impl TopologyView for Blink {
     }
 }
 
+/// A protocol whose contexts, when `step_by_step`, carry a horizon at the
+/// next step: no coin window then spans a step, so the node flips each
+/// coin at its own step, as the step-by-step loop does.
+struct Horizon<P> {
+    inner: P,
+    step_by_step: bool,
+}
+
+impl<P: Protocol> Protocol for Horizon<P> {
+    type Msg = P::Msg;
+
+    fn act(&mut self, ctx: &mut NodeCtx<'_>) -> Action<P::Msg> {
+        if self.step_by_step {
+            ctx.horizon = ctx.time + 1;
+        }
+        self.inner.act(ctx)
+    }
+
+    fn on_hear(&mut self, ctx: &mut NodeCtx<'_>, msg: &P::Msg) {
+        self.inner.on_hear(ctx, msg);
+    }
+
+    fn on_collision(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.inner.on_collision(ctx);
+    }
+
+    fn is_done(&self) -> bool {
+        self.inner.is_done()
+    }
+
+    fn next_wake(&self, now: u64) -> Wake {
+        self.inner.next_wake(now)
+    }
+}
+
 /// Runs one phase of the protocol `make` builds (its states and step
 /// budget) under the churn `down` on the dense kernel with every node
-/// audited.
+/// audited. First the sparse kernel, the dense kernel and the dense kernel
+/// run step by step ([`Horizon`]) must end the phase with the same report,
+/// counters and RNG streams: coins drawn ahead are the step-by-step loop's
+/// coins, also where the view takes nodes down.
 fn audit<P: Protocol>(
     g: &Graph,
     down: Vec<Option<(u64, u64)>>,
     reception: ReceptionMode,
     seed: u64,
-    make: impl FnOnce(&NetInfo) -> (Vec<P>, u64),
+    make: impl Fn(&NetInfo) -> (Vec<P>, u64),
 ) -> Audit {
     let info = NetInfo::exact(g);
+    let new_sim = |kernel| {
+        let topo = Blink { down: down.clone(), clock: None, changed: Vec::new() };
+        let mut sim = Sim::with_topology(g, topo, info, seed, reception.clone());
+        sim.set_kernel(kernel);
+        sim
+    };
+    let run = |kernel, step_by_step| {
+        let (states, steps) = make(&info);
+        let mut states: Vec<_> =
+            states.into_iter().map(|inner| Horizon { inner, step_by_step }).collect();
+        let mut sim = new_sim(kernel);
+        let report = sim.run_phase(&mut states, steps);
+        (report, sim.stats().kernel_invariant(), sim.rng_fingerprint())
+    };
+    let dense = run(Kernel::Dense, false);
+    assert_eq!(run(Kernel::Sparse, false), dense, "the kernels disagree");
+    assert_eq!(run(Kernel::Dense, true), dense, "windows differ from the step-by-step loop");
+
     let (states, steps) = make(&info);
     let mut audited: Vec<Audited<P>> =
         states.into_iter().enumerate().map(|(i, p)| Audited::new(i, p)).collect();
-    let topo = Blink { down, clock: None, changed: Vec::new() };
-    let mut sim = Sim::with_topology(g, topo, info, seed, reception);
-    sim.set_kernel(Kernel::Dense);
-    sim.run_phase(&mut audited, steps);
+    new_sim(Kernel::Dense).run_phase(&mut audited, steps);
     audited.iter().fold(Audit::default(), |sum, a| sum.add(a.audit))
 }
 
@@ -297,18 +351,43 @@ fn mis_churn(g: &Graph, config: MisConfig) -> Vec<Option<(u64, u64)>> {
         .collect()
 }
 
+/// Staggered wake: every node but node 0 sleeps from step 0 until a step
+/// inside one of the first two rounds' segments or on a segment boundary,
+/// and so first acts mid-round with the state it was built with (its EED
+/// count never restarted).
+fn mis_stagger(g: &Graph, config: MisConfig) -> Vec<Option<(u64, u64)>> {
+    let log_n = MisConfig::effective_log_n(NetInfo::exact(g).log_n());
+    let (r, d) = (config.round_steps(log_n), config.decay_steps(log_n));
+    let wake = [d / 2, d, d + 1, 2 * d, 2 * d + 3, r, r + d / 2, r + 2 * d + r / 4];
+    (0..g.n() as u64)
+        .map(|v| (v > 0).then_some((0, wake[v as usize % wake.len()] + (v / 8) % 5)))
+        .collect()
+}
+
 #[test]
 fn radio_mis_keeps_every_wake_promise() {
+    #[derive(Clone, Copy)]
+    enum View {
+        Still,
+        Churn,
+        Stagger,
+    }
     let mut total = Audit::default();
     for (name, g) in graphs() {
         for config in [MisConfig::default(), MisConfig::fast()] {
-            for (seed, reception, churn) in [
-                (1, ReceptionMode::Protocol, false),
-                (2, ReceptionMode::Protocol, false),
-                (3, ReceptionMode::ProtocolCd, false),
-                (8, ReceptionMode::Protocol, true),
+            for (seed, reception, view) in [
+                (1, ReceptionMode::Protocol, View::Still),
+                (2, ReceptionMode::Protocol, View::Still),
+                (3, ReceptionMode::ProtocolCd, View::Still),
+                (8, ReceptionMode::Protocol, View::Churn),
+                (9, ReceptionMode::Protocol, View::Stagger),
+                (10, ReceptionMode::ProtocolCd, View::Stagger),
             ] {
-                let down = if churn { mis_churn(&g, config) } else { vec![None; g.n()] };
+                let down = match view {
+                    View::Still => vec![None; g.n()],
+                    View::Churn => mis_churn(&g, config),
+                    View::Stagger => mis_stagger(&g, config),
+                };
                 let a = mis_audit(&g, config, down, reception, seed);
                 assert!(a.listen + a.sleep + a.retired > 0, "{name}: nothing audited");
                 total = total.add(a);

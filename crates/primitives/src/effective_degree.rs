@@ -13,8 +13,8 @@
 //! `≈ d·e^{-d} = Ω(1)` for `d ≥ 1` versus `≤ 2·0.01` for `d ≤ 0.01`, so a
 //! threshold fraction between those separates reliably.
 
+use crate::CoinWindow;
 use radionet_sim::{Action, NodeCtx, Protocol, Wake};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// The two possible answers of EstimateEffectiveDegree.
@@ -68,10 +68,17 @@ impl EedConfig {
 /// Reusable counting core of EstimateEffectiveDegree, embeddable inside
 /// larger protocols (RadioMIS drives one of these per round).
 ///
-/// Call [`transmit_prob`](EedCounter::transmit_prob) to decide each step's
-/// action, [`note`](EedCounter::note) once per step with whether something
-/// was heard, and read [`verdict`](EedCounter::verdict) once
-/// [`finished`](EedCounter::finished).
+/// The counter tracks the node's **position**: the number of EED steps it
+/// has acted since the execution started ([`restart`](EedCounter::restart)).
+/// A node that the topology takes down misses the steps it is down for, so
+/// positions count acted steps, not the clock. The owner reports each step
+/// it acts at with [`act`](EedCounter::act), together with the window of
+/// following steps it keeps acting at without being called (see
+/// [`CoinWindow`]); [`position`](EedCounter::position) then answers for
+/// every step up to the window's end. A hearing counts in the block of the
+/// step it falls in ([`hear`](EedCounter::hear)), and
+/// [`verdict`](EedCounter::verdict) is available once every position was
+/// acted.
 #[derive(Clone, Copy, Debug)]
 pub struct EedCounter {
     /// Per-block High threshold ([`EedConfig::threshold`]).
@@ -80,11 +87,15 @@ pub struct EedCounter {
     block_steps: u64,
     /// Number of blocks ([`EedConfig::blocks`]).
     blocks: u64,
-    /// Current block index `i` (0 ..= log n).
+    /// EED steps acted before `from`.
+    acted: u64,
+    /// The latest step the node acted at; it acts at every step of
+    /// `[from, until)`.
+    from: u64,
+    until: u64,
+    /// The block of the latest counted hearing.
     block: u64,
-    /// Step within the current block.
-    step: u64,
-    /// Heard-count within the current block.
+    /// Hearings counted in `block`.
     count: u64,
     /// Whether any block reached the threshold.
     high: bool,
@@ -97,8 +108,10 @@ impl EedCounter {
             threshold: config.threshold(log_n),
             block_steps: config.block_steps(log_n),
             blocks: config.blocks(log_n),
+            acted: 0,
+            from: 0,
+            until: 0,
             block: 0,
-            step: 0,
             count: 0,
             high: false,
         }
@@ -106,56 +119,99 @@ impl EedCounter {
 
     /// Rewinds to the start of a fresh execution with the same constants.
     pub fn restart(&mut self) {
-        *self = EedCounter { block: 0, step: 0, count: 0, high: false, ..*self };
+        *self =
+            EedCounter { acted: 0, from: 0, until: 0, block: 0, count: 0, high: false, ..*self };
     }
 
-    /// Probability with which the owner should transmit this step:
-    /// `p / 2^i` where `i` is the current block.
-    pub fn transmit_prob(&self, p: f64) -> f64 {
-        (p * 2f64.powi(-(self.block as i32))).clamp(0.0, 1.0)
+    /// Positions in one execution: `blocks × block_steps`.
+    pub fn steps(&self) -> u64 {
+        self.blocks * self.block_steps
     }
 
-    /// Records the outcome of the current step and advances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`finished`](EedCounter::finished).
-    pub fn note(&mut self, heard: bool) {
-        assert!(!self.finished(), "EedCounter advanced past its last step");
-        if heard {
-            self.count += 1;
-            if self.count >= self.threshold {
-                self.high = true;
-            }
+    /// The position of step `t` (no earlier than the latest
+    /// [`act`](EedCounter::act)): the EED steps acted before it, counting
+    /// every step of the latest act's window.
+    pub fn position(&self, t: u64) -> u64 {
+        self.acted + t.min(self.until) - self.from
+    }
+
+    /// Records that the node acts at step `t` and at every step before
+    /// `until` (at least `t + 1`).
+    pub fn act(&mut self, t: u64, until: u64) {
+        self.acted = self.position(t);
+        self.from = t;
+        self.until = until.max(t + 1);
+    }
+
+    /// At step `ctx.time`, which `coins` does not cover: draws the owner's
+    /// coins at desire level `p` ahead through `coins` (up to `end`, the
+    /// horizon or the last position) and records the acted steps. Returns
+    /// whether the owner transmits, or `None` once every position was
+    /// acted.
+    pub fn draw(
+        &mut self,
+        coins: &mut CoinWindow,
+        ctx: &mut NodeCtx<'_>,
+        p: f64,
+        end: u64,
+    ) -> Option<bool> {
+        let t = ctx.time;
+        let position = self.position(t);
+        let left = self.steps().checked_sub(position).filter(|&left| left > 0)?;
+        let counter = *self;
+        let sent =
+            coins.draw(ctx, end.min(t + left), |u| counter.transmit_prob(p, position + u - t));
+        self.act(t, coins.end());
+        Some(sent)
+    }
+
+    /// Probability with which the owner transmits at position `position`
+    /// (before [`steps`](EedCounter::steps)): `p / 2^i` where `i` is the
+    /// position's block.
+    pub fn transmit_prob(&self, p: f64, position: u64) -> f64 {
+        (p * 2f64.powi(-((position / self.block_steps) as i32))).clamp(0.0, 1.0)
+    }
+
+    /// Counts a transmission heard at step `t`, in the block of `t`'s
+    /// position; a hearing past the last position is ignored.
+    pub fn hear(&mut self, t: u64) {
+        let position = self.position(t);
+        if position >= self.steps() {
+            return;
         }
-        self.step += 1;
-        if self.step >= self.block_steps {
-            self.step = 0;
+        let block = position / self.block_steps;
+        if block != self.block {
+            self.block = block;
             self.count = 0;
-            self.block += 1;
         }
+        self.count += 1;
+        self.high |= self.count >= self.threshold;
     }
 
-    /// Whether all blocks have elapsed.
-    pub fn finished(&self) -> bool {
-        self.block >= self.blocks
-    }
-
-    /// The verdict; `None` until [`finished`](EedCounter::finished).
-    pub fn verdict(&self) -> Option<EedVerdict> {
-        self.finished().then_some(if self.high { EedVerdict::High } else { EedVerdict::Low })
+    /// The verdict as of step `t`; `None` until every position before `t`
+    /// was acted.
+    pub fn verdict(&self, t: u64) -> Option<EedVerdict> {
+        (self.position(t) >= self.steps()).then_some(if self.high {
+            EedVerdict::High
+        } else {
+            EedVerdict::Low
+        })
     }
 }
 
 /// Standalone EstimateEffectiveDegree as a [`Protocol`], for direct
 /// validation of Lemma 11 (experiment E2). Each node is given its fixed
 /// desire level `p`; after `total_steps` the verdict is available.
+///
+/// A node draws its coins ahead ([`CoinWindow`]) and listens until its next
+/// transmission; the step that reaches its last position retires it.
 #[derive(Clone, Debug)]
 pub struct EedProtocol {
     counter: EedCounter,
+    coins: CoinWindow,
     p: f64,
-    heard_this_step: bool,
-    started: bool,
+    /// The step at which the counter reached its last position.
+    finished_at: Option<u64>,
 }
 
 impl EedProtocol {
@@ -168,15 +224,15 @@ impl EedProtocol {
         assert!((0.0..=1.0).contains(&p), "desire level must be in [0, 1]");
         EedProtocol {
             counter: EedCounter::new(config, log_n),
+            coins: CoinWindow::default(),
             p,
-            heard_this_step: false,
-            started: false,
+            finished_at: None,
         }
     }
 
     /// The verdict; `None` until the protocol finished.
     pub fn verdict(&self) -> Option<EedVerdict> {
-        self.counter.verdict()
+        self.finished_at.and_then(|t| self.counter.verdict(t))
     }
 }
 
@@ -184,36 +240,38 @@ impl Protocol for EedProtocol {
     type Msg = ();
 
     fn act(&mut self, ctx: &mut NodeCtx<'_>) -> Action<()> {
-        // Settle the previous step's outcome first (on_hear runs between acts).
-        if self.started && !self.counter.finished() {
-            let heard = self.heard_this_step;
-            self.heard_this_step = false;
-            self.counter.note(heard);
-        }
-        self.started = true;
-        if self.counter.finished() {
+        let t = ctx.time;
+        if self.finished_at.is_some() {
             return Action::Idle;
         }
-        if ctx.rng.gen_bool(self.counter.transmit_prob(self.p)) {
-            Action::Transmit(())
-        } else {
-            Action::Listen
+        if self.coins.covers(t) {
+            return Action::Listen;
+        }
+        match self.counter.draw(&mut self.coins, ctx, self.p, Wake::NEVER) {
+            Some(true) => Action::Transmit(()),
+            Some(false) => Action::Listen,
+            None => {
+                self.finished_at = Some(t);
+                Action::Idle
+            }
         }
     }
 
-    fn on_hear(&mut self, _ctx: &mut NodeCtx<'_>, _msg: &()) {
-        self.heard_this_step = true;
+    fn on_hear(&mut self, ctx: &mut NodeCtx<'_>, _msg: &()) {
+        self.counter.hear(ctx.time);
     }
 
     fn is_done(&self) -> bool {
-        self.counter.finished()
+        self.finished_at.is_some()
     }
 
-    fn next_wake(&self, _now: u64) -> Wake {
-        // Every live step draws a transmit coin; once the counter finishes,
-        // `act` is a pure `Idle` forever.
-        if self.counter.finished() {
+    fn next_wake(&self, now: u64) -> Wake {
+        // Listen through the drawn tails; the step that reaches the last
+        // position only turns the node off.
+        if self.finished_at.is_some() {
             Wake::Retire
+        } else if self.coins.covers(now + 1) {
+            Wake::listen_until(self.coins.end())
         } else {
             Wake::Now
         }
@@ -235,7 +293,7 @@ mod tests {
         let mut sim = Sim::new(g, info, seed);
         let mut states: Vec<EedProtocol> =
             ps.iter().map(|&p| EedProtocol::new(config, log_n, p)).collect();
-        // One extra step so every node settles its final counter state.
+        // One extra step: the step after the last position retires a node.
         let rep = sim.run_phase(&mut states, config.total_steps(log_n) + 2);
         assert!(rep.completed);
         states.iter().map(|s| s.verdict().expect("finished")).collect()
@@ -254,44 +312,43 @@ mod tests {
     fn counter_lifecycle() {
         let c = EedConfig { c_steps: 1, threshold_frac: 1.0 };
         let mut k = EedCounter::new(c, 2); // 3 blocks × 2 steps
-        assert_eq!(k.transmit_prob(0.5), 0.5);
-        k.note(false);
-        k.note(false);
-        assert_eq!(k.transmit_prob(0.5), 0.25); // block 1
-        for _ in 0..4 {
-            k.note(false);
-        }
-        assert!(k.finished());
-        assert_eq!(k.verdict(), Some(EedVerdict::Low));
+        assert_eq!((k.steps(), k.position(0), k.transmit_prob(0.5, 0)), (6, 0, 0.5));
+        // Acting at step 0 with a window to step 2: steps 0 and 1 are acted.
+        k.act(0, 2);
+        assert_eq!((k.position(1), k.position(2), k.position(9)), (1, 2, 2));
+        assert_eq!(k.transmit_prob(0.5, k.position(2)), 0.25); // block 1
+                                                               // Down for steps 2..5: acting again at 5, the node is at position 2.
+        k.act(5, 9);
+        assert_eq!((k.position(5), k.position(8), k.position(9)), (2, 5, 6));
+        assert_eq!((k.verdict(8), k.verdict(9)), (None, Some(EedVerdict::Low)));
         // A restart rewinds the state and keeps the 3 × 2 shape.
         k.restart();
-        assert_eq!((k.finished(), k.verdict(), k.transmit_prob(0.5)), (false, None, 0.5));
-        for _ in 0..6 {
-            k.note(false);
-        }
-        assert!(k.finished());
+        assert_eq!((k.position(20), k.verdict(20), k.steps()), (0, None, 6));
     }
 
     #[test]
-    #[should_panic(expected = "advanced past its last step")]
-    fn counter_overrun_panics() {
-        let c = EedConfig { c_steps: 1, threshold_frac: 1.0 };
+    fn counter_ignores_hearings_past_its_last_position() {
+        let c = EedConfig { c_steps: 1, threshold_frac: 1.0 }; // threshold 1
         let mut k = EedCounter::new(c, 1); // 2 blocks × 1 step
-        k.note(false);
-        k.note(false);
-        k.note(false);
+        k.act(0, 10);
+        k.hear(5);
+        assert_eq!(k.verdict(2), Some(EedVerdict::Low));
     }
 
     #[test]
     fn counter_high_on_threshold() {
         let c = EedConfig { c_steps: 4, threshold_frac: 0.5 }; // threshold = 2 per 4-step block
         let mut k = EedCounter::new(c, 1);
-        k.note(true);
-        k.note(true);
-        while !k.finished() {
-            k.note(false);
-        }
-        assert_eq!(k.verdict(), Some(EedVerdict::High));
+        k.act(0, 8);
+        k.hear(0);
+        k.hear(3);
+        assert_eq!(k.verdict(8), Some(EedVerdict::High));
+        // Two hearings in different blocks do not add up.
+        k.restart();
+        k.act(0, 8);
+        k.hear(3);
+        k.hear(4);
+        assert_eq!(k.verdict(8), Some(EedVerdict::Low));
     }
 
     #[test]

@@ -145,7 +145,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn ctx_at<'a>(t: u64, info: &'a NetInfo, rng: &'a mut SmallRng) -> NodeCtx<'a> {
-        NodeCtx { time: t, info, rng }
+        NodeCtx { time: t, horizon: Wake::NEVER, info, rng }
     }
 
     #[test]

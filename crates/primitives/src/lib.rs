@@ -1,5 +1,8 @@
 //! Shared radio-network building blocks from the paper.
 //!
+//! * [`coins`] — draw-ahead coin windows: a node that flips a transmit
+//!   coin every step draws its coming coins at once and listens until the
+//!   next heads, with every coin and transmission unchanged;
 //! * [`decay`] — the classic **Decay** protocol of Bar-Yehuda, Goldreich and
 //!   Itai (paper, Algorithm 5) and its whp amplification (Claim 10);
 //! * [`effective_degree`] — **EstimateEffectiveDegree** (paper, Algorithm 6)
@@ -14,12 +17,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod coins;
 pub mod decay;
 pub mod effective_degree;
 pub mod flood;
 pub mod gossip;
 pub mod ids;
 
+pub use coins::CoinWindow;
 pub use decay::{DecayConfig, DecayProtocol, DecaySchedule};
 pub use effective_degree::{EedConfig, EedCounter, EedProtocol, EedVerdict};
 pub use flood::FloodProtocol;

@@ -33,25 +33,29 @@ proptest! {
     }
 
     /// An EedCounter that never hears anything is Low; one that hears every
-    /// step is High; and it always finishes after exactly total_steps notes.
+    /// step is High; and it reaches its verdict exactly at its last
+    /// position, however its acted steps are split into windows.
     #[test]
-    fn eed_counter_extremes(c_steps in 1u32..16, log_n in 1u32..12) {
+    fn eed_counter_extremes(c_steps in 1u32..16, log_n in 1u32..12, window in 1u64..40) {
         let config = EedConfig { c_steps, threshold_frac: 1.0 / 12.0 };
         let total = config.total_steps(log_n);
 
         let mut silent = EedCounter::new(config, log_n);
-        for _ in 0..total {
-            prop_assert!(!silent.finished());
-            silent.note(false);
-        }
-        prop_assert!(silent.finished());
-        prop_assert_eq!(silent.verdict(), Some(EedVerdict::Low));
-
         let mut loud = EedCounter::new(config, log_n);
-        for _ in 0..total {
-            loud.note(true);
+        let mut t = 0;
+        while t < total {
+            prop_assert_eq!(silent.position(t), t);
+            prop_assert_eq!(silent.verdict(t), None);
+            let until = (t + window).min(total);
+            silent.act(t, until);
+            loud.act(t, until);
+            for u in t..until {
+                loud.hear(u);
+            }
+            t = until;
         }
-        prop_assert_eq!(loud.verdict(), Some(EedVerdict::High));
+        prop_assert_eq!(silent.verdict(total), Some(EedVerdict::Low));
+        prop_assert_eq!(loud.verdict(total), Some(EedVerdict::High));
     }
 
     /// The EED transmit probability decays by exactly 2× per block and
@@ -59,17 +63,13 @@ proptest! {
     #[test]
     fn eed_transmit_prob_halves(log_n in 1u32..12, p in 0.0f64..=1.0) {
         let config = EedConfig::default();
-        let mut k = EedCounter::new(config, log_n);
-        let mut last = k.transmit_prob(p);
-        prop_assert!((0.0..=1.0).contains(&last));
+        let k = EedCounter::new(config, log_n);
         let block_steps = config.block_steps(log_n);
-        while !k.finished() {
-            for _ in 0..block_steps {
-                if k.finished() { break; }
-                k.note(false);
-            }
-            if k.finished() { break; }
-            let now = k.transmit_prob(p);
+        let mut last = k.transmit_prob(p, 0);
+        prop_assert!((0.0..=1.0).contains(&last));
+        for position in (block_steps..k.steps()).step_by(block_steps as usize) {
+            prop_assert_eq!(k.transmit_prob(p, position - 1), last);
+            let now = k.transmit_prob(p, position);
             prop_assert!((0.0..=1.0).contains(&now));
             prop_assert!(now <= last + 1e-15);
             if p > 0.0 {

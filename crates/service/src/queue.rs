@@ -147,18 +147,23 @@ struct Inner {
     /// Accepted-but-untaken ids in FIFO order.
     pending: VecDeque<JobId>,
     jobs: HashMap<JobId, Job>,
+    /// Jobs in a terminal state, kept by `transition`.
+    terminal: u64,
     shutdown: bool,
 }
 
 impl Inner {
-    /// The single mutation point for job states: checks monotonicity and
-    /// stamps timing.
+    /// The single mutation point for job states: checks monotonicity,
+    /// stamps timing and keeps the terminal count.
     fn transition(&mut self, id: JobId, to: JobState) {
         let job = self.jobs.get_mut(&id).expect("transition of unknown job");
         assert!(to.rank() > job.state.rank(), "illegal job transition {:?} → {to:?}", job.state);
         match to {
             JobState::Running => job.started = Some(Instant::now()),
-            JobState::Done | JobState::Failed => job.finished = Some(Instant::now()),
+            JobState::Done | JobState::Failed => {
+                job.finished = Some(Instant::now());
+                self.terminal += 1;
+            }
             JobState::Queued => unreachable!("rank check rejects moves back to Queued"),
         }
         job.state = to;
@@ -183,6 +188,7 @@ impl JobQueue {
                 next_id: 1,
                 pending: VecDeque::new(),
                 jobs: HashMap::new(),
+                terminal: 0,
                 shutdown: false,
             }),
             ready: Condvar::new(),
@@ -297,11 +303,11 @@ impl JobQueue {
         }
     }
 
-    /// Jobs accepted so far, by terminality: `(live, terminal)`.
+    /// Jobs accepted so far, by terminality: `(live, terminal)`. Constant
+    /// time: the terminal count is kept as jobs settle.
     pub fn counts(&self) -> (u64, u64) {
         let inner = self.inner.lock().expect("queue poisoned");
-        let terminal = inner.jobs.values().filter(|j| j.state.is_terminal()).count() as u64;
-        (inner.jobs.len() as u64 - terminal, terminal)
+        (inner.jobs.len() as u64 - inner.terminal, inner.terminal)
     }
 
     /// Queue wait / run-time quantiles over every terminal job, or `None`
@@ -390,6 +396,32 @@ mod tests {
         assert!(snap.report.is_some());
         assert_eq!(snap.cache_hit, Some(false));
         assert_eq!(q.counts(), (0, 1));
+    }
+
+    #[test]
+    fn kept_terminal_count_matches_a_scan() {
+        let scan = |q: &JobQueue| {
+            let inner = q.inner.lock().unwrap();
+            let terminal = inner.jobs.values().filter(|j| j.state.is_terminal()).count() as u64;
+            (inner.jobs.len() as u64 - terminal, terminal)
+        };
+        let q = JobQueue::new(8);
+        let done = report(1);
+        for round in 0..6u64 {
+            for k in 0..3 {
+                q.submit(spec(round * 3 + k)).unwrap();
+            }
+            assert_eq!(q.counts(), scan(&q), "after round {round}'s submits");
+            // Take two, settle one of them (done or failed by turns), and
+            // leave the other running.
+            let (first, _) = q.try_take().unwrap();
+            let (_second, _) = q.try_take().unwrap();
+            assert_eq!(q.counts(), scan(&q), "after round {round}'s takes");
+            let outcome = if round % 2 == 0 { Ok((done.clone(), false)) } else { Err("x".into()) };
+            q.complete(first, outcome);
+            assert_eq!(q.counts(), scan(&q), "after round {round}'s completion");
+        }
+        assert_eq!(q.counts(), (12, 6));
     }
 
     #[test]

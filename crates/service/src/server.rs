@@ -24,6 +24,12 @@
 //! traffic, and the worker pool bounds the simulations the daemon runs at
 //! once, however many clients sweep.
 //!
+//! A run that panics fails its job instead of its worker: the worker
+//! catches the panic, completes the job as `failed` with the panic's
+//! message and counts it in `service_job_panics`, so a `submit` or `sweep`
+//! waiting on the job returns. [`ResultCache::serve`] holds no lock while
+//! the driver runs, so the panic poisons nothing.
+//!
 //! Shutdown is cooperative: the `shutdown` command (or
 //! [`ServiceHandle::request_shutdown`]) stops intake, wakes blocked
 //! workers, lets accepted jobs drain, and unblocks the accept loop with a
@@ -37,6 +43,7 @@ use radionet_api::{Driver, RunSpec};
 use radionet_telemetry::{MetricsSnapshot, Registry, Stopwatch};
 use std::io::{self, BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -230,10 +237,13 @@ impl ServiceHandle {
 fn queue_worker(shared: &Shared) {
     while let Some((id, spec)) = shared.queue.take() {
         let serve = Stopwatch::start(true);
-        let outcome = match shared.cache.serve(&shared.driver, &spec) {
+        let (outcome, panicked) = guarded(|| match shared.cache.serve(&shared.driver, &spec) {
             Ok(served) => Ok((served.report, served.hit)),
             Err(e) => Err(e.to_string()),
-        };
+        });
+        if panicked {
+            shared.registry.count("service_job_panics", 1);
+        }
         serve.stop(Some(&shared.registry), "service_cache_serve_micros");
         shared.queue.complete(id, outcome);
         // The job is terminal now, so its timing is final.
@@ -242,6 +252,22 @@ fn queue_worker(shared: &Shared) {
             shared.registry.observe("service_job_run_micros", snap.run_micros);
         }
         shared.registry.count("service_jobs", 1);
+    }
+}
+
+/// Runs one job body. A panic becomes an `Err` naming the panic's message,
+/// flagged by the `true` beside it.
+fn guarded<T>(job: impl FnOnce() -> Result<T, String>) -> (Result<T, String>, bool) {
+    match catch_unwind(AssertUnwindSafe(job)) {
+        Ok(outcome) => (outcome, false),
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("a non-string payload");
+            (Err(format!("run panicked: {message}")), true)
+        }
     }
 }
 
@@ -394,6 +420,20 @@ fn handle_sweep(shared: &Shared, request: Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicking_job_becomes_a_failed_outcome() {
+        assert_eq!(guarded(|| Ok::<u32, String>(7)), (Ok(7), false));
+        assert_eq!(
+            guarded(|| Err::<u32, String>("invalid spec".into())),
+            (Err("invalid spec".into()), false)
+        );
+        let (outcome, panicked) =
+            guarded(|| -> Result<u32, String> { panic!("index {} out of range", 9) });
+        assert_eq!((outcome, panicked), (Err("run panicked: index 9 out of range".into()), true));
+        let (outcome, _) = guarded(|| -> Result<u32, String> { std::panic::panic_any(3u8) });
+        assert_eq!(outcome, Err("run panicked: a non-string payload".into()));
+    }
 
     #[test]
     fn sweep_blocks_stay_within_the_worker_count() {

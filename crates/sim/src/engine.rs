@@ -751,6 +751,13 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
         self.rngs = rngs;
     }
 
+    /// The phase-local step of the view's next event after global step
+    /// `gstep`, or [`Wake::NEVER`] ([`NodeCtx::horizon`]).
+    #[inline(always)]
+    fn horizon(&self, gstep: u64) -> u64 {
+        self.topo.next_event(gstep).map_or(Wake::NEVER, |e| e.saturating_sub(self.clock))
+    }
+
     /// Takes a journal waypoint at the completed-step boundary `step` when
     /// the observer's recorder has one due (both kernels ask after each
     /// simulated step).
@@ -897,6 +904,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
         for local_t in 0..max_steps {
             let gstep = self.clock + report.steps;
             timed(timing, &mut advance_nanos, || self.topo.advance_to(self.graph, gstep));
+            let horizon = self.horizon(gstep);
             if flips {
                 for i in 0..states.len() {
                     let active = self.topo.is_active(NodeId::new(i));
@@ -914,7 +922,8 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
             while let Some(rec) = injections.get(next_inj).filter(|r| r.at <= local_t) {
                 next_inj += 1;
                 let i = rec.node as usize;
-                let mut ctx = NodeCtx { time: local_t, info: &self.info, rng: &mut self.rngs[i] };
+                let mut ctx =
+                    NodeCtx { time: local_t, horizon, info: &self.info, rng: &mut self.rngs[i] };
                 states[i].on_inject(&mut ctx, &rec.msg);
             }
             self.tx_nodes.clear();
@@ -925,7 +934,8 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                     self.listening[i] = false;
                     continue;
                 }
-                let mut ctx = NodeCtx { time: local_t, info: &self.info, rng: &mut self.rngs[i] };
+                let mut ctx =
+                    NodeCtx { time: local_t, horizon, info: &self.info, rng: &mut self.rngs[i] };
                 match state.act(&mut ctx) {
                     Action::Transmit(m) => {
                         self.listening[i] = false;
@@ -988,8 +998,12 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                         let sinr = best_gain / (cfg.noise + (total - best_gain));
                         if sinr >= cfg.threshold {
                             let msg = &arena[best_ti];
-                            let mut ctx =
-                                NodeCtx { time: local_t, info: &self.info, rng: &mut self.rngs[i] };
+                            let mut ctx = NodeCtx {
+                                time: local_t,
+                                horizon,
+                                info: &self.info,
+                                rng: &mut self.rngs[i],
+                            };
                             state.on_hear(&mut ctx, msg);
                             report.deliveries += 1;
                             let from = self.tx_nodes[best_ti];
@@ -1032,6 +1046,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                             let msg = &arena[ti];
                             let mut ctx = NodeCtx {
                                 time: local_t,
+                                horizon,
                                 info: &self.info,
                                 rng: &mut self.rngs[wi],
                             };
@@ -1063,8 +1078,12 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                         });
                     }
                     if cd && (hits >= 2 || jammed) {
-                        let mut ctx =
-                            NodeCtx { time: local_t, info: &self.info, rng: &mut self.rngs[i] };
+                        let mut ctx = NodeCtx {
+                            time: local_t,
+                            horizon,
+                            info: &self.info,
+                            rng: &mut self.rngs[i],
+                        };
                         state.on_collision(&mut ctx);
                     }
                 }
@@ -1199,6 +1218,9 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
             }
             changed.clear();
             self.sched.changed = changed;
+            // The view's next event: every context of this step carries
+            // it, and the clock jump below never passes it.
+            let horizon = self.horizon(gstep);
 
             // (1b) Traffic arrivals due this step enter their node's
             // protocol state — same pre-act ordering as the dense kernel —
@@ -1210,7 +1232,8 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
             while let Some(rec) = injections.get(next_inj).filter(|r| r.at <= local_t) {
                 next_inj += 1;
                 let i = rec.node as usize;
-                let mut ctx = NodeCtx { time: local_t, info: &self.info, rng: &mut self.rngs[i] };
+                let mut ctx =
+                    NodeCtx { time: local_t, horizon, info: &self.info, rng: &mut self.rngs[i] };
                 states[i].on_inject(&mut ctx, &rec.msg);
                 if self.sched.was_active[i] {
                     self.sched.ring_at(i, local_t, local_t);
@@ -1236,7 +1259,8 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                 if !self.sched.was_active[i] {
                     continue;
                 }
-                let mut ctx = NodeCtx { time: local_t, info: &self.info, rng: &mut self.rngs[i] };
+                let mut ctx =
+                    NodeCtx { time: local_t, horizon, info: &self.info, rng: &mut self.rngs[i] };
                 match states[i].act(&mut ctx) {
                     Action::Transmit(m) => {
                         self.listening[i] = false;
@@ -1422,6 +1446,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                             let ti = self.from[wi] as usize;
                             let mut ctx = NodeCtx {
                                 time: local_t,
+                                horizon,
                                 info: &self.info,
                                 rng: &mut self.rngs[wi],
                             };
@@ -1477,8 +1502,12 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                     let jammed = self.topo.is_jammed(w);
                     if hits == 1 && !jammed {
                         let ti = self.from[wi] as usize;
-                        let mut ctx =
-                            NodeCtx { time: local_t, info: &self.info, rng: &mut self.rngs[wi] };
+                        let mut ctx = NodeCtx {
+                            time: local_t,
+                            horizon,
+                            info: &self.info,
+                            rng: &mut self.rngs[wi],
+                        };
                         states[wi].on_hear(&mut ctx, &arena[ti]);
                         report.deliveries += 1;
                         let from = self.tx_nodes[ti];
@@ -1495,6 +1524,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                         if cd {
                             let mut ctx = NodeCtx {
                                 time: local_t,
+                                horizon,
                                 info: &self.info,
                                 rng: &mut self.rngs[wi],
                             };
@@ -1519,8 +1549,12 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                         if self.stamp[wi] == self.stamp_epoch || !self.listening[wi] {
                             continue;
                         }
-                        let mut ctx =
-                            NodeCtx { time: local_t, info: &self.info, rng: &mut self.rngs[wi] };
+                        let mut ctx = NodeCtx {
+                            time: local_t,
+                            horizon,
+                            info: &self.info,
+                            rng: &mut self.rngs[wi],
+                        };
                         states[wi].on_collision(&mut ctx);
                         re_engage.push(wi as u32);
                     }
@@ -1583,9 +1617,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                 // Next scripted/mobility event: land on it so `advance_to`
                 // is called at every time the view's state (or its
                 // deterministic counters) may change.
-                if let Some(e) = self.topo.next_event(gstep) {
-                    next = next.min(e.saturating_sub(self.clock));
-                }
+                next = next.min(horizon);
                 // Next pending traffic arrival: an injection is a wake
                 // source, so the jump lands on (never beyond) it. Every
                 // arrival at or before `local_t` was already applied, so

@@ -35,6 +35,11 @@ pub enum Wake {
     /// repeats this one's `wake_at` or `done_at` keeps the pending timer
     /// for it, so a listener that hears often and re-promises the same
     /// deadlines adds no timer work.
+    ///
+    /// A node that drew its coins ahead up to its next transmission
+    /// listens until that step this way: the draws happened at `now`, and
+    /// the steps before `wake_at` neither draw nor transmit. The three
+    /// rules of [`NodeCtx::horizon`] keep such windows kernel-invariant.
     Listen {
         /// First step at which `act` must run again ([`Wake::NEVER`] = not
         /// before the phase ends).
@@ -193,6 +198,34 @@ pub struct NodeCtx<'a> {
     /// The protocol-local time-step (0-based within the current phase; under
     /// multiplexing, within this protocol's own sub-schedule).
     pub time: u64,
+    /// The first phase-local step after [`time`](NodeCtx::time) at which
+    /// the topology view may change ([`TopologyView::next_event`]), or
+    /// [`Wake::NEVER`] on a view that never changes. Both kernels fill it
+    /// once per executed step, so it is the same at every call of a step.
+    ///
+    /// Until the horizon the node stays active and its surroundings stay
+    /// as they are, which is what lets a protocol draw its per-step coins
+    /// ahead of the clock: at a step where it acts anyway, it draws the
+    /// coins of the following steps in the order the step-by-step loop
+    /// would, stops at the first success, the end of its segment or the
+    /// horizon, and listens ([`Wake::Listen`]) until that step. Three
+    /// rules keep such a window byte-identical to the step-by-step loop
+    /// under both kernels:
+    ///
+    /// 1. **Draw ahead only at a fresh step or at a drawn success.** The
+    ///    dense kernel calls `act` at the listen steps inside a window and
+    ///    the sparse kernel does not, so `act` must not draw there; journal
+    ///    waypoints record the RNG fingerprint in mid-phase.
+    /// 2. **Count positions by acted steps, not by the clock.** A node that
+    ///    churn, jamming or staggered wake takes down misses the steps it
+    ///    is down for; a window ends at the horizon, so every step inside
+    ///    one is an acted step.
+    /// 3. **Only a node that is not done may draw ahead.** A phase ends
+    ///    once every node is done, and a coin drawn for a step the phase
+    ///    never reaches would move the final RNG state.
+    ///
+    /// [`TopologyView::next_event`]: crate::TopologyView::next_event
+    pub horizon: u64,
     /// Network estimates available to every node in the ad-hoc model.
     pub info: &'a NetInfo,
     /// The node's private randomness source.
@@ -237,6 +270,10 @@ pub struct NodeCtx<'a> {
 ///   So the promise must hold at **every** step of the window, because the
 ///   engine may next evaluate the node's surroundings at an arbitrary
 ///   jumped-to time inside it, not at `now + 1`.
+/// * A node that flips a coin every step can still listen through its
+///   silent steps: it draws the coins of a window ahead at a step where it
+///   acts anyway and listens until its next transmission, within
+///   [`NodeCtx::horizon`] and the three rules documented there.
 pub trait Protocol {
     /// Message type carried over the air.
     type Msg: Clone;
