@@ -53,7 +53,7 @@ impl From<std::io::Error> for RunError {
 /// the encoding. Persisted results record it, and a store written under
 /// another version is not served (see the `radionet-service` cache); the
 /// golden results fixture pins it together with its own digest.
-pub const RESULTS_VERSION: u32 = 4;
+pub const RESULTS_VERSION: u32 = 5;
 
 /// The unified result of one run: the spec echoed back, the instantiated
 /// network's parameters, the task's [`TaskOutcome`], and the engine's

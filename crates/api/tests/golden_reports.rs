@@ -127,7 +127,7 @@ fn results_version_is_pinned_to_the_fixture() {
     let digest = fnv1a64(FIXTURE.as_bytes());
     assert_eq!(
         (RESULTS_VERSION, digest),
-        (4, 0x32b7_390f_a212_5a28),
+        (5, 0x431f_a28f_45db_06d0),
         "catalogue_reports.jsonl changed (digest {digest:#018x}): bump \
          radionet_api::RESULTS_VERSION and pin it here with the new digest"
     );

@@ -105,7 +105,7 @@ fn mobility_accepts_sinr_reception_end_to_end() {
 fn mobility_sinr_kernels_are_byte_identical() {
     // Moving positions + physical reception, sparse vs dense: the
     // spatially-indexed SINR kernel must reproduce the dense reference
-    // bit-for-bit under the default Exact far-field policy.
+    // bit-for-bit.
     let driver = Driver::standard();
     for preset in MOBILITY_PRESETS {
         let spec = mobile_spec(preset, Family::UnitDisk, 31)

@@ -12,7 +12,7 @@ use radionet_api::{
     Arrival, BurstyArrival, Driver, Dynamics, JournalSpec, RunSpec, TaskRegistry, TrafficSpec,
 };
 use radionet_graph::families::Family;
-use radionet_sim::{FarFieldPolicy, Kernel, PositionSource, ReceptionMode, SinrConfig};
+use radionet_sim::{Kernel, PositionSource, ReceptionMode, SinrConfig};
 
 const FIXTURE: &str = include_str!("fixtures/specs.json");
 const FIXTURE_PATH: &str = "tests/fixtures/specs.json";
@@ -43,7 +43,7 @@ fn corpus() -> Vec<RunSpec> {
     // Each reception mode, including a fully populated SINR config — and
     // every SINR position source: an explicit snapshot, the family's own
     // embedding (geometry-sourced), and the live moving point set of a
-    // mobility run (with a non-default far-field policy).
+    // mobility run.
     specs.push(RunSpec::new("broadcast", Family::UnitDisk, 4).with_seed(7).with_reception(
         ReceptionMode::Sinr(SinrConfig::for_unit_range(
             vec![(0.0, 0.0), (1.0, 0.0), (0.5, 0.5), (0.25, 0.75)],
@@ -59,10 +59,10 @@ fn corpus() -> Vec<RunSpec> {
         RunSpec::new("broadcast", Family::UnitDisk, 36)
             .with_seed(12)
             .with_dynamics(Dynamics::preset("mobility:waypoint").unwrap())
-            .with_reception(ReceptionMode::Sinr(
-                SinrConfig::for_unit_range(PositionSource::Live, 1.0)
-                    .with_far_field(FarFieldPolicy::Cutoff(0.125)),
-            )),
+            .with_reception(ReceptionMode::Sinr(SinrConfig::for_unit_range(
+                PositionSource::Live,
+                1.0,
+            ))),
     );
     specs.push(
         RunSpec::new("bgi-broadcast", Family::Cycle, 24)
@@ -153,6 +153,48 @@ fn journal_less_legacy_specs_still_parse() {
     let spec: RunSpec = serde_json::from_str(legacy).unwrap();
     assert_eq!(spec, RunSpec::new("broadcast", Family::Grid, 36).with_seed(5));
     assert!(spec.journal.is_none());
+}
+
+#[test]
+fn legacy_sinr_specs_still_parse() {
+    // SINR specs recorded while the sparse kernel had a far-field policy
+    // carry that policy's key. Both kernels now apply the exact rule, so
+    // the key decodes away: the spec and its cache key are those of the
+    // document without it, and a former `Cutoff` spec runs the exact rule.
+    let document = |policy: &str| {
+        format!(
+            r#"{{
+                "task": "broadcast",
+                "family": "UnitDisk",
+                "n": 36,
+                "reception": {{
+                    "Sinr": {{
+                        "positions": "Geometry",
+                        "path_loss": 3.0,
+                        "threshold": 2.0,
+                        "noise": 0.5,
+                        "power": 1.0{policy}
+                    }}
+                }},
+                "kernel": "Sparse",
+                "dynamics": "Static",
+                "steps": null,
+                "seed": 11
+            }}"#
+        )
+    };
+    let current: RunSpec = serde_json::from_str(&document("")).unwrap();
+    assert_eq!(
+        current,
+        RunSpec::new("broadcast", Family::UnitDisk, 36)
+            .with_seed(11)
+            .with_reception(ReceptionMode::Sinr(SinrConfig::geometric()))
+    );
+    for legacy in [r#", "far_field": "Exact""#, r#", "far_field": {"Cutoff": 0.125}"#] {
+        let spec: RunSpec = serde_json::from_str(&document(legacy)).unwrap();
+        assert_eq!(spec, current, "{legacy}");
+        assert_eq!(spec.spec_hash(), current.spec_hash(), "{legacy}");
+    }
 }
 
 #[test]

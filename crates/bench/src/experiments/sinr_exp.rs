@@ -2,7 +2,7 @@
 //! reception kernel versus the dense `O(listeners × transmitters)`
 //! reference, on static and mobile topologies.
 //!
-//! Three parts:
+//! Two parts:
 //!
 //! 1. **Kernel face-off** (all scales, `n ≥ 30 000`): a Decay workload —
 //!    a handful of transmitters among tens of thousands of passive
@@ -11,16 +11,12 @@
 //!    evaluates every (listener, transmitter) gain every step; the sparse
 //!    kernel resolves reception through the decode-range spatial index,
 //!    touching only listeners physically near a transmitter. Reports and
-//!    RNG streams are asserted identical (the `Exact` far-field policy)
-//!    and the acceptance bar is a ≥ 5× wall-clock win — in practice it is
-//!    orders of magnitude.
+//!    RNG streams are asserted identical and the acceptance bar is a ≥ 5×
+//!    wall-clock win — in practice it is orders of magnitude.
 //! 2. **Mobility × SINR** end-to-end: a `mobility:waypoint` broadcast
 //!    cell with geometry-calibrated SINR runs through `Driver::run` under
 //!    both kernels; outcome, kernel-invariant counters, RNG fingerprint,
 //!    and the mobility trace are asserted identical.
-//! 3. **Far-field cutoff**: the same face-off under
-//!    `FarFieldPolicy::Cutoff(eps)` — deliveries may only move one way
-//!    (truncation under-counts interference), and the drift is recorded.
 
 use super::{banner, print_notes};
 use crate::Scale;
@@ -30,7 +26,7 @@ use radionet_api::{Driver, Dynamics, RunSpec};
 use radionet_graph::families::Family;
 use radionet_graph::Graph;
 use radionet_primitives::decay::{DecayConfig, DecayProtocol, DecaySchedule};
-use radionet_sim::{FarFieldPolicy, Kernel, NetInfo, PhaseReport, ReceptionMode, Sim, SinrConfig};
+use radionet_sim::{Kernel, NetInfo, PhaseReport, ReceptionMode, Sim, SinrConfig};
 use std::time::Instant;
 
 /// Transmitting-set size in the face-off (sparse physical activity).
@@ -44,16 +40,13 @@ fn faceoff_run(
     n: usize,
     positions: &[[f64; 3]],
     kernel: Kernel,
-    far_field: FarFieldPolicy,
     budget: u64,
 ) -> (PhaseReport, u64, f64) {
     let g = Graph::from_edges(n, []).expect("edgeless graph");
     let info = NetInfo { n, d: 1, alpha: n as f64 };
     let schedule = DecaySchedule::new(info.log_n());
     let config = DecayConfig { iterations: u32::MAX / schedule.steps_per_iteration() };
-    let mode = ReceptionMode::Sinr(
-        SinrConfig::for_unit_range(positions.to_vec(), 1.0).with_far_field(far_field),
-    );
+    let mode = ReceptionMode::Sinr(SinrConfig::for_unit_range(positions.to_vec(), 1.0));
     let mut sim = Sim::with_reception(&g, info, 0xe18, mode);
     sim.set_kernel(kernel);
     let stride = n / FACEOFF_SOURCES;
@@ -86,7 +79,7 @@ pub fn e18_sinr(scale: Scale) -> ExperimentRecord {
     let mut walls = [0.0f64; 2];
     let mut outcomes = Vec::new();
     for (k, kernel) in [Kernel::Sparse, Kernel::Dense].into_iter().enumerate() {
-        let (rep, fp, wall) = faceoff_run(n, &geo.points, kernel, FarFieldPolicy::Exact, budget);
+        let (rep, fp, wall) = faceoff_run(n, &geo.points, kernel, budget);
         walls[k] = wall;
         table.row([
             "faceoff".into(),
@@ -109,10 +102,7 @@ pub fn e18_sinr(scale: Scale) -> ExperimentRecord {
         );
         outcomes.push((rep, fp));
     }
-    assert_eq!(
-        outcomes[0], outcomes[1],
-        "SINR kernels diverged on the face-off workload (Exact policy)"
-    );
+    assert_eq!(outcomes[0], outcomes[1], "SINR kernels diverged on the face-off workload");
     assert!(
         outcomes[0].0.deliveries > 0,
         "degenerate face-off: physical reception never delivered"
@@ -127,7 +117,7 @@ pub fn e18_sinr(scale: Scale) -> ExperimentRecord {
     );
     record.note(format!(
         "SINR face-off: sparse {speedup:.1}x faster than dense at n = {n} over {budget} steps \
-         ({FACEOFF_SOURCES} sources); reports and RNG streams identical under Exact"
+         ({FACEOFF_SOURCES} sources); reports and RNG streams identical"
     ));
 
     // Part 2: mobility × SINR end-to-end through the façade. Sizes are
@@ -187,40 +177,6 @@ pub fn e18_sinr(scale: Scale) -> ExperimentRecord {
         "mobility x SINR (waypoint UDG, n = {}): sparse and dense reports byte-identical, \
          informed fraction {:.3}",
         reports[0].n, reports[0].achieved
-    ));
-
-    // Part 3: far-field cutoff drift on the face-off instance.
-    let eps = 0.125;
-    let (cut, _, cut_wall) =
-        faceoff_run(n, &geo.points, Kernel::Sparse, FarFieldPolicy::Cutoff(eps), budget);
-    let exact = &outcomes[0].0;
-    table.row([
-        format!("cutoff eps={eps}"),
-        "sparse".into(),
-        n.to_string(),
-        cut.steps.to_string(),
-        cut.deliveries.to_string(),
-        f1(cut_wall * 1e3),
-    ]);
-    assert!(
-        cut.deliveries >= exact.deliveries && cut.collisions <= exact.collisions,
-        "cutoff truncation must be one-sided (can only flip collisions into deliveries)"
-    );
-    let flipped = cut.deliveries - exact.deliveries;
-    record.push(
-        RunRecord::new()
-            .param("part", "cutoff")
-            .param("kernel", "sparse")
-            .param("n", n)
-            .metric("eps", eps)
-            .metric("deliveries", cut.deliveries as f64)
-            .metric("flipped_vs_exact", flipped as f64)
-            .metric("wall_ms", cut_wall * 1e3),
-    );
-    record.note(format!(
-        "far-field Cutoff(eps = {eps}): {flipped} of {} deliveries flipped from borderline \
-         collisions (one-sided, omitted interference <= eps*noise)",
-        cut.deliveries
     ));
 
     println!("{}", table.render());

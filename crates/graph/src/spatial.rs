@@ -10,11 +10,10 @@
 //! The index serves three consumers: the geometric generators enumerate
 //! their candidate edges with a pair sweep over it, `radionet-mobility`
 //! maintains derived adjacency over moving nodes with it, and
-//! `radionet-sim` culls candidate transmitters per listener in the sparse
-//! SINR reception kernel (where [`SpatialGrid::for_candidates_within`]
-//! additionally bounds the far-field interference search to an arbitrary
-//! radius). It lives in this crate — below mobility and the simulator — so
-//! neither has to depend on the other.
+//! `radionet-sim` finds the listeners within decode range of each
+//! transmitter in the sparse SINR reception kernel. It lives in this
+//! crate — below mobility and the simulator — so neither has to depend on
+//! the other.
 //!
 //! Beside the index sit the two distance primitives of the `[x, y, z]`
 //! point layout: [`dist3`], the Euclidean distance, and [`within`], the
@@ -266,16 +265,18 @@ impl SpatialGrid {
         true
     }
 
-    /// Calls `f` with every node within `reach` cells of `p` per axis.
+    /// Calls `f` with every node in the `3^dim` cells around `p`
+    /// (including `p`'s own cell — callers filter out the node itself).
+    /// Covers every node within one cell width (≥ the construction
+    /// radius) of `p`.
     #[inline]
-    fn for_cells(&self, p: [f64; 3], reach: isize, mut f: impl FnMut(u32)) {
+    pub fn for_candidates(&self, p: [f64; 3], mut f: impl FnMut(u32)) {
         let mut lo = [0usize; 3];
         let mut hi = [0usize; 3];
         for axis in 0..3 {
-            let c = self.axis_cell(p[axis], axis) as isize;
-            let last = self.cells[axis] as isize - 1;
-            lo[axis] = c.saturating_sub(reach).clamp(0, last) as usize;
-            hi[axis] = c.saturating_add(reach).clamp(0, last) as usize;
+            let c = self.axis_cell(p[axis], axis);
+            lo[axis] = c.saturating_sub(1);
+            hi[axis] = (c + 1).min(self.cells[axis] - 1);
         }
         for z in lo[2]..=hi[2] {
             for y in lo[1]..=hi[1] {
@@ -287,28 +288,6 @@ impl SpatialGrid {
                 }
             }
         }
-    }
-
-    /// Calls `f` with every node in the `3^dim` cells around `p`
-    /// (including `p`'s own cell — callers filter out the node itself).
-    /// Covers every node within one cell width (≥ the construction
-    /// radius) of `p`.
-    pub fn for_candidates(&self, p: [f64; 3], f: impl FnMut(u32)) {
-        self.for_cells(p, 1, f);
-    }
-
-    /// Calls `f` with every node in the cells spanning distance `radius`
-    /// of `p` — a superset of the nodes actually within `radius`; callers
-    /// filter by exact distance. Generalizes [`for_candidates`] to
-    /// arbitrary radii (used by the SINR far-field cutoff search).
-    ///
-    /// [`for_candidates`]: SpatialGrid::for_candidates
-    pub fn for_candidates_within(&self, p: [f64; 3], radius: f64, f: impl FnMut(u32)) {
-        // A non-finite or huge radius saturates to a full scan; the
-        // per-axis clamp in `for_cells` bounds the reach by the grid
-        // dimensions either way (float→int casts saturate).
-        let reach = ((radius / self.width).ceil().max(1.0)) as isize;
-        self.for_cells(p, reach, f);
     }
 }
 
@@ -350,39 +329,6 @@ mod tests {
                 }
                 assert!(cand.contains(&i), "own cell must be scanned");
             }
-        }
-    }
-
-    #[test]
-    fn radius_search_covers_every_pair_within_radius() {
-        for dim in [2usize, 3] {
-            let side = 10.0;
-            let pts = points(150, dim, side, 5);
-            let grid = SpatialGrid::new(side, 1.0, dim, &pts);
-            for r in [0.5, 1.0, 2.7, 6.0, f64::INFINITY] {
-                for i in (0..pts.len()).step_by(13) {
-                    let mut cand = Vec::new();
-                    grid.for_candidates_within(pts[i], r, |j| cand.push(j as usize));
-                    for (j, q) in pts.iter().enumerate() {
-                        if dist(&pts[i], q) <= r.min(side * 2.0) {
-                            assert!(cand.contains(&j), "dim {dim} r {r}: pair {i}-{j} missed");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn radius_search_at_cell_width_matches_candidates() {
-        let pts = points(80, 2, 6.0, 9);
-        let grid = SpatialGrid::new(6.0, 1.0, 2, &pts);
-        for p in pts.iter().step_by(11) {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            grid.for_candidates(*p, |j| a.push(j));
-            grid.for_candidates_within(*p, grid.cell_width(), |j| b.push(j));
-            assert_eq!(a, b);
         }
     }
 

@@ -25,7 +25,7 @@ use radionet_api::{RunReport, RunSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Identifies one submitted job (monotone per queue, starting at 1).
 pub type JobId = u64;
@@ -140,6 +140,23 @@ struct Job {
     submitted: Instant,
     started: Option<Instant>,
     finished: Option<Instant>,
+}
+
+impl Job {
+    /// `(queued_micros, run_micros)` as [`JobSnapshot`] defines them: the
+    /// wait so far while queued, and the run time so far while running.
+    fn timings(&self) -> (u64, u64) {
+        let queued = match self.started {
+            Some(t) => t.duration_since(self.submitted),
+            None => self.submitted.elapsed(),
+        };
+        let run = match (self.started, self.finished) {
+            (Some(s), Some(f)) => f.duration_since(s),
+            (Some(s), None) => s.elapsed(),
+            _ => Duration::ZERO,
+        };
+        (queued.as_micros() as u64, run.as_micros() as u64)
+    }
 }
 
 struct Inner {
@@ -265,23 +282,23 @@ impl JobQueue {
     }
 
     /// Worker hand-back: a running job finished with a served report
-    /// (`Ok(report, cache_hit)`) or an error message.
-    pub fn complete(&self, id: JobId, outcome: Result<(RunReport, bool), String>) {
+    /// (`Ok(report, cache_hit)`) or an error message. Returns the job's
+    /// final `(queued_micros, run_micros)`, the timings a later
+    /// [`JobQueue::status`] reports.
+    pub fn complete(&self, id: JobId, outcome: Result<(RunReport, bool), String>) -> (u64, u64) {
         let mut inner = self.inner.lock().expect("queue poisoned");
+        inner.transition(id, if outcome.is_ok() { JobState::Done } else { JobState::Failed });
+        let job = inner.jobs.get_mut(&id).expect("transition checked existence");
         match outcome {
             Ok((report, cache_hit)) => {
-                inner.transition(id, JobState::Done);
-                let job = inner.jobs.get_mut(&id).expect("transition checked existence");
                 job.report = Some(report);
                 job.cache_hit = Some(cache_hit);
             }
-            Err(message) => {
-                inner.transition(id, JobState::Failed);
-                inner.jobs.get_mut(&id).expect("transition checked existence").error =
-                    Some(message);
-            }
+            Err(message) => job.error = Some(message),
         }
+        let timings = job.timings();
         self.settled.notify_all();
+        timings
     }
 
     /// A snapshot of one job, or `None` for an unknown id.
@@ -314,16 +331,11 @@ impl JobQueue {
     /// before the first job finishes.
     pub fn latency(&self) -> Option<QueueLatency> {
         let inner = self.inner.lock().expect("queue poisoned");
-        let mut queued: Vec<u64> = Vec::new();
-        let mut run: Vec<u64> = Vec::new();
-        for job in inner.jobs.values() {
-            // Same derivations as `snapshot`, without cloning the report;
-            // only terminal jobs are stamped `finished`.
-            if let (Some(s), Some(f)) = (job.started, job.finished) {
-                queued.push(s.duration_since(job.submitted).as_micros() as u64);
-                run.push(f.duration_since(s).as_micros() as u64);
-            }
-        }
+        // Only terminal jobs are stamped `finished`.
+        let (mut queued, mut run): (Vec<u64>, Vec<u64>) =
+            inner.jobs.values().filter(|job| job.finished.is_some()).map(Job::timings).unzip();
+        // The quantiles need no lock.
+        drop(inner);
         if queued.is_empty() {
             return None;
         }
@@ -349,15 +361,7 @@ impl JobQueue {
 
 /// Builds the observable snapshot of a job record.
 fn snapshot(id: JobId, job: &Job) -> JobSnapshot {
-    let queued_micros = match job.started {
-        Some(t) => t.duration_since(job.submitted).as_micros() as u64,
-        None => job.submitted.elapsed().as_micros() as u64,
-    };
-    let run_micros = match (job.started, job.finished) {
-        (Some(s), Some(f)) => f.duration_since(s).as_micros() as u64,
-        (Some(s), None) => s.elapsed().as_micros() as u64,
-        _ => 0,
-    };
+    let (queued_micros, run_micros) = job.timings();
     JobSnapshot {
         id,
         state: job.state,
@@ -396,6 +400,21 @@ mod tests {
         assert!(snap.report.is_some());
         assert_eq!(snap.cache_hit, Some(false));
         assert_eq!(q.counts(), (0, 1));
+    }
+
+    #[test]
+    fn complete_returns_the_final_timings() {
+        let q = JobQueue::new(4);
+        for outcome in [Ok((report(1), true)), Err("failed".to_string())] {
+            let id = q.submit(spec(1)).unwrap();
+            q.try_take().unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let timings = q.complete(id, outcome);
+            assert!(timings.1 >= 2_000, "run time {timings:?} misses the sleep");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let snap = q.status(id).unwrap();
+            assert_eq!((snap.queued_micros, snap.run_micros), timings);
+        }
     }
 
     #[test]

@@ -245,12 +245,9 @@ fn queue_worker(shared: &Shared) {
             shared.registry.count("service_job_panics", 1);
         }
         serve.stop(Some(&shared.registry), "service_cache_serve_micros");
-        shared.queue.complete(id, outcome);
-        // The job is terminal now, so its timing is final.
-        if let Some(snap) = shared.queue.status(id) {
-            shared.registry.observe("service_queue_wait_micros", snap.queued_micros);
-            shared.registry.observe("service_job_run_micros", snap.run_micros);
-        }
+        let (queued_micros, run_micros) = shared.queue.complete(id, outcome);
+        shared.registry.observe("service_queue_wait_micros", queued_micros);
+        shared.registry.observe("service_job_run_micros", run_micros);
         shared.registry.count("service_jobs", 1);
     }
 }

@@ -28,11 +28,10 @@
 //!   ring of a transmitter can possibly decode (or lose a decodable
 //!   signal), so the per-step cost is proportional to transmitters and
 //!   their physical neighborhoods instead of `O(listeners × transmitters)`.
-//!   Under the default [`FarFieldPolicy::Exact`] the interference sum
-//!   stays exact (over all transmitters, in ascending node order, so even
-//!   the floating-point sums are bit-identical to the dense kernel);
-//!   [`FarFieldPolicy::Cutoff`] truncates it with a proven
-//!   `≤ eps·noise` omitted-interference bound. Positions come from the
+//!   The interference sum stays exact: over all transmitters, and where
+//!   the exact-decision filter cannot settle a listener, in ascending node
+//!   order, so even the floating-point sums are bit-identical to the dense
+//!   kernel. Positions come from the
 //!   [`PositionSource`] — an owned snapshot, or live from the topology
 //!   view ([`TopologyView::positions`]) with the spatial index rebuilt on
 //!   [`TopologyView::positions_version`] bumps;
@@ -61,16 +60,12 @@
 //! [`SimStats`] apart from the scheduler counters
 //! ([`SimStats::kernel_invariant`]) as long as protocols honor the [`Wake`]
 //! contract; the `kernel_equiv` proptests assert exactly that across the
-//! protocol and scenario catalogues (the one deliberate exception:
-//! [`FarFieldPolicy::Cutoff`] is honored by the sparse kernel only — the
-//! dense reference always computes exact interference).
+//! protocol and scenario catalogues, under every reception mode.
 
 use crate::injection::{injections_ordered, Injection};
 use crate::observer::{emit, journal, metrics, Observer, Quiet};
 use crate::protocol::{Action, NetInfo, NodeCtx, Protocol, Wake};
-use crate::reception::{
-    dist3, FarFieldPolicy, PositionSource, ReceptionMode, SinrConfig, TxCoords,
-};
+use crate::reception::{dist3, PositionSource, ReceptionMode, SinrConfig, TxCoords};
 use crate::stats::SimStats;
 use crate::topology::{StaticTopology, TopologyView};
 use radionet_graph::spatial::{capped_cell_width, position_bounds, SpatialGrid};
@@ -128,8 +123,10 @@ pub struct PhaseReport {
 pub enum Kernel {
     /// The transmitter-centric active-set kernel (see the module docs):
     /// per-step cost proportional to radio activity — under SINR
-    /// reception, via a spatial index over the node positions — with
-    /// topology dynamics read off the view's change feed
+    /// reception, via a spatial index over the node positions that finds
+    /// the listeners near a transmitter, while interference stays the
+    /// sum over every transmitter — with topology dynamics read off the
+    /// view's change feed
     /// ([`TopologyView::drain_status_changes`]) and clock jumps over
     /// provably silent spans, counted in [`SimStats::silent_steps_skipped`].
     /// A jump never passes the view's next event
@@ -138,7 +135,8 @@ pub enum Kernel {
     Sparse,
     /// The dense reference kernel: polls every node every step, ignoring
     /// [`Wake`] hints. Always correct, never fast; kept as the
-    /// differential-testing oracle.
+    /// differential-testing oracle, which the sparse kernel matches under
+    /// every reception mode.
     Dense,
 }
 
@@ -454,16 +452,14 @@ pub struct Sim<'g, T: TopologyView = StaticTopology, O: Observer = Quiet> {
     listening: Vec<bool>,
     tx_nodes: Vec<u32>,
     sched: SparseSched,
-    // SINR-only scratch: per-listener strongest candidate gain, the
-    // transmitter membership stamp + `tx_nodes` slot for the far-field
-    // ring search (and its candidate-collection buffer), this step's
-    // transmitter coordinates for the exact-decision filter, and the
-    // decode-range spatial index (rebuilt when the position version
-    // changes). Empty/None under the protocol models.
+    // SINR-only scratch: per-listener strongest candidate gain, this
+    // step's `tx_nodes` slots in ascending node order (the exact sum's
+    // order, filled at its first use in a step), this step's transmitter
+    // coordinates for the exact-decision filter, and the decode-range
+    // spatial index (rebuilt when the position version changes).
+    // Empty/None under the protocol models.
     sinr_best: Vec<f64>,
-    tx_mark: Vec<u64>,
-    tx_slot: Vec<u32>,
-    cutoff_cands: Vec<u32>,
+    tx_order: Vec<u32>,
     tx_coords: TxCoords,
     sinr_grid: Option<SpatialGrid>,
     sinr_grid_version: u64,
@@ -613,9 +609,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
             tx_nodes: Vec::new(),
             sched: SparseSched::default(),
             sinr_best: if sinr { vec![0.0; graph.n()] } else { Vec::new() },
-            tx_mark: if sinr { vec![0; graph.n()] } else { Vec::new() },
-            tx_slot: if sinr { vec![0; graph.n()] } else { Vec::new() },
-            cutoff_cands: Vec::new(),
+            tx_order: Vec::new(),
             tx_coords: TxCoords::default(),
             sinr_grid: None,
             sinr_grid_version: 0,
@@ -960,10 +954,10 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                 // the topology view's *structural* events (edge fades,
                 // partitions) do not apply here — radio waves ignore
                 // logical cuts; only node state (activity, jamming)
-                // matters. The dense reference always sums interference
-                // exactly (FarFieldPolicy applies to the sparse kernel).
-                // A silent step resolves nothing, so the all-listener scan
-                // is skipped outright rather than per listener.
+                // matters. The dense reference sums interference with
+                // `powf` in transmitter order, unfiltered. A silent step
+                // resolves nothing, so the all-listener scan is skipped
+                // outright rather than per listener.
                 if !self.tx_nodes.is_empty() {
                     let pos = sinr_positions(cfg, &self.topo);
                     let floor = cfg.near_field_floor();
@@ -1334,21 +1328,6 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                     let floor = cfg.near_field_floor();
                     let epoch = self.stamp_epoch;
                     self.tx_coords.gather(pos, &self.tx_nodes);
-                    // Cutoff mode: fix this step's truncation radius once
-                    // (eps and the transmitter count don't change within
-                    // a step — the powf has no business in the
-                    // per-listener loop) and stamp transmitter
-                    // membership for the far-field ring search below.
-                    let cutoff = match cfg.far_field {
-                        FarFieldPolicy::Exact => None,
-                        FarFieldPolicy::Cutoff(eps) => {
-                            for (ti, &u) in self.tx_nodes.iter().enumerate() {
-                                self.tx_mark[u as usize] = epoch;
-                                self.tx_slot[u as usize] = ti as u32;
-                            }
-                            Some(cfg.cutoff_distance(eps, self.tx_nodes.len()))
-                        }
-                    };
                     // (4a) Candidate pass, transmitter-centric: every
                     // listener that could possibly decode (or lose a
                     // decodable signal) is within one index cell ring —
@@ -1389,6 +1368,7 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                     // reception module docs) and, near the threshold, by
                     // the exact interference sum.
                     let touched = std::mem::take(&mut self.sched.touched);
+                    self.tx_order.clear();
                     for &w32 in &touched {
                         let wi = w32 as usize;
                         let best = self.sinr_best[wi];
@@ -1404,44 +1384,24 @@ impl<'g, T: TopologyView, O: Observer> Sim<'g, T, O> {
                             });
                             continue;
                         }
-                        // Cutoff: only transmitters within the
-                        // eps-calibrated radius contribute; the omitted
-                        // tail is ≤ eps·noise in total (see
-                        // FarFieldPolicy::Cutoff). Their slots are
-                        // collected from the ring walk.
-                        let mut cands = std::mem::take(&mut self.cutoff_cands);
-                        cands.clear();
-                        if let Some(cut) = cutoff {
-                            grid.for_candidates_within(pos[wi], cut, |cand| {
-                                let ci = cand as usize;
-                                if self.tx_mark[ci] == epoch {
-                                    cands.push(self.tx_slot[ci]);
-                                }
-                            });
-                        }
-                        let slots = cutoff.map(|_| cands.as_slice());
-                        let terms = slots.map_or(self.tx_nodes.len(), <[u32]>::len);
-                        let approx = self.tx_coords.interference(cfg, floor, &pos[wi], slots);
+                        let approx = self.tx_coords.interference(cfg, floor, &pos[wi]);
+                        let terms = self.tx_nodes.len();
                         let decodes =
                             cfg.decide_filtered(best, approx, terms).unwrap_or_else(|| {
                                 // The exact sum in ascending node order:
                                 // the dense kernel's floating-point
-                                // reduction. Under Cutoff the candidates
-                                // are summed in that order too, so a radius
-                                // wide enough to reach every transmitter
-                                // reproduces the Exact sum bit-for-bit
-                                // instead of merely up to rounding.
-                                if cutoff.is_none() {
-                                    cands.extend(0..self.tx_nodes.len() as u32);
+                                // reduction.
+                                let order = &mut self.tx_order;
+                                if order.is_empty() {
+                                    order.extend(0..terms as u32);
+                                    order.sort_unstable_by_key(|&ti| self.tx_nodes[ti as usize]);
                                 }
-                                cands.sort_unstable_by_key(|&ti| self.tx_nodes[ti as usize]);
-                                let total = cands.iter().fold(0.0, |sum, &ti| {
+                                let total = order.iter().fold(0.0, |sum, &ti| {
                                     let t = self.tx_nodes[ti as usize] as usize;
                                     sum + cfg.gain_clamped(dist3(&pos[t], &pos[wi]), floor)
                                 });
                                 best / (cfg.noise + (total - best)) >= cfg.threshold
                             });
-                        self.cutoff_cands = cands;
                         if decodes {
                             let ti = self.from[wi] as usize;
                             let mut ctx = NodeCtx {
@@ -2380,32 +2340,6 @@ mod tests {
         assert_eq!(sim.kernel(), Kernel::Sparse);
         sim.run_phase(&mut chatters(&g, &[0]), 3);
         assert_eq!(sim.stats().kernel_fallbacks, 0);
-    }
-
-    #[test]
-    fn sinr_cutoff_approximates_exact() {
-        use crate::reception::{FarFieldPolicy, SinrConfig};
-        // A dense cluster of chatterers: with a loose eps the cutoff may
-        // flip borderline collisions into deliveries (one-sided), with a
-        // tight eps it must match Exact exactly on this instance.
-        let g = generators::complete(12);
-        let pts = scatter(g.n(), 6.0, 23);
-        let run = |far_field| {
-            let mode = crate::ReceptionMode::Sinr(
-                SinrConfig::for_unit_range(pts.clone(), 1.0).with_far_field(far_field),
-            );
-            let mut sim = Sim::with_reception(&g, NetInfo::exact(&g), 9, mode);
-            let mut states: Vec<Coin> = g.nodes().map(|_| Coin { sent: Vec::new() }).collect();
-            let rep = sim.run_phase(&mut states, 80);
-            (rep, sim.rng_fingerprint())
-        };
-        let exact = run(FarFieldPolicy::Exact);
-        let tight = run(FarFieldPolicy::Cutoff(1e-9));
-        assert_eq!(exact, tight, "a tight epsilon must reproduce Exact here");
-        let loose = run(FarFieldPolicy::Cutoff(0.5));
-        // One-sided error: truncating interference can only help decoding.
-        assert!(loose.0.deliveries >= exact.0.deliveries);
-        assert!(loose.0.transmissions == exact.0.transmissions);
     }
 
     #[test]

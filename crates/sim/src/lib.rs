@@ -84,9 +84,7 @@ pub use protocol::{Action, NetInfo, NodeCtx, Protocol, Wake};
 // The metrics half of an `Observed`, re-exported so telemetry-attached
 // drivers resolve without a separate telemetry dependency.
 pub use radionet_telemetry::Registry;
-pub use reception::{
-    dist3, FarFieldPolicy, PositionSource, ReceptionMode, SinrConfig, NEAR_FIELD_FRACTION,
-};
+pub use reception::{dist3, PositionSource, ReceptionMode, SinrConfig, NEAR_FIELD_FRACTION};
 pub use stats::SimStats;
 pub use topology::{StaticTopology, TopologyView};
 

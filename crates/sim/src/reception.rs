@@ -40,18 +40,13 @@
 //! regardless of whether ranges are meters or kilometers (an absolute
 //! clamp would make the cap blow up with the deployment scale).
 //!
-//! # Far-field policy
+//! # One rule on both kernels
 //!
-//! The sparse step kernel resolves SINR reception through a spatial index
-//! (see [`Kernel`](crate::Kernel)); [`FarFieldPolicy`] controls how it
-//! treats far transmitters when summing interference. The default
-//! [`Exact`](FarFieldPolicy::Exact) uses the index only to find candidate
-//! *strongest* transmitters — interference stays an exact sum over all
-//! transmitters, and reports are bit-identical to the dense reference.
-//! [`Cutoff`](FarFieldPolicy::Cutoff) additionally truncates the
-//! interference sum at the distance where **total** omitted interference
-//! is provably at most `eps · noise`, trading a one-sided ≤ `eps·noise`
-//! under-estimate of the denominator for locality at scale.
+//! Both kernels sum interference over every transmitter on the air. The
+//! sparse kernel's spatial index (see [`Kernel`](crate::Kernel)) only finds
+//! the listeners that may hear a transmitter and their strongest
+//! candidate; it never truncates the sum, so the two kernels' reports are
+//! identical.
 //!
 //! # Exact decisions
 //!
@@ -63,11 +58,10 @@
 //!
 //! * Once per step it gathers the transmitters' coordinates into reused
 //!   buffers. Per listener it sums an approximate interference `Ĩ` in any
-//!   order, over the same transmitters the exact sum covers (all of them,
-//!   or the cutoff candidates). Each term uses the same effective distance
-//!   `x = max(d, floor)` as the exact term. It is `P / x^k`, by
-//!   multiplication, when `α` is an integer `k ≤ 8`, and the exact term
-//!   itself otherwise.
+//!   order over every transmitter, the terms of the exact sum. Each term
+//!   uses the same effective distance `x = max(d, floor)` as the exact
+//!   term. It is `P / x^k`, by multiplication, when `α` is an integer
+//!   `k ≤ 8`, and the exact term itself otherwise.
 //! * [`SinrConfig::decide_filtered`] compares the approximate denominator
 //!   `N + (Ĩ − best)` with the critical one, `best / β`. It returns the
 //!   outcome only when their distance exceeds an **absolute** bound on how
@@ -138,28 +132,6 @@ impl From<Vec<(f64, f64)>> for PositionSource {
     }
 }
 
-/// How the sparse kernel treats far transmitters when summing SINR
-/// interference. The dense reference kernel always computes the exact sum
-/// (it has no index to truncate with); under `Exact` the two kernels are
-/// bit-identical, under `Cutoff` the sparse kernel's denominator is
-/// under-estimated by at most `eps · noise` (see the module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub enum FarFieldPolicy {
-    /// Interference is the exact sum over **all** transmitters; the
-    /// spatial index only accelerates the strongest-transmitter search.
-    /// Identical reports to the dense reference kernel.
-    #[default]
-    Exact,
-    /// Truncate the interference sum at the distance where each of the
-    /// `T` transmitters beyond it contributes at most `eps·noise / T`
-    /// received power, so the **total** omitted interference is at most
-    /// `eps · noise`. One-sided: computed SINR ≥ true SINR, so a
-    /// borderline listener may decode where `Exact` would count a
-    /// collision; with `eps ≪ β − best/(N+I)` margins the reports
-    /// coincide (pinned by tolerance tests).
-    Cutoff(f64),
-}
-
 /// Parameters of the SINR reception rule.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SinrConfig {
@@ -175,9 +147,6 @@ pub struct SinrConfig {
     pub noise: f64,
     /// Uniform transmit power `P`.
     pub power: f64,
-    /// Far-transmitter treatment in the sparse kernel (default
-    /// [`FarFieldPolicy::Exact`]).
-    pub far_field: FarFieldPolicy,
 }
 
 /// Relative error bound of one interference term of either sum against
@@ -223,14 +192,7 @@ impl SinrConfig {
         let power = 1.0;
         // Decodable alone at `range`: P·range^{-α} / N = β.
         let noise = power * range.powf(-path_loss) / threshold;
-        SinrConfig {
-            positions: positions.into(),
-            path_loss,
-            threshold,
-            noise,
-            power,
-            far_field: FarFieldPolicy::default(),
-        }
+        SinrConfig { positions: positions.into(), path_loss, threshold, noise, power }
     }
 
     /// The geometry-sourced standard configuration: positions come from
@@ -242,15 +204,9 @@ impl SinrConfig {
         Self::for_unit_range(PositionSource::Geometry, 1.0)
     }
 
-    /// Selects the far-field policy (builder style).
-    pub fn with_far_field(mut self, far_field: FarFieldPolicy) -> Self {
-        self.far_field = far_field;
-        self
-    }
-
     /// Structural validation: all physical parameters must be finite and
-    /// strictly positive (and a `Cutoff` epsilon likewise), otherwise the
-    /// decode range — and with it the reception rule — is undefined.
+    /// strictly positive, otherwise the decode range — and with it the
+    /// reception rule — is undefined.
     ///
     /// # Errors
     ///
@@ -264,11 +220,6 @@ impl SinrConfig {
         ] {
             if !(v.is_finite() && v > 0.0) {
                 return Err(format!("SINR {name} must be finite and positive, got {v}"));
-            }
-        }
-        if let FarFieldPolicy::Cutoff(eps) = self.far_field {
-            if !(eps.is_finite() && eps > 0.0) {
-                return Err(format!("SINR cutoff epsilon must be finite and positive, got {eps}"));
             }
         }
         if let PositionSource::Snapshot(points) = &self.positions {
@@ -329,16 +280,6 @@ impl SinrConfig {
     #[inline]
     pub fn gain_clamped(&self, d: f64, floor: f64) -> f64 {
         self.power * d.max(floor).powf(-self.path_loss)
-    }
-
-    /// The far-field cutoff distance for `Cutoff(eps)` with `tx_count`
-    /// transmitters on the air: beyond it each transmitter contributes at
-    /// most `eps·noise / tx_count`, so the total omitted interference is
-    /// at most `eps·noise`. Never below the decode range (the decodable
-    /// signal itself is always inside the sum).
-    pub fn cutoff_distance(&self, eps: f64, tx_count: usize) -> f64 {
-        let d = (self.power * tx_count as f64 / (eps * self.noise)).powf(1.0 / self.path_loss);
-        d.max(self.decode_range())
     }
 
     /// The path-loss exponent as an integer `k ≤ 8`, if it is one: the
@@ -426,36 +367,29 @@ impl TxCoords {
     }
 
     /// The approximate interference at `at`: the sum, in no particular
-    /// order, of every gathered transmitter's term (`slots = None`) or of
-    /// the terms of the transmitters at `slots`. Each term takes the same
-    /// effective distance as [`SinrConfig::gain_clamped`]; it is
+    /// order, of every gathered transmitter's term. Each term takes the
+    /// same effective distance as [`SinrConfig::gain_clamped`]; it is
     /// `P / x^k` by multiplication for an integer exponent `k ≤ 8`, and
     /// the exact term otherwise.
-    pub(crate) fn interference(
-        &self,
-        cfg: &SinrConfig,
-        floor: f64,
-        at: &[f64; 3],
-        slots: Option<&[u32]>,
-    ) -> f64 {
+    pub(crate) fn interference(&self, cfg: &SinrConfig, floor: f64, at: &[f64; 3]) -> f64 {
         let (p, f) = (cfg.power, floor);
         match cfg.integer_path_loss() {
-            Some(1) => self.fast_sum::<1>(at, slots, p, f),
-            Some(2) => self.fast_sum::<2>(at, slots, p, f),
-            Some(3) => self.fast_sum::<3>(at, slots, p, f),
-            Some(4) => self.fast_sum::<4>(at, slots, p, f),
-            Some(5) => self.fast_sum::<5>(at, slots, p, f),
-            Some(6) => self.fast_sum::<6>(at, slots, p, f),
-            Some(7) => self.fast_sum::<7>(at, slots, p, f),
-            Some(8) => self.fast_sum::<8>(at, slots, p, f),
-            _ => self.sum(at, slots, |d| cfg.gain_clamped(d, floor)),
+            Some(1) => self.fast_sum::<1>(at, p, f),
+            Some(2) => self.fast_sum::<2>(at, p, f),
+            Some(3) => self.fast_sum::<3>(at, p, f),
+            Some(4) => self.fast_sum::<4>(at, p, f),
+            Some(5) => self.fast_sum::<5>(at, p, f),
+            Some(6) => self.fast_sum::<6>(at, p, f),
+            Some(7) => self.fast_sum::<7>(at, p, f),
+            Some(8) => self.fast_sum::<8>(at, p, f),
+            _ => self.sum(at, |d| cfg.gain_clamped(d, floor)),
         }
     }
 
     /// [`sum`](TxCoords::sum) of the terms `P / x^K`, `x = max(d, floor)`,
     /// with `x^K` multiplied out (`K` is a constant so the product unrolls).
-    fn fast_sum<const K: u32>(&self, at: &[f64; 3], slots: Option<&[u32]>, p: f64, f: f64) -> f64 {
-        self.sum(at, slots, |d| {
+    fn fast_sum<const K: u32>(&self, at: &[f64; 3], p: f64, f: f64) -> f64 {
+        self.sum(at, |d| {
             let x = d.max(f);
             let mut xk = x;
             for _ in 1..K {
@@ -465,13 +399,9 @@ impl TxCoords {
         })
     }
 
-    /// The sum of `gain(distance)` over the selected transmitters.
-    fn sum(&self, at: &[f64; 3], slots: Option<&[u32]>, gain: impl Fn(f64) -> f64) -> f64 {
+    /// The sum of `gain(distance)` over every gathered transmitter.
+    fn sum(&self, at: &[f64; 3], gain: impl Fn(f64) -> f64) -> f64 {
         let term = |x: f64, y: f64, z: f64| gain(dist3(&[x, y, z], at));
-        if let Some(slots) = slots {
-            let at_slot = |j: usize| term(self.xs[j], self.ys[j], self.zs[j]);
-            return slots.iter().map(|&j| at_slot(j as usize)).sum();
-        }
         // Four independent accumulators keep the square roots and
         // divisions of consecutive terms in flight together.
         let (xs, ys, zs) =
@@ -560,17 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn cutoff_distance_bounds_omitted_interference() {
-        let cfg = SinrConfig::for_unit_range(PositionSource::Snapshot(Vec::new()), 1.0);
-        for (eps, t) in [(0.5, 10usize), (0.01, 1000), (1.0, 1)] {
-            let d = cfg.cutoff_distance(eps, t);
-            assert!(d >= cfg.decode_range(), "cutoff below decode range");
-            // A transmitter exactly at the cutoff contributes ≤ eps·noise/T.
-            assert!(cfg.gain(d) <= eps * cfg.noise / t as f64 * (1.0 + 1e-12));
-        }
-    }
-
-    #[test]
     fn validate_catches_degenerate_parameters() {
         let good = SinrConfig::geometric();
         assert!(good.validate().is_ok());
@@ -579,8 +498,6 @@ mod tests {
         assert!(bad.validate().is_err());
         let mut bad = good.clone();
         bad.path_loss = f64::NAN;
-        assert!(bad.validate().is_err());
-        let bad = good.clone().with_far_field(FarFieldPolicy::Cutoff(-1.0));
         assert!(bad.validate().is_err());
         let mut bad = good.clone();
         bad.positions = PositionSource::Snapshot(vec![[0.0, f64::INFINITY, 0.0]]);
@@ -654,7 +571,6 @@ mod tests {
         let tx: Vec<u32> = (0..37).step_by(2).collect();
         let mut coords = TxCoords::default();
         coords.gather(&pts, &tx);
-        let slots: Vec<u32> = vec![0, 3, 4, 9];
         for path_loss in [2.0, 3.0, 4.0, 2.5, 9.0] {
             let mut cfg = SinrConfig::for_unit_range(pts.clone(), 1.0);
             cfg.path_loss = path_loss;
@@ -662,15 +578,11 @@ mod tests {
             assert_eq!(cfg.integer_path_loss(), fast);
             let floor = cfg.near_field_floor();
             let at = pts[1];
-            let exact = |sel: &mut dyn Iterator<Item = u32>| {
-                sel.fold(0.0, |s, t| s + cfg.gain_clamped(dist3(&pts[t as usize], &at), floor))
-            };
-            let all = exact(&mut tx.iter().copied());
-            let some = exact(&mut slots.iter().map(|&j| tx[j as usize]));
-            let approx_all = coords.interference(&cfg, floor, &at, None);
-            let approx_some = coords.interference(&cfg, floor, &at, Some(&slots));
-            assert!((approx_all / all - 1.0).abs() < 1e-13, "alpha {path_loss}");
-            assert!((approx_some / some - 1.0).abs() < 1e-13, "alpha {path_loss}");
+            let exact = tx
+                .iter()
+                .fold(0.0, |s, &t| s + cfg.gain_clamped(dist3(&pts[t as usize], &at), floor));
+            let approx = coords.interference(&cfg, floor, &at);
+            assert!((approx / exact - 1.0).abs() < 1e-13, "alpha {path_loss}");
         }
     }
 
@@ -699,7 +611,7 @@ mod tests {
             let at = pts[0];
             let gains = tx.iter().map(|&u| cfg.gain_clamped(dist3(&pts[u as usize], &at), floor));
             let (total, best) = gains.fold((0.0, 0.0f64), |(s, b), g| (s + g, b.max(g)));
-            let approx = coords.interference(&cfg, floor, &at, None);
+            let approx = coords.interference(&cfg, floor, &at);
             let sinr = best / (cfg.noise + (total - best));
             for rel in [0.0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-10, -1e-10, 1e-6, -1e-6] {
                 cfg.threshold = sinr * (1.0 + rel);
@@ -737,7 +649,7 @@ mod tests {
         let gains = tx.iter().map(|&u| cfg.gain_clamped(dist3(&pts[u as usize], &at), floor));
         let (total, best) = gains.fold((0.0, 0.0f64), |(s, b), g| (s + g, b.max(g)));
         assert_eq!(total, best, "every far term vanishes in transmitter order");
-        let approx = coords.interference(&cfg, floor, &at, None);
+        let approx = coords.interference(&cfg, floor, &at);
         let gap = approx - total;
         assert!(gap > 1e-5, "the lanes keep the far terms: gap {gap}");
         // Critical denominator halfway: the exact sum decodes, Ĩ would not.
@@ -773,12 +685,11 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trips_every_source_and_policy() {
+    fn serde_round_trips_every_source() {
         let configs = [
             SinrConfig::for_unit_range(vec![(0.0, 0.0), (0.5, 0.25)], 1.0),
             SinrConfig::geometric(),
-            SinrConfig::for_unit_range(PositionSource::Live, 2.0)
-                .with_far_field(FarFieldPolicy::Cutoff(0.125)),
+            SinrConfig::for_unit_range(PositionSource::Live, 2.0),
         ];
         for cfg in configs {
             let mode = ReceptionMode::Sinr(cfg);

@@ -721,54 +721,6 @@ proptest! {
         );
         prop_assert_eq!(&a, &b);
     }
-
-    /// Cutoff ≈ Exact: with the tolerance epsilon the truncated
-    /// interference sum may only flip borderline collisions into
-    /// deliveries (one-sided), and with a tiny epsilon the cutoff radius
-    /// covers everything, reproducing Exact bit-for-bit.
-    #[test]
-    fn cutoff_is_one_sided_and_tight_at_small_eps(
-        g in arb_graph(),
-        pts in (3usize..32).prop_flat_map(arb_positions),
-        seed in 0u64..1000,
-        steps in 1u64..50,
-        alpha in arb_path_loss(),
-        lattice in any::<bool>(),
-    ) {
-        use radionet_sim::FarFieldPolicy;
-        let n = g.n();
-        let mut pts = pts;
-        pts.resize(n, [0.5, 0.5, 0.0]);
-        let (pts, range) = sinr_layout(lattice, pts);
-        let view = ScriptView::new(vec![None; n], vec![None; n]);
-        let run = |far_field| {
-            let cfg = sinr_config(pts.clone(), alpha, range).with_far_field(far_field);
-            all_kernels_with(
-                |_| Talker { p_milli: 400, sent: 0, heard: Vec::new() },
-                &view, &g, seed, steps,
-                ReceptionMode::Sinr(cfg),
-            )
-        };
-        let [exact_sparse, exact_dense] = run(FarFieldPolicy::Exact);
-        prop_assert_eq!(&exact_sparse, &exact_dense);
-        // A sub-nano epsilon pushes the cutoff radius beyond every pair
-        // distance here, so the sparse run must equal Exact exactly.
-        let [tight, _] = run(FarFieldPolicy::Cutoff(1e-12));
-        prop_assert_eq!(&tight, &exact_sparse);
-        // A loose epsilon: one-sided — truncating interference can only
-        // raise the computed SINR, so each flip converts a collision into
-        // a delivery. Talkers transmit independently of what they hear,
-        // so the per-step decodable set is identical and the
-        // delivery+collision total is conserved exactly.
-        let [loose, _] = run(FarFieldPolicy::Cutoff(0.25));
-        prop_assert_eq!(loose.0.transmissions, exact_sparse.0.transmissions);
-        prop_assert!(loose.0.deliveries >= exact_sparse.0.deliveries);
-        prop_assert!(loose.0.collisions <= exact_sparse.0.collisions);
-        prop_assert_eq!(
-            loose.0.deliveries + loose.0.collisions,
-            exact_sparse.0.deliveries + exact_sparse.0.collisions
-        );
-    }
 }
 
 /// CD mode with jam windows and churn: exercised outside the proptest macro
@@ -812,10 +764,9 @@ fn cd_jam_and_churn_agree() {
 /// decode range gives its listener SINR exactly β, which decodes; a second,
 /// distant transmitter pushes that listener just below β, while a listener
 /// sharing the second transmitter's point hears it at the near-field cap.
-/// Every kernel and far-field policy must agree under every exponent.
+/// Every kernel must agree under every exponent.
 #[test]
 fn boundary_links_decide_identically_on_every_kernel() {
-    use radionet_sim::FarFieldPolicy;
     let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
     let view = ScriptView::new(vec![None; 4], vec![None; 4]);
     // Node 1 is a 3-4-5 hypotenuse (the decode range 5) from node 0; node
@@ -823,22 +774,20 @@ fn boundary_links_decide_identically_on_every_kernel() {
     let pts = vec![[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [30.0, 0.0, 0.0], [30.0, 0.0, 0.0]];
     let steps = 10;
     for alpha in [2.0, 3.0, 4.0, 2.5] {
-        for far_field in [FarFieldPolicy::Exact, FarFieldPolicy::Cutoff(1e-12)] {
-            for (second, deliveries, collisions) in [(false, steps, 0), (true, steps, steps)] {
-                let cfg = sinr_config(pts.clone(), alpha, 5.0).with_far_field(far_field);
-                let talks = |i: usize| i == 0 || (second && i == 2);
-                let [a, b] = all_kernels_with(
-                    |i| Talker { p_milli: if talks(i) { 1000 } else { 0 }, sent: 0, heard: vec![] },
-                    &view,
-                    &g,
-                    7,
-                    steps,
-                    ReceptionMode::Sinr(cfg),
-                );
-                let case = format!("alpha {alpha}, {far_field:?}, second talker {second}");
-                assert_eq!((a.0.deliveries, a.0.collisions), (deliveries, collisions), "{case}");
-                assert_eq!(a, b, "{case}");
-            }
+        for (second, deliveries, collisions) in [(false, steps, 0), (true, steps, steps)] {
+            let cfg = sinr_config(pts.clone(), alpha, 5.0);
+            let talks = |i: usize| i == 0 || (second && i == 2);
+            let [a, b] = all_kernels_with(
+                |i| Talker { p_milli: if talks(i) { 1000 } else { 0 }, sent: 0, heard: vec![] },
+                &view,
+                &g,
+                7,
+                steps,
+                ReceptionMode::Sinr(cfg),
+            );
+            let case = format!("alpha {alpha}, second talker {second}");
+            assert_eq!((a.0.deliveries, a.0.collisions), (deliveries, collisions), "{case}");
+            assert_eq!(a, b, "{case}");
         }
     }
 }
@@ -850,7 +799,6 @@ fn boundary_links_decide_identically_on_every_kernel() {
 /// the lower node index, node 0, whichever order the transmitters acted in.
 #[test]
 fn equal_sinr_gains_decode_the_lower_node_index() {
-    use radionet_sim::FarFieldPolicy;
     /// Node `id` of the path; `heard` holds `(step, sender)` pairs.
     struct Tie {
         id: u32,
@@ -886,21 +834,19 @@ fn equal_sinr_gains_decode_the_lower_node_index() {
     let g = Graph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
     let view = ScriptView::new(vec![None; 3], vec![None; 3]);
     let pts = vec![[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]];
-    for far_field in [FarFieldPolicy::Exact, FarFieldPolicy::Cutoff(1e-12)] {
-        let mut cfg = SinrConfig::for_unit_range(pts.clone(), 1.0).with_far_field(far_field);
-        cfg.threshold = 0.5;
-        assert!(cfg.validate().is_ok());
-        let [sparse, dense] = all_kernels_with(
-            |i| Tie { id: i as u32, heard: Vec::new() },
-            &view,
-            &g,
-            3,
-            5,
-            ReceptionMode::Sinr(cfg),
-        );
-        assert_eq!(sparse.3[1], [(0, 2), (1, 2), (2, 2), (3, 0), (4, 2)], "{far_field:?}");
-        assert_eq!(sparse, dense, "{far_field:?}");
-    }
+    let mut cfg = SinrConfig::for_unit_range(pts, 1.0);
+    cfg.threshold = 0.5;
+    assert!(cfg.validate().is_ok());
+    let [sparse, dense] = all_kernels_with(
+        |i| Tie { id: i as u32, heard: Vec::new() },
+        &view,
+        &g,
+        3,
+        5,
+        ReceptionMode::Sinr(cfg),
+    );
+    assert_eq!(sparse.3[1], [(0, 2), (1, 2), (2, 2), (3, 0), (4, 2)]);
+    assert_eq!(sparse, dense);
 }
 
 /// The sparse kernel must genuinely jump (not just match): slot beacons that
